@@ -453,6 +453,9 @@ def _suite_anisotropy_limit(cfg, rng, out_dir):
     return checks, plots
 
 
+_REFINE_OUTER = 10.0  # outer radius of the angular refinement guard's shell
+
+
 def _suite_integral_identities(cfg, rng, out_dir):
     mass = cfgmod.as_float(cfg, "mass")
     r_inner = cfgmod.as_float(cfg, "r_inner")
@@ -463,9 +466,15 @@ def _suite_integral_identities(cfg, rng, out_dir):
     nodes_per_panel = cfgmod.as_int(cfg, "nodes_per_panel")
     rel_tol = cfgmod.as_float(cfg, "rel_tol")
     capacity_tol = cfgmod.as_float(cfg, "capacity_tol")
+    if mass <= 0.0:
+        raise ConfigError("mass must be positive: the capacity balance needs a horizon")
+    if not 0.0 < r_inner < min(r_outer, _REFINE_OUTER):
+        raise ConfigError(f"need 0 < r_inner < r_outer and r_inner < {_REFINE_OUTER:g}, "
+                          "the outer radius of the angular refinement shell")
     metric = geometry.schwarzschild(mass)
     f = potentials.schwarzschild_potential(mass)
     rule = quadrature.sphere_rule(n_polar, n_azimuth)
+    quadrature.radial_panels(r_inner, r_outer, n_panels, nodes_per_panel)
     rows = []
 
     def shell_defect():
@@ -483,10 +492,10 @@ def _suite_integral_identities(cfg, rng, out_dir):
         coarse = quadrature.sphere_rule(6, 12)
         fine = quadrature.sphere_rule(12, 24)
         a = global_checks.integral_identity_check(
-            f, metric, r_inner, 10.0, rule=coarse,
+            f, metric, r_inner, _REFINE_OUTER, rule=coarse,
             n_panels=8, nodes_per_panel=6)
         b = global_checks.integral_identity_check(
-            f, metric, r_inner, 10.0, rule=fine,
+            f, metric, r_inner, _REFINE_OUTER, rule=fine,
             n_panels=8, nodes_per_panel=6)
         drift = abs(a.relative_defect - b.relative_defect)
         return _ok("angular_refinement_stable", drift, 0.0, rel_tol,
@@ -677,7 +686,11 @@ def run_suite(suite, cfg_overrides, out_dir, seed=0, parallel=False):
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.time()
-    checks, plots = fn(cfg, rng, out_dir)
+    try:
+        checks, plots = fn(cfg, rng, out_dir)
+    except ValueError as exc:
+        # a constructor refused a configured value before any check ran
+        raise ConfigError(f"suite {suite!r}: {exc}") from None
     if parallel:
         with ThreadPoolExecutor(max_workers=min(8, len(checks))) as pool:
             futures = [(name, pool.submit(_check, name, body))

@@ -7,6 +7,7 @@ rejected, so typos fail loudly instead of silently running defaults.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ConfigError
@@ -55,9 +56,12 @@ def merge_with_defaults(cfg: dict, defaults: dict, suite: str) -> dict:
 
 def as_float(cfg: dict, key: str) -> float:
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: expected a number, got {cfg[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {cfg[key]!r}")
+    return value
 
 
 def as_int(cfg: dict, key: str) -> int:
@@ -78,6 +82,9 @@ def as_bool(cfg: dict, key: str) -> bool:
 
 def as_float_list(cfg: dict, key: str) -> list:
     try:
-        return [float(tok) for tok in cfg[key].split(",") if tok.strip()]
+        values = [float(tok) for tok in cfg[key].split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"key {key!r}: expected comma-separated numbers, got {cfg[key]!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"key {key!r}: expected finite numbers, got {cfg[key]!r}")
+    return values

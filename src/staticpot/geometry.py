@@ -28,7 +28,12 @@ _EIG_FLOOR = 1e-10  # smallest admissible metric eigenvalue
 
 @dataclass(frozen=True)
 class Point3:
-    """A point of the chart."""
+    """A point of the chart.
+
+    The coordinates may also be equal-shape arrays; such a Point3 stands for a
+    batch of nodes, and the metric, membership and curvature evaluations below
+    return results with that leading shape.
+    """
 
     x1: float
     x2: float
@@ -36,7 +41,8 @@ class Point3:
 
     @property
     def r(self) -> float:
-        return math.sqrt(self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2)
+        r2 = self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2
+        return np.sqrt(r2) if isinstance(r2, np.ndarray) else math.sqrt(r2)
 
     def coords(self) -> tuple:
         return (self.x1, self.x2, self.x3)
@@ -81,7 +87,8 @@ class MetricField:
     """A metric on a chart, with its decay class and domain bookkeeping.
 
     ``components(X1, X2, X3)`` returns a 3x3 nested list of scalars and must be
-    generic over the scalar type. ``contains`` answers point membership;
+    generic over the scalar type: floats, coordinate arrays or jets.
+    ``contains`` answers point membership, elementwise for a batched Point3;
     ``boundary_margin`` is a continuous function positive inside the domain,
     used as a termination event by the ODE drivers.
     """
@@ -94,20 +101,38 @@ class MetricField:
     boundary_margin: Callable
 
     def matrix(self, point) -> np.ndarray:
-        """Metric matrix at a point, positive-definiteness checked."""
+        """Metric matrix ``g[..., i, j]`` at a point, positive-definiteness checked."""
         p = Point3.of(point)
-        if not self.contains(p):
-            raise DomainError(f"{self.label}: point {p.coords()} outside chart domain")
-        g = np.array(self.components(p.x1, p.x2, p.x3), dtype=float)
+        _require_inside(self, p)
+        (g,) = _metric_taylor(self, p.coords(), 0)
         _check_positive(g, self.label, p)
         return g
 
 
+def _first_flagged(p: Point3, flags) -> tuple:
+    """Coordinates of the first node of ``p`` whose flag is set."""
+    k = np.flatnonzero(flags)[0]
+    return tuple(float(np.ravel(x)[k]) for x in np.broadcast_arrays(*p.coords()))
+
+
+def _require_inside(metric: MetricField, p: Point3) -> None:
+    inside = metric.contains(p)
+    if inside is True or np.all(inside):  # a plain bool for a single point
+        return
+    raise DomainError(f"{metric.label}: point {_first_flagged(p, ~np.asarray(inside))} "
+                      "outside chart domain")
+
+
 def _check_positive(g: np.ndarray, label: str, p: Point3) -> None:
-    if not np.all(np.isfinite(g)):
-        raise SingularMetricError(f"{label}: non-finite metric entries at {p.coords()}")
-    if np.linalg.eigvalsh(0.5 * (g + g.T)).min() <= _EIG_FLOOR:
-        raise SingularMetricError(f"{label}: metric not positive definite at {p.coords()}")
+    if not np.isfinite(g).all():
+        bad = ~np.isfinite(g).all(axis=(-2, -1))
+        raise SingularMetricError(
+            f"{label}: non-finite metric entries at {_first_flagged(p, bad)}")
+    # eigvalsh sorts ascending, so slot 0 is the smallest eigenvalue
+    low = np.linalg.eigvalsh(0.5 * (g + g.swapaxes(-2, -1)))[..., 0] <= _EIG_FLOOR
+    if low.any():
+        raise SingularMetricError(
+            f"{label}: metric not positive definite at {_first_flagged(p, low)}")
 
 
 def _validate_tau(tau: float) -> float:
@@ -234,25 +259,18 @@ def rotate_chart(metric: MetricField, rotation) -> MetricField:
         raise NotOrthogonalError("rotation matrix fails the orthogonality check")
     rows = [[float(Q[i, j]) for j in range(3)] for i in range(3)]
 
+    def base_coords(Y1, Y2, Y3):
+        return [rows[i][0] * Y1 + rows[i][1] * Y2 + rows[i][2] * Y3 for i in range(3)]
+
     def comps(Y1, Y2, Y3):
-        Y = (Y1, Y2, Y3)
-        X = [rows[i][0] * Y[0] + rows[i][1] * Y[1] + rows[i][2] * Y[2] for i in range(3)]
-        G = metric.components(X[0], X[1], X[2])
-        out = []
-        for a in range(3):
-            row = []
-            for b in range(3):
-                acc = 0.0
-                for i in range(3):
-                    for j in range(3):
-                        acc = acc + rows[i][a] * G[i][j] * rows[j][b]
-                row.append(acc)
-            out.append(row)
-        return out
+        G = metric.components(*base_coords(Y1, Y2, Y3))
+        GQ = [[G[i][0] * rows[0][b] + G[i][1] * rows[1][b] + G[i][2] * rows[2][b]
+               for b in range(3)] for i in range(3)]
+        return [[rows[0][a] * GQ[0][b] + rows[1][a] * GQ[1][b] + rows[2][a] * GQ[2][b]
+                 for b in range(3)] for a in range(3)]
 
     def to_base(p: Point3) -> Point3:
-        y = p.as_array()
-        return Point3.of(Q @ y)
+        return Point3(*base_coords(p.x1, p.x2, p.x3))
 
     return MetricField(
         label=metric.label + "+rotated",
@@ -265,134 +283,100 @@ def rotate_chart(metric: MetricField, rotation) -> MetricField:
 
 
 ### Curvature assembly, generic over the scalar type
+#
+# The routines below take arrays with any leading batch shape: float arrays for
+# one point (shape ()) or for a batch of nodes, and object arrays of depth-1
+# jets when ricci_with_derivative differentiates the whole assembly once more.
+
+# flat indices of m[j+1, i+1], m[j+2, i+2], m[j+1, i+2], m[j+2, i+1] (mod 3),
+# whose products give entry (i, j) of the adjugate
+_ADJUGATE_TAKE = np.array([[[3 * ((j + a) % 3) + (i + b) % 3 for j in range(3)]
+                            for i in range(3)]
+                           for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))])
 
 
 def _inv3(m):
-    """Inverse and determinant of a 3x3 nested list via the adjugate."""
-    c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    c01 = m[0][2] * m[2][1] - m[0][1] * m[2][2]
-    c02 = m[0][1] * m[1][2] - m[0][2] * m[1][1]
-    c10 = m[1][2] * m[2][0] - m[1][0] * m[2][2]
-    c11 = m[0][0] * m[2][2] - m[0][2] * m[2][0]
-    c12 = m[0][2] * m[1][0] - m[0][0] * m[1][2]
-    c20 = m[1][0] * m[2][1] - m[1][1] * m[2][0]
-    c21 = m[0][1] * m[2][0] - m[0][0] * m[2][1]
-    c22 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    det = m[0][0] * c00 + m[0][1] * c10 + m[0][2] * c20
-    return ([[c00 / det, c01 / det, c02 / det],
-             [c10 / det, c11 / det, c12 / det],
-             [c20 / det, c21 / det, c22 / det]], det)
+    """Inverse and determinant of ``m[..., 3, 3]`` via the adjugate."""
+    t = m.reshape(m.shape[:-2] + (9,))[..., _ADJUGATE_TAKE]
+    adj = t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]
+    det = np.asarray((m[..., 0, :] * adj[..., :, 0]).sum(axis=-1))
+    return adj / det[..., None, None], det
 
 
-def _christoffel(g, dg):
-    """Gamma[k][i][j] from the metric and its first derivatives."""
+def _first_kind(dg):
+    """sym[..., i, l, j] = d_i g_lj + d_j g_li - d_l g_ij from dg[..., k, i, j] = d_k g_ij."""
+    return dg + dg.swapaxes(-3, -1) - dg.swapaxes(-3, -2)
+
+
+def _connection(g, dg):
+    """Inverse metric, first-kind symbols and gamma[..., k, i, j] = Gamma^k_{ij}."""
     ginv, _ = _inv3(g)
-    gamma = []
-    for k in range(3):
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = 0.0
-                for l in range(3):
-                    acc = acc + ginv[k][l] * (dg[i][l][j] + dg[j][l][i] - dg[l][i][j])
-                row.append(0.5 * acc)
-            rows.append(row)
-        gamma.append(rows)
-    return gamma, ginv
+    sym = _first_kind(dg)
+    return ginv, sym, 0.5 * np.einsum("...kl,...ilj->...kij", ginv, sym)
 
 
 def _assemble_curvature(g, dg, d2g):
     """Christoffels, Riemann, Ricci and scalar curvature from metric jets.
 
-    Layouts: dg[k][i][j] = d_k g_ij, d2g[k][l][i][j] = d_k d_l g_ij,
-    riemann[d][a][b][c] = R^d_{abc} in the fixed sign convention.
+    Layouts: dg[..., k, i, j] = d_k g_ij, d2g[..., k, l, i, j] = d_k d_l g_ij,
+    riemann[..., d, a, b, c] = R^d_{abc} in the fixed sign convention.
     """
-    gamma, ginv = _christoffel(g, dg)
-
-    dginv = []
-    for b in range(3):
-        mat = []
-        for k in range(3):
-            row = []
-            for l in range(3):
-                acc = 0.0
-                for s in range(3):
-                    for t in range(3):
-                        acc = acc - ginv[k][s] * dg[b][s][t] * ginv[t][l]
-                row.append(acc)
-            mat.append(row)
-        dginv.append(mat)
-
-    # dgamma[b][k][i][j] = d_b Gamma^k_{ij}
-    dgamma = []
-    for b in range(3):
-        cube = []
-        for k in range(3):
-            rows = []
-            for i in range(3):
-                row = []
-                for j in range(3):
-                    acc = 0.0
-                    for l in range(3):
-                        sym = dg[i][l][j] + dg[j][l][i] - dg[l][i][j]
-                        dsym = d2g[b][i][l][j] + d2g[b][j][l][i] - d2g[b][l][i][j]
-                        acc = acc + dginv[b][k][l] * sym + ginv[k][l] * dsym
-                    row.append(0.5 * acc)
-                rows.append(row)
-            cube.append(rows)
-        dgamma.append(cube)
-
-    riem = []
-    for d in range(3):
-        cube = []
-        for a in range(3):
-            rows = []
-            for b in range(3):
-                row = []
-                for c in range(3):
-                    acc = dgamma[b][d][a][c] - dgamma[c][d][a][b]
-                    for k in range(3):
-                        acc = acc + gamma[k][a][c] * gamma[d][b][k] - gamma[k][a][b] * gamma[d][c][k]
-                    row.append(acc)
-                rows.append(row)
-            cube.append(rows)
-        riem.append(cube)
-
-    ric = []
-    for a in range(3):
-        row = []
-        for c in range(3):
-            acc = 0.0
-            for d in range(3):
-                acc = acc + riem[d][a][d][c]
-            row.append(acc)
-        ric.append(row)
-
-    scal = 0.0
-    for a in range(3):
-        for c in range(3):
-            scal = scal + ginv[a][c] * ric[a][c]
-
+    ginv, _, gamma = _connection(g, dg)
+    # d_b Gamma^d_{ac} = (1/2) g^dl d_b sym_alc - g^ds d_b g_sk Gamma^k_{ac}, so
+    # with y[..., d, b, k] = g^ds d_b g_sk the quadratic terms share one product
+    y = np.einsum("...ds,...bsk->...dbk", ginv, dg)
+    # half[..., d, a, b, c] = d_b Gamma^d_{ac} + Gamma^k_{ac} Gamma^d_{bk};
+    # the Riemann tensor is its antisymmetric part in (b, c)
+    half = (0.5 * np.einsum("...dl,...balc->...dabc", ginv, _first_kind(d2g))
+            + np.einsum("...kac,...dbk->...dabc", gamma, gamma - y))
+    riem = half - half.swapaxes(-2, -1)
+    ric = np.einsum("...dadc->...ac", riem)
+    scal = np.einsum("...ac,...ac->...", ginv, ric)
     return gamma, riem, ric, scal
 
 
-def _components_taylor2(metric: MetricField, coords):
-    """Metric matrix with first and second derivatives via depth-2 jets."""
-    Xs = jets.seed(coords, 2)
-    comps = metric.components(Xs[0], Xs[1], Xs[2])
-    g = [[0.0] * 3 for _ in range(3)]
-    dg = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-    d2g = [[[[0.0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            val, grad, hess = jets.taylor2(comps[i][j])
-            g[i][j] = val
-            for k in range(3):
-                dg[k][i][j] = grad[k]
-                for l in range(3):
-                    d2g[k][l][i][j] = hess[k][l]
-    return g, dg, d2g
+def _metric_taylor(metric: MetricField, coords, depth: int):
+    """The metric and its first ``depth`` (at most 2) coordinate derivatives.
+
+    Seeds ``coords`` to ``depth`` levels of jets, evaluates the components once
+    and returns ``(g,)``, ``(g, dg)`` or ``(g, dg, d2g)`` with g[..., i, j],
+    dg[..., k, i, j] = d_k g_ij and d2g[..., k, l, i, j] = d_k d_l g_ij. The
+    batch shape is that of the coordinates; jet-valued coordinates give object
+    arrays of jets.
+    """
+    comps = metric.components(*jets.seed(coords, depth))
+    # per order n, the entries by (i, j) and then by derivative slots (k, l)
+    flat = ([e for row in comps for e in row], [], [])
+    if depth:
+        taylor = jets.taylor1 if depth == 1 else jets.taylor2
+        for n, e in enumerate(flat[0]):
+            parts = taylor(e)
+            flat[0][n] = parts[0]
+            flat[1].extend(parts[1])
+            if depth == 2:
+                for h in parts[2]:
+                    flat[2].extend(h)
+    batch = getattr(coords[0], "shape", ())  # jets and floats have shape ()
+    dtype = object if isinstance(coords[0], jets.Jet) else float
+    out = []
+    for n in range(depth + 1):
+        a = _stack(flat[n], batch, dtype).reshape((3,) * (n + 2) + batch)
+        if a.ndim > 2:
+            # batch axes first, then the derivative slots, then (i, j)
+            nt = n + 2
+            a = a.transpose(tuple(range(nt, a.ndim)) + tuple(range(2, nt)) + (0, 1))
+        out.append(a)
+    return tuple(out)
+
+
+def _stack(vals, batch: tuple, dtype) -> np.ndarray:
+    """Array of shape ``(len(vals),) + batch`` from scalars and batch-shaped arrays."""
+    if not batch:
+        return np.array(vals, dtype)
+    out = np.empty((len(vals),) + batch, dtype)
+    for k, v in enumerate(vals):
+        out[k] = v
+    return out
 
 
 # fourth-order central stencils at offsets (-2, -1, 1, 2) * h
@@ -401,48 +385,44 @@ _FD_D1 = (1.0, -8.0, 8.0, -1.0)        # / 12h
 _FD_D2 = (-1.0, 16.0, 16.0, -1.0)      # with -30 f0, / 12h^2
 
 
-def _components_fd(metric: MetricField, coords, h: float):
+def _metric_fd(metric: MetricField, coords, h):
     """Same data as the dual path, via central differences of the components."""
+    hh = np.asarray(h)[..., None, None]
 
-    def gmat(x):
-        return np.array(metric.components(x[0], x[1], x[2]), dtype=float)
+    def gmat(*moves):
+        x = list(coords)
+        for k, o in moves:
+            x[k] = x[k] + o * h
+        return _metric_taylor(metric, x, 0)[0]
 
-    x0 = np.array(coords, dtype=float)
-    g0 = gmat(x0)
-    axis = [[gmat(x0 + o * h * np.eye(3)[k]) for o in _FD_OFF] for k in range(3)]
-
-    dg = [sum(c * gk for c, gk in zip(_FD_D1, axis[k])) / (12.0 * h)
-          for k in range(3)]
-    d2g = [[None] * 3 for _ in range(3)]
+    g0 = gmat()
+    axis = [[gmat((k, o)) for o in _FD_OFF] for k in range(3)]
+    dg = np.stack([sum(c * gk for c, gk in zip(_FD_D1, axis[k])) / (12.0 * hh)
+                   for k in range(3)], axis=-3)
+    d2g = np.empty(g0.shape[:-2] + (3, 3, 3, 3))
     for k in range(3):
-        d2g[k][k] = (sum(c * gk for c, gk in zip(_FD_D2, axis[k]))
-                     - 30.0 * g0) / (12.0 * h * h)
-    for k in range(3):
+        d2g[..., k, k, :, :] = (sum(c * gk for c, gk in zip(_FD_D2, axis[k]))
+                                - 30.0 * g0) / (12.0 * hh * hh)
         for l in range(k + 1, 3):
-            ek, el = np.eye(3)[k], np.eye(3)[l]
-            cross = sum(ci * cj * gmat(x0 + oi * h * ek + oj * h * el)
+            cross = sum(ci * cj * gmat((k, oi), (l, oj))
                         for ci, oi in zip(_FD_D1, _FD_OFF)
-                        for cj, oj in zip(_FD_D1, _FD_OFF)) / (144.0 * h * h)
-            d2g[k][l] = cross
-            d2g[l][k] = cross
-
-    g_l = g0.tolist()
-    dg_l = [dg[k].tolist() for k in range(3)]
-    d2g_l = [[d2g[k][l].tolist() for l in range(3)] for k in range(3)]
-    return g_l, dg_l, d2g_l
+                        for cj, oj in zip(_FD_D1, _FD_OFF)) / (144.0 * hh * hh)
+            d2g[..., k, l, :, :] = cross
+            d2g[..., l, k, :, :] = cross
+    return g0, dg, d2g
 
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Curvature data of a metric at one point."""
+    """Curvature data of a metric at one point or at a batch of nodes."""
 
     point: Point3
     backend: str
     metric_matrix: np.ndarray
-    gamma: np.ndarray      # gamma[k, i, j] = Gamma^k_{ij}
-    riemann: np.ndarray    # riemann[d, a, b, c] = R^d_{abc}
+    gamma: np.ndarray      # gamma[..., k, i, j] = Gamma^k_{ij}
+    riemann: np.ndarray    # riemann[..., d, a, b, c] = R^d_{abc}
     ricci: np.ndarray
-    scalar: float
+    scalar: float          # an array for a batch of nodes
 
 
 def curvature_at(metric: MetricField, point, backend: str = "dual",
@@ -455,95 +435,65 @@ def curvature_at(metric: MetricField, point, backend: str = "dual",
     cross-check of the dual path. ``check_domain=False`` skips the membership
     test; ODE drivers need that while an integrator stage probes past a
     boundary it is about to stop at.
+
+    A Point3 whose coordinates are arrays evaluates all its nodes in one
+    batched pass; every array of the bundle then carries the batch shape in
+    front. A single point is the shape-() case of the same path.
     """
     p = Point3.of(point)
-    if check_domain and not metric.contains(p):
-        raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
-    coords = p.coords()
+    if check_domain:
+        _require_inside(metric, p)
     if backend == "dual":
-        g, dg, d2g = _components_taylor2(metric, coords)
+        g, dg, d2g = _metric_taylor(metric, p.coords(), 2)
     elif backend == "fd":
-        h = fd_step if fd_step is not None else 1e-3 * max(1.0, p.r)
-        g, dg, d2g = _components_fd(metric, coords, h)
+        h = fd_step if fd_step is not None else 1e-3 * np.maximum(1.0, p.r)
+        g, dg, d2g = _metric_fd(metric, p.coords(), h)
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    g_np = np.array(g, dtype=float)
-    _check_positive(g_np, metric.label, p)
+    _check_positive(g, metric.label, p)
     gamma, riem, ric, scal = _assemble_curvature(g, dg, d2g)
     return CurvatureBundle(
         point=p,
         backend=backend,
-        metric_matrix=g_np,
-        gamma=np.array(gamma, dtype=float),
-        riemann=np.array(riem, dtype=float),
-        ricci=np.array(ric, dtype=float),
-        scalar=float(scal),
+        metric_matrix=g,
+        gamma=gamma,
+        riemann=riem,
+        ricci=ric,
+        scalar=scal if np.ndim(scal) else float(scal),
     )
 
 
 def christoffel_at(metric: MetricField, point, check_domain: bool = True) -> np.ndarray:
-    """Christoffel symbols Gamma^k_{ij} at a point (depth-1 jets only)."""
+    """Christoffel symbols gamma[..., k, i, j] = Gamma^k_{ij} (depth-1 jets only)."""
     p = Point3.of(point)
-    if check_domain and not metric.contains(p):
-        raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
-    Xs = jets.seed(p.coords(), 1)
-    comps = metric.components(Xs[0], Xs[1], Xs[2])
-    g = [[0.0] * 3 for _ in range(3)]
-    dg = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            val, grad = jets.taylor1(comps[i][j])
-            g[i][j] = val
-            for k in range(3):
-                dg[k][i][j] = grad[k]
-    _check_positive(np.array(g, dtype=float), metric.label, p)
-    gamma, _ = _christoffel(g, dg)
-    return np.array(gamma, dtype=float)
+    if check_domain:
+        _require_inside(metric, p)
+    g, dg = _metric_taylor(metric, p.coords(), 1)
+    _check_positive(g, metric.label, p)
+    return _connection(g, dg)[2]
+
+
+def _jet_part(a, slot=None) -> np.ndarray:
+    """Float array of the values (or derivative ``slot``) of the jets in ``a``."""
+    part = jets.peel_value if slot is None else (lambda e: jets.peel_grad(e, slot))
+    return np.frompyfunc(part, 1, 1)(a).astype(float)
 
 
 def ricci_with_derivative(metric: MetricField, point):
     """Ricci tensor, its coordinate derivative and the Christoffels at a point.
 
     Returns ``(ric, dric, gamma)`` with ``dric[c, a, b] = d_c Ric_ab``. The
-    whole curvature assembly runs in depth-1 jet arithmetic on top of the
-    depth-2 metric jets, so the derivative is exact.
+    whole curvature assembly runs on object arrays of depth-1 jets on top of
+    the depth-2 metric jets, so the derivative is exact.
     """
     p = Point3.of(point)
-    if not metric.contains(p):
-        raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
-    base = jets.seed(p.coords(), 1)
-    Xs = jets.seed(base, 2)
-    comps = metric.components(Xs[0], Xs[1], Xs[2])
-    g = [[0.0] * 3 for _ in range(3)]
-    dg = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-    d2g = [[[[0.0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            val, grad, hess = jets.taylor2(comps[i][j])
-            g[i][j] = val
-            for k in range(3):
-                dg[k][i][j] = grad[k]
-                for l in range(3):
-                    d2g[k][l][i][j] = hess[k][l]
-    _check_positive(np.array([[jets.peel_value(g[i][j]) for j in range(3)] for i in range(3)],
-                             dtype=float), metric.label, p)
-    gamma_j, _riem, ric_j, _scal = _assemble_curvature(g, dg, d2g)
-
-    ric = np.zeros((3, 3))
-    dric = np.zeros((3, 3, 3))
-    gamma = np.zeros((3, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            e = ric_j[a][b]
-            ric[a, b] = jets.peel_value(e)
-            for c in range(3):
-                dric[c, a, b] = jets.peel_grad(e, c)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                gamma[k, i, j] = jets.peel_value(gamma_j[k][i][j])
-    return ric, dric, gamma
+    _require_inside(metric, p)
+    g, dg, d2g = _metric_taylor(metric, jets.seed(p.coords(), 1), 2)
+    _check_positive(_jet_part(g), metric.label, p)
+    gamma, _riem, ric, _scal = _assemble_curvature(g, dg, d2g)
+    dric = np.stack([_jet_part(ric, c) for c in range(3)])
+    return _jet_part(ric), dric, _jet_part(gamma)
 
 
 def reconstruct_riemann_from_ricci(ricci, scalar: float, g) -> np.ndarray:
@@ -557,21 +507,12 @@ def reconstruct_riemann_from_ricci(ricci, scalar: float, g) -> np.ndarray:
     if gm.shape != (3, 3) or ric.shape != (3, 3):
         raise ValueError("expected 3x3 matrices")
     _check_positive(gm, "reconstruct", Point3(0.0, 0.0, 0.0))
-    ginv = np.linalg.inv(gm)
-    ric_mixed = ginv @ ric  # R^d_b
-    R = float(scalar)
-    delta = np.eye(3)
-    riem = np.zeros((3, 3, 3, 3))
-    for d in range(3):
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    riem[d, a, b, c] = (
-                        delta[d, b] * ric[a, c] - delta[d, c] * ric[a, b]
-                        + gm[a, c] * ric_mixed[d, b] - gm[a, b] * ric_mixed[d, c]
-                        + 0.5 * R * (delta[d, c] * gm[a, b] - delta[d, b] * gm[a, c])
-                    )
-    return riem
+    ric_mixed = np.linalg.inv(gm) @ ric  # R^d_b
+    # the terms with delta^d_b and R^d_b; the tensor is their antisymmetric
+    # part in (b, c)
+    half = (np.einsum("db,ac->dabc", np.eye(3), ric - 0.5 * float(scalar) * gm)
+            + np.einsum("ac,db->dabc", gm, ric_mixed))
+    return half - np.swapaxes(half, -2, -1)
 
 
 def sample_shell(rng: np.random.Generator, n: int, r_min: float, r_max: float) -> list:

@@ -9,12 +9,17 @@ truncation error beyond floating point roundoff.
 
 Plain ``int``/``float`` scalars mix freely with jets (they are treated as
 constants), which is what lets the same metric/potential evaluation code run on
-floats, on depth-1 jets, or on deeper towers without modification.
+floats, on depth-1 jets, or on deeper towers without modification. The value
+and slots may also be numpy arrays: seeding coordinate arrays propagates a
+whole batch of points through one evaluation (vector forward mode), with the
+elementary functions dispatching to numpy.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 class Jet:
@@ -113,38 +118,38 @@ def _raw(x):
 
 
 def sqrt(x):
-    """Square root that accepts floats or (nested) jets."""
+    """Square root that accepts floats, arrays or (nested) jets."""
     if isinstance(x, Jet):
         s = sqrt(x.val)
         g = x.grad
         return Jet(s, (g[0] / (2.0 * s), g[1] / (2.0 * s), g[2] / (2.0 * s)))
-    return math.sqrt(x)
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def log(x):
-    """Natural logarithm for floats or (nested) jets."""
+    """Natural logarithm for floats, arrays or (nested) jets."""
     if isinstance(x, Jet):
         g = x.grad
         return Jet(log(x.val), (g[0] / x.val, g[1] / x.val, g[2] / x.val))
-    return math.log(x)
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 def sin(x):
-    """Sine for floats or (nested) jets."""
+    """Sine for floats, arrays or (nested) jets."""
     if isinstance(x, Jet):
         c = cos(x.val)
         g = x.grad
         return Jet(sin(x.val), (g[0] * c, g[1] * c, g[2] * c))
-    return math.sin(x)
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x):
-    """Cosine for floats or (nested) jets."""
+    """Cosine for floats, arrays or (nested) jets."""
     if isinstance(x, Jet):
         s = sin(x.val)
         g = x.grad
         return Jet(cos(x.val), (-g[0] * s, -g[1] * s, -g[2] * s))
-    return math.cos(x)
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def power(x, p):
@@ -200,7 +205,6 @@ def taylor2(e):
     ``hess[i][j]`` holds the mixed partial taken with respect to coordinate
     ``i`` then ``j``; symmetric to roundoff for smooth inputs.
     """
-    val = peel_value(peel_value(e))
-    grad = [peel_value(peel_grad(e, i)) for i in range(3)]
-    hess = [[peel_grad(peel_grad(e, i), j) for j in range(3)] for i in range(3)]
-    return val, grad, hess
+    slots = e.grad if isinstance(e, Jet) else (0.0, 0.0, 0.0)
+    hess = [list(s.grad) if isinstance(s, Jet) else [0.0, 0.0, 0.0] for s in slots]
+    return peel_value(peel_value(e)), [peel_value(s) for s in slots], hess

@@ -32,15 +32,22 @@ class PotentialField:
     label: str = "potential"
     linear_part: tuple | None = None
 
-    def value(self, point) -> float:
+    def value(self, point):
+        """Value at a point; an array over the nodes of a batched Point3."""
         p = Point3.of(point)
-        return float(jets.value(self.expr(p.x1, p.x2, p.x3)))
+        v = jets.value(self.expr(p.x1, p.x2, p.x3))
+        if not isinstance(p.x1, np.ndarray):
+            return float(v)
+        return _on_nodes([v], p)[..., 0]
 
     def gradient(self, point) -> np.ndarray:
+        """Coordinate gradient, ``(..., 3)`` over the nodes of a batched Point3."""
         p = Point3.of(point)
         Xs = jets.seed(p.coords(), 1)
         _, grad = jets.taylor1(self.expr(Xs[0], Xs[1], Xs[2]))
-        return np.array([float(v) for v in grad])
+        if not isinstance(p.x1, np.ndarray):
+            return np.array([float(v) for v in grad])
+        return _on_nodes(grad, p)
 
     def hessian(self, point) -> np.ndarray:
         """Coordinate second partials (no metric involved)."""
@@ -48,6 +55,12 @@ class PotentialField:
         Xs = jets.seed(p.coords(), 2)
         _, _, hess = jets.taylor2(self.expr(Xs[0], Xs[1], Xs[2]))
         return np.array([[float(hess[i][j]) for j in range(3)] for i in range(3)])
+
+
+def _on_nodes(vals, p: Point3) -> np.ndarray:
+    """Entries that are constants or node arrays, stacked as ``(..., len(vals))``."""
+    shape = np.shape(p.x1)
+    return np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in vals], axis=-1)
 
 
 def affine(a0: float, a1: float, a2: float, a3: float) -> PotentialField:
@@ -196,10 +209,12 @@ def static_residual(f: PotentialField, metric: MetricField, point, backend: str 
     """Pointwise defect of the static system for (f, metric)."""
     p = Point3.of(point)
     bundle = curvature_at(metric, p, backend=backend)
-    grad = f.gradient(p)
-    hess = f.hessian(p)
+    # value, gradient and Hessian from one depth-2 pass
+    val, grad_l, hess_l = jets.taylor2(f.expr(*jets.seed(p.coords(), 2)))
+    fval = float(val)
+    grad = np.array([float(v) for v in grad_l])
+    hess = np.array([[float(hess_l[i][j]) for j in range(3)] for i in range(3)])
     cov_hess = hess - np.einsum("kij,k->ij", bundle.gamma, grad)
-    fval = f.value(p)
     tensor = cov_hess - fval * bundle.ricci
     ginv = np.linalg.inv(bundle.metric_matrix)
     lap = float(np.tensordot(ginv, cov_hess))
@@ -231,14 +246,9 @@ def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: 
         # |grad f|^2 as a scalar field, generic over the coordinate type
         Ys = jets.seed((X1, X2, X3), 1)
         F = f.expr(Ys[0], Ys[1], Ys[2])
-        fi = [jets.peel_grad(F, i) for i in range(3)]
-        G = metric.components(X1, X2, X3)
-        ginv, _ = _inv3(G)
-        acc = 0.0
-        for i in range(3):
-            for j in range(3):
-                acc = acc + ginv[i][j] * fi[i] * fi[j]
-        return acc
+        fi = np.array([jets.peel_grad(F, i) for i in range(3)], dtype=object)
+        ginv, _ = _inv3(np.array(metric.components(X1, X2, X3), dtype=object))
+        return np.einsum("ij,i,j->", ginv, fi, fi)
 
     Xs = jets.seed(p.coords(), 2)
     _, phi_grad_l, phi_hess_l = jets.taylor2(phi_expr(Xs[0], Xs[1], Xs[2]))

@@ -5,6 +5,11 @@ uniform azimuthal grid; it is exact for the angular polynomials that appear in
 the asymptotic expansions handled elsewhere and spectrally accurate for smooth
 integrands. Flux and volume integrals take the metric into account through the
 induced area element and the outward unit normal.
+
+Flux and volume integrands take coordinate arrays: the drivers call
+``scalar_fn(x1, x2, x3)`` or ``vector_fn(x1, x2, x3)`` once per sphere or
+radial panel, and the integrand returns values of shape ``x1.shape`` or
+``x1.shape + (3,)``. ``sphere_average`` stays pointwise and passes a Point3.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureBudgetError, SingularMetricError
-from .geometry import MetricField, Point3
+from .geometry import MetricField, Point3, _first_flagged
 
 
 @dataclass(frozen=True)
@@ -65,10 +70,6 @@ def sphere_rule(n_polar: int = 32, n_azimuth: int = 64) -> SphereRule:
     return SphereRule(directions=dirs, weights=w, tangent_u=tu, tangent_phi=tp)
 
 
-def sphere_points(rule: SphereRule, radius: float) -> np.ndarray:
-    return radius * rule.directions
-
-
 def sphere_average(fn, radius: float, rule: SphereRule) -> float:
     """Average of fn over the coordinate sphere with the round measure."""
     total = 0.0
@@ -81,26 +82,27 @@ def flux_integral(metric: MetricField, vector_fn, radius: float, rule: SphereRul
     """Outward flux of a contravariant vector field through a coordinate sphere.
 
     Integrates g(V, nu) over the sphere of the given coordinate radius, with nu
-    the outward unit normal and the area element both taken in the metric.
+    the outward unit normal and the area element both taken in the metric. All
+    nodes of the sphere go through one metric evaluation and one call of
+    ``vector_fn(x1, x2, x3)``, which returns the field as an ``(n, 3)`` array.
     """
-    total = 0.0
-    for d, w, tu, tp in zip(rule.directions, rule.weights, rule.tangent_u, rule.tangent_phi):
-        p = Point3(radius * d[0], radius * d[1], radius * d[2])
-        g = metric.matrix(p)
-        Tu = radius * tu
-        Tp = radius * tp
-        h00 = Tu @ g @ Tu
-        h01 = Tu @ g @ Tp
-        h11 = Tp @ g @ Tp
-        det_h = h00 * h11 - h01 * h01
-        if det_h <= 0:
-            raise SingularMetricError(f"degenerate induced area element at {p.coords()}")
-        n = np.cross(Tp, Tu)  # outward co-normal up to scale
-        ginv = np.linalg.inv(g)
-        nn = n @ ginv @ n
-        V = np.asarray(vector_fn(p), dtype=float)
-        total += w * (V @ n) / math.sqrt(nn) * math.sqrt(det_h)
-    return total
+    x = radius * rule.directions
+    p = Point3(x[:, 0], x[:, 1], x[:, 2])
+    g = metric.matrix(p)
+    Tu = radius * rule.tangent_u
+    Tp = radius * rule.tangent_phi
+    h00 = np.einsum("ni,nij,nj->n", Tu, g, Tu)
+    h01 = np.einsum("ni,nij,nj->n", Tu, g, Tp)
+    h11 = np.einsum("ni,nij,nj->n", Tp, g, Tp)
+    det_h = h00 * h11 - h01 * h01
+    if (det_h <= 0).any():
+        raise SingularMetricError(
+            f"degenerate induced area element at {_first_flagged(p, det_h <= 0)}")
+    n = np.cross(Tp, Tu)  # outward co-normal up to scale
+    nn = np.einsum("ni,nij,nj->n", n, np.linalg.inv(g), n)
+    V = np.asarray(vector_fn(p.x1, p.x2, p.x3), dtype=float)
+    return float(np.sum(rule.weights * np.einsum("ni,ni->n", V, n) / np.sqrt(nn)
+                        * np.sqrt(det_h)))
 
 
 def radial_panels(r_inner: float, r_outer: float, n_panels: int, nodes_per_panel: int,
@@ -136,21 +138,27 @@ def radial_panels(r_inner: float, r_outer: float, n_panels: int, nodes_per_panel
 def volume_integral(metric: MetricField, scalar_fn, r_inner: float, r_outer: float,
                     rule: SphereRule, n_panels: int = 16, nodes_per_panel: int = 8,
                     breakpoints=(), max_nodes: int | None = None) -> float:
-    """Integral of a scalar over a coordinate shell with the metric volume element."""
+    """Integral of a scalar over a coordinate shell with the metric volume element.
+
+    Each radial panel (``nodes_per_panel`` radii times the sphere rule) goes
+    through one metric evaluation and one call of ``scalar_fn(x1, x2, x3)`` on
+    ``(nodes_per_panel, rule.count)`` coordinate arrays.
+    """
     rs, ws = radial_panels(r_inner, r_outer, n_panels, nodes_per_panel, breakpoints=breakpoints)
     n_total = len(rs) * rule.count
     if max_nodes is not None and n_total > max_nodes:
         raise QuadratureBudgetError(
             f"volume integral needs {n_total} nodes, budget is {max_nodes}")
     total = 0.0
-    for r, wr in zip(rs, ws):
-        shell = 0.0
-        for d, w in zip(rule.directions, rule.weights):
-            p = Point3(r * d[0], r * d[1], r * d[2])
-            g = metric.matrix(p)
-            det_g = np.linalg.det(g)
-            if det_g <= 0:
-                raise SingularMetricError(f"non-positive volume element at {p.coords()}")
-            shell += w * scalar_fn(p) * math.sqrt(det_g)
-        total += wr * shell * r * r
+    for start in range(0, len(rs), nodes_per_panel):
+        r = rs[start:start + nodes_per_panel]
+        x = r[:, None, None] * rule.directions
+        p = Point3(x[..., 0], x[..., 1], x[..., 2])
+        det_g = np.linalg.det(metric.matrix(p))
+        if (det_g <= 0).any():
+            raise SingularMetricError(
+                f"non-positive volume element at {_first_flagged(p, det_g <= 0)}")
+        shells = (rule.weights * np.asarray(scalar_fn(p.x1, p.x2, p.x3), dtype=float)
+                  * np.sqrt(det_g)).sum(axis=1)
+        total += float(np.sum(ws[start:start + nodes_per_panel] * shells * r * r))
     return total

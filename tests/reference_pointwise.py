@@ -1,0 +1,294 @@
+"""Reference oracle for the differential tests of the batched curvature path.
+
+A frozen copy of the pointwise path the library used before its curvature
+layer became array-generic: nested-list jet extraction, the explicit 3^4 loop
+assembler, and quadrature drivers that visit one node at a time. It runs in
+plain Python arithmetic, so the batched einsum path can be checked against it
+entry by entry. Test-only; the library never imports it.
+"""
+
+import math
+
+import numpy as np
+
+from staticpot.errors import DomainError, SingularMetricError
+from staticpot.geometry import CurvatureBundle, MetricField, Point3
+from staticpot.jets import peel_grad, peel_value, seed
+from staticpot.quadrature import SphereRule, radial_panels
+
+_EIG_FLOOR = 1e-10
+
+
+def taylor1(e):
+    """Value and gradient of a depth-1 evaluation (entries at base level)."""
+    return peel_value(e), [peel_grad(e, 0), peel_grad(e, 1), peel_grad(e, 2)]
+
+
+def taylor2(e):
+    """Value, gradient and Hessian of a depth-2 evaluation."""
+    val = peel_value(peel_value(e))
+    grad = [peel_value(peel_grad(e, i)) for i in range(3)]
+    hess = [[peel_grad(peel_grad(e, i), j) for j in range(3)] for i in range(3)]
+    return val, grad, hess
+
+
+def _check_positive(g: np.ndarray, label: str, p: Point3) -> None:
+    if not np.all(np.isfinite(g)):
+        raise SingularMetricError(f"{label}: non-finite metric entries at {p.coords()}")
+    if np.linalg.eigvalsh(0.5 * (g + g.T)).min() <= _EIG_FLOOR:
+        raise SingularMetricError(f"{label}: metric not positive definite at {p.coords()}")
+
+
+def _inv3(m):
+    """Inverse and determinant of a 3x3 nested list via the adjugate."""
+    c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
+    c01 = m[0][2] * m[2][1] - m[0][1] * m[2][2]
+    c02 = m[0][1] * m[1][2] - m[0][2] * m[1][1]
+    c10 = m[1][2] * m[2][0] - m[1][0] * m[2][2]
+    c11 = m[0][0] * m[2][2] - m[0][2] * m[2][0]
+    c12 = m[0][2] * m[1][0] - m[0][0] * m[1][2]
+    c20 = m[1][0] * m[2][1] - m[1][1] * m[2][0]
+    c21 = m[0][1] * m[2][0] - m[0][0] * m[2][1]
+    c22 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    det = m[0][0] * c00 + m[0][1] * c10 + m[0][2] * c20
+    return ([[c00 / det, c01 / det, c02 / det],
+             [c10 / det, c11 / det, c12 / det],
+             [c20 / det, c21 / det, c22 / det]], det)
+
+
+def _christoffel(g, dg):
+    """Gamma[k][i][j] from the metric and its first derivatives."""
+    ginv, _ = _inv3(g)
+    gamma = []
+    for k in range(3):
+        rows = []
+        for i in range(3):
+            row = []
+            for j in range(3):
+                acc = 0.0
+                for l in range(3):
+                    acc = acc + ginv[k][l] * (dg[i][l][j] + dg[j][l][i] - dg[l][i][j])
+                row.append(0.5 * acc)
+            rows.append(row)
+        gamma.append(rows)
+    return gamma, ginv
+
+
+def _assemble_curvature(g, dg, d2g):
+    """Christoffels, Riemann, Ricci and scalar curvature from metric jets.
+
+    Layouts: dg[k][i][j] = d_k g_ij, d2g[k][l][i][j] = d_k d_l g_ij,
+    riemann[d][a][b][c] = R^d_{abc} in the fixed sign convention.
+    """
+    gamma, ginv = _christoffel(g, dg)
+
+    dginv = []
+    for b in range(3):
+        mat = []
+        for k in range(3):
+            row = []
+            for l in range(3):
+                acc = 0.0
+                for s in range(3):
+                    for t in range(3):
+                        acc = acc - ginv[k][s] * dg[b][s][t] * ginv[t][l]
+                row.append(acc)
+            mat.append(row)
+        dginv.append(mat)
+
+    # dgamma[b][k][i][j] = d_b Gamma^k_{ij}
+    dgamma = []
+    for b in range(3):
+        cube = []
+        for k in range(3):
+            rows = []
+            for i in range(3):
+                row = []
+                for j in range(3):
+                    acc = 0.0
+                    for l in range(3):
+                        sym = dg[i][l][j] + dg[j][l][i] - dg[l][i][j]
+                        dsym = d2g[b][i][l][j] + d2g[b][j][l][i] - d2g[b][l][i][j]
+                        acc = acc + dginv[b][k][l] * sym + ginv[k][l] * dsym
+                    row.append(0.5 * acc)
+                rows.append(row)
+            cube.append(rows)
+        dgamma.append(cube)
+
+    riem = []
+    for d in range(3):
+        cube = []
+        for a in range(3):
+            rows = []
+            for b in range(3):
+                row = []
+                for c in range(3):
+                    acc = dgamma[b][d][a][c] - dgamma[c][d][a][b]
+                    for k in range(3):
+                        acc = acc + gamma[k][a][c] * gamma[d][b][k] - gamma[k][a][b] * gamma[d][c][k]
+                    row.append(acc)
+                rows.append(row)
+            cube.append(rows)
+        riem.append(cube)
+
+    ric = []
+    for a in range(3):
+        row = []
+        for c in range(3):
+            acc = 0.0
+            for d in range(3):
+                acc = acc + riem[d][a][d][c]
+            row.append(acc)
+        ric.append(row)
+
+    scal = 0.0
+    for a in range(3):
+        for c in range(3):
+            scal = scal + ginv[a][c] * ric[a][c]
+
+    return gamma, riem, ric, scal
+
+
+def _components_taylor2(metric: MetricField, coords):
+    """Metric matrix with first and second derivatives via depth-2 jets."""
+    Xs = seed(coords, 2)
+    comps = metric.components(Xs[0], Xs[1], Xs[2])
+    g = [[0.0] * 3 for _ in range(3)]
+    dg = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    d2g = [[[[0.0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            val, grad, hess = taylor2(comps[i][j])
+            g[i][j] = val
+            for k in range(3):
+                dg[k][i][j] = grad[k]
+                for l in range(3):
+                    d2g[k][l][i][j] = hess[k][l]
+    return g, dg, d2g
+
+
+def reference_curvature_at(metric: MetricField, point, check_domain: bool = True) -> CurvatureBundle:
+    """Curvature of a metric field at a chart point (dual backend only)."""
+    p = Point3.of(point)
+    if check_domain and not metric.contains(p):
+        raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
+    coords = p.coords()
+    backend = "dual"
+    g, dg, d2g = _components_taylor2(metric, coords)
+
+    g_np = np.array(g, dtype=float)
+    _check_positive(g_np, metric.label, p)
+    gamma, riem, ric, scal = _assemble_curvature(g, dg, d2g)
+    return CurvatureBundle(
+        point=p,
+        backend=backend,
+        metric_matrix=g_np,
+        gamma=np.array(gamma, dtype=float),
+        riemann=np.array(riem, dtype=float),
+        ricci=np.array(ric, dtype=float),
+        scalar=float(scal),
+    )
+
+
+def reference_christoffel_at(metric: MetricField, point, check_domain: bool = True) -> np.ndarray:
+    """Christoffel symbols Gamma^k_{ij} at a point (depth-1 jets only)."""
+    p = Point3.of(point)
+    if check_domain and not metric.contains(p):
+        raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
+    Xs = seed(p.coords(), 1)
+    comps = metric.components(Xs[0], Xs[1], Xs[2])
+    g = [[0.0] * 3 for _ in range(3)]
+    dg = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            val, grad = taylor1(comps[i][j])
+            g[i][j] = val
+            for k in range(3):
+                dg[k][i][j] = grad[k]
+    _check_positive(np.array(g, dtype=float), metric.label, p)
+    gamma, _ = _christoffel(g, dg)
+    return np.array(gamma, dtype=float)
+
+
+def reference_ricci_with_derivative(metric: MetricField, point):
+    """Ricci tensor, its coordinate derivative and the Christoffels at a point.
+
+    Returns ``(ric, dric, gamma)`` with ``dric[c, a, b] = d_c Ric_ab``. The
+    whole curvature assembly runs in depth-1 jet arithmetic on top of the
+    depth-2 metric jets, so the derivative is exact.
+    """
+    p = Point3.of(point)
+    if not metric.contains(p):
+        raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
+    base = seed(p.coords(), 1)
+    Xs = seed(base, 2)
+    comps = metric.components(Xs[0], Xs[1], Xs[2])
+    g = [[0.0] * 3 for _ in range(3)]
+    dg = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    d2g = [[[[0.0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            val, grad, hess = taylor2(comps[i][j])
+            g[i][j] = val
+            for k in range(3):
+                dg[k][i][j] = grad[k]
+                for l in range(3):
+                    d2g[k][l][i][j] = hess[k][l]
+    _check_positive(np.array([[peel_value(g[i][j]) for j in range(3)] for i in range(3)],
+                             dtype=float), metric.label, p)
+    gamma_j, _riem, ric_j, _scal = _assemble_curvature(g, dg, d2g)
+
+    ric = np.zeros((3, 3))
+    dric = np.zeros((3, 3, 3))
+    gamma = np.zeros((3, 3, 3))
+    for a in range(3):
+        for b in range(3):
+            e = ric_j[a][b]
+            ric[a, b] = peel_value(e)
+            for c in range(3):
+                dric[c, a, b] = peel_grad(e, c)
+    for k in range(3):
+        for i in range(3):
+            for j in range(3):
+                gamma[k, i, j] = peel_value(gamma_j[k][i][j])
+    return ric, dric, gamma
+
+def reference_flux_integral(metric: MetricField, vector_fn, radius: float, rule: SphereRule) -> float:
+    """Outward flux through a coordinate sphere, one node at a time; vector_fn(p)."""
+    total = 0.0
+    for d, w, tu, tp in zip(rule.directions, rule.weights, rule.tangent_u, rule.tangent_phi):
+        p = Point3(radius * d[0], radius * d[1], radius * d[2])
+        g = metric.matrix(p)
+        Tu = radius * tu
+        Tp = radius * tp
+        h00 = Tu @ g @ Tu
+        h01 = Tu @ g @ Tp
+        h11 = Tp @ g @ Tp
+        det_h = h00 * h11 - h01 * h01
+        if det_h <= 0:
+            raise SingularMetricError(f"degenerate induced area element at {p.coords()}")
+        n = np.cross(Tp, Tu)  # outward co-normal up to scale
+        ginv = np.linalg.inv(g)
+        nn = n @ ginv @ n
+        V = np.asarray(vector_fn(p), dtype=float)
+        total += w * (V @ n) / math.sqrt(nn) * math.sqrt(det_h)
+    return total
+
+
+def reference_volume_integral(metric: MetricField, scalar_fn, r_inner: float, r_outer: float,
+                              rule: SphereRule, n_panels: int = 16, nodes_per_panel: int = 8,
+                              breakpoints=()) -> float:
+    """Shell integral with the metric volume element, one node at a time; scalar_fn(p)."""
+    rs, ws = radial_panels(r_inner, r_outer, n_panels, nodes_per_panel, breakpoints=breakpoints)
+    total = 0.0
+    for r, wr in zip(rs, ws):
+        shell = 0.0
+        for d, w in zip(rule.directions, rule.weights):
+            p = Point3(r * d[0], r * d[1], r * d[2])
+            g = metric.matrix(p)
+            det_g = np.linalg.det(g)
+            if det_g <= 0:
+                raise SingularMetricError(f"non-positive volume element at {p.coords()}")
+            shell += w * scalar_fn(p) * math.sqrt(det_g)
+        total += wr * shell * r * r
+    return total

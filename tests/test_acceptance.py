@@ -240,12 +240,12 @@ def test_c11_integral_identities():
           and balance.euler_characteristic == 2
           and abs(balance.boundary_gradient - 1.0 / (4.0 * m)) < 1e-8
           and balance.relative_gap < 0.02
-          and elapsed < 120.0)
+          and elapsed < 30.0)
     _criterion("integral_identities", ok,
                f"shell defect {shell.relative_defect:.2e} (< 1e-5), capacity gap "
                f"{balance.relative_gap:.2e} (< 2e-2) with euler characteristic "
                f"{balance.euler_characteristic} and boundary factor "
-               f"{balance.boundary_gradient:.8f}, {elapsed:.1f}s (< 120s)")
+               f"{balance.boundary_gradient:.8f}, {elapsed:.1f}s (< 30s)")
 
 
 def test_c12_conformal_doubling():

@@ -83,6 +83,9 @@ class TestMergeAndCoercion:
         (cfgmod.as_int, "2.5"),
         (cfgmod.as_bool, "maybe"),
         (cfgmod.as_float_list, "1, two, 3"),
+        (cfgmod.as_float, "nan"),
+        (cfgmod.as_float, "-inf"),
+        (cfgmod.as_float_list, "1, inf, 3"),
     ])
     def test_coercers_reject_bad_values(self, fn, val):
         with pytest.raises(ConfigError):
@@ -202,6 +205,22 @@ class TestCommandLine:
                        "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "coeffs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite,line", [
+        ("schwarzschild_static", "mass = 0"),
+        ("schwarzschild_static", "mass = nan"),
+        ("integral_identities", "n_polar = 1"),
+        ("integral_identities", "r_inner = 50"),
+    ])
+    def test_rejected_suite_value_exit_two(self, tmp_path, capsys, suite, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc = cli.main(["verify", suite, "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err
+        assert "Traceback" not in err
 
     def test_list_suites_names_and_keys(self, capsys):
         rc = cli.main(["list-suites"])

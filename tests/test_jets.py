@@ -120,8 +120,9 @@ class TestPeeling:
         assert not (Xs[0] < 1.0)
 
 
+# transcendental() takes log(x1 + 3), so x1 = -3 is outside its domain
 @settings(max_examples=25, deadline=None)
-@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 3))
+@given(st.floats(-3, 3, exclude_min=True), st.floats(-3, 3), st.floats(0.1, 3))
 def test_product_rule_property(a, b, c):
     Xs = jets.seed((a, b, c), 1)
     left = poly(*Xs) * transcendental(*Xs)

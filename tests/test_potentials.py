@@ -38,6 +38,23 @@ class TestStaticPairs:
         with pytest.raises(sp.NotStaticError):
             sp.require_static(sp.affine(0.0, 1.0, 0.0, 0.0), g, Point3(2.0, 0.0, 0.0))
 
+    def test_one_pass_matches_separate_evaluations(self):
+        # static_residual reads f, grad f and Hess f off one depth-2 pass; the
+        # result must be bit-identical to the three separate evaluations
+        terms = [sp.PerturbationTerm(0, 1, 0.2, (1, 0, 0))]
+        cases = [(sp.schwarzschild_potential(1.5), sp.schwarzschild(1.5), Point3(2.0, -1.0, 0.5)),
+                 (sp.expression_potential("x1 + 0.5*ln(x2^2 + x3^2) + 1/r"),
+                  sp.perturbed_as(1.0, terms), Point3(3.0, 2.0, -1.0)),
+                 (sp.affine(0.5, 1.0, -2.0, 3.0), sp.euclidean(), Point3(1.0, 2.0, 3.0))]
+        for f, g, p in cases:
+            res = sp.static_residual(f, g, p)
+            bundle = sp.curvature_at(g, p)
+            cov = f.hessian(p) - np.einsum("kij,k->ij", bundle.gamma, f.gradient(p))
+            assert res.f_value == f.value(p)
+            assert np.array_equal(res.tensor_residual, cov - f.value(p) * bundle.ricci)
+            assert res.laplacian_residual == float(
+                np.tensordot(np.linalg.inv(bundle.metric_matrix), cov))
+
     def test_laplacian_part_of_residual(self):
         # x1^2 has flat Laplacian 2, so the harmonic part alone must fail
         g = sp.euclidean()

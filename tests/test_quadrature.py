@@ -35,9 +35,9 @@ class TestFlux:
         g = sp.euclidean()
         rule = sp.sphere_rule(12, 24)
 
-        def field(p):
-            r = p.r
-            return p.as_array() / r ** 3
+        def field(x1, x2, x3):
+            x = np.stack([x1, x2, x3], axis=-1)
+            return x / np.linalg.norm(x, axis=-1, keepdims=True) ** 3
 
         for radius in (1.0, 3.0, 7.5):
             flux = sp.flux_integral(g, field, radius, rule)
@@ -50,9 +50,10 @@ class TestFlux:
         f = sp.schwarzschild_potential(m)
         rule = sp.sphere_rule(12, 24)
 
-        def grad_field(p):
+        def grad_field(x1, x2, x3):
+            p = Point3(x1, x2, x3)
             gmat = g.matrix(p)
-            return np.linalg.inv(gmat) @ f.gradient(p)
+            return (np.linalg.inv(gmat) @ f.gradient(p)[..., None])[..., 0]
 
         # the capacity flux of the static potential equals 4 pi m at every radius
         for radius in (2.0, 5.0, 20.0):
@@ -64,14 +65,15 @@ class TestVolume:
     def test_ball_shell_volume_flat(self):
         g = sp.euclidean()
         rule = sp.sphere_rule(8, 16)
-        vol = sp.volume_integral(g, lambda p: 1.0, 1.0, 2.0, rule,
+        vol = sp.volume_integral(g, lambda x1, x2, x3: np.ones_like(x1), 1.0, 2.0, rule,
                                  n_panels=8, nodes_per_panel=8)
         assert vol == pytest.approx(4.0 / 3.0 * math.pi * 7.0, rel=1e-12)
 
     def test_radial_density(self):
         g = sp.euclidean()
         rule = sp.sphere_rule(6, 12)
-        vol = sp.volume_integral(g, lambda p: 1.0 / p.r ** 2, 1.0, 4.0, rule,
+        vol = sp.volume_integral(g, lambda x1, x2, x3: 1.0 / (x1 ** 2 + x2 ** 2 + x3 ** 2),
+                                 1.0, 4.0, rule,
                                  n_panels=8, nodes_per_panel=8)
         assert vol == pytest.approx(4.0 * math.pi * 3.0, rel=1e-12)
 
@@ -79,7 +81,7 @@ class TestVolume:
         g = sp.euclidean()
         rule = sp.sphere_rule(8, 16)
         with pytest.raises(sp.QuadratureBudgetError):
-            sp.volume_integral(g, lambda p: 1.0, 1.0, 2.0, rule,
+            sp.volume_integral(g, lambda x1, x2, x3: np.ones_like(x1), 1.0, 2.0, rule,
                                n_panels=64, nodes_per_panel=16, max_nodes=100)
 
 
