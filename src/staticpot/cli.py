@@ -1,7 +1,8 @@
 """Command line runner for the verification suites.
 
-Each suite is a named list of checks with pinned tolerances. A run writes a
-deterministic ``report.json`` (no timestamps, sorted keys), a separate
+Each suite is a named list of checks with pinned tolerances. Every config key
+has one declared kind (``KEY_KINDS``); ``run_suite`` coerces the merged config
+through it before the suite is built. A run writes a deterministic ``report.json`` (no timestamps, sorted keys), a separate
 ``timing.json``, and any plot data as CSV. Exit code 0 means every check
 passed, 1 means at least one failed, 2 means the invocation or config was bad.
 """
@@ -15,8 +16,8 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,31 +30,31 @@ from .geometry import Point3, PerturbationTerm
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
     passed: bool
     computed: float
     expected: float
     tolerance: float
     detail: str = ""
+    name: str = ""
 
 
 def _check(name, fn):
-    """Run one check body, turning library errors into a failed result."""
+    """Run one check body and name its result; an error becomes a failed result."""
     try:
-        return fn()
-    except StaticPotError as exc:
-        return CheckResult(name, False, math.nan, math.nan, math.nan,
-                           f"{type(exc).__name__}: {exc}")
+        return replace(fn(), name=name)
+    except (StaticPotError, ValueError) as exc:
+        return CheckResult(False, math.nan, math.nan, math.nan,
+                           f"{type(exc).__name__}: {exc}", name)
 
 
-def _ok(name, computed, expected, tolerance, detail=""):
+def _ok(computed, expected, tolerance, detail=""):
     passed = bool(abs(computed - expected) <= tolerance)
-    return CheckResult(name, passed, float(computed), float(expected),
+    return CheckResult(passed, float(computed), float(expected),
                        float(tolerance), detail)
 
 
-def _flag(name, passed, detail=""):
-    return CheckResult(name, bool(passed), 1.0 if passed else 0.0, 1.0, 0.0, detail)
+def _flag(passed, detail=""):
+    return CheckResult(bool(passed), 1.0 if passed else 0.0, 1.0, 0.0, detail)
 
 
 def emit_plot_data(out_dir, filename, header, rows):
@@ -73,16 +74,11 @@ def emit_plot_data(out_dir, filename, header, rows):
 # suites
 
 
-def _suite_euclidean_affine(cfg, rng, out_dir):
-    n = cfgmod.as_int(cfg, "n_points")
-    r_max = cfgmod.as_float(cfg, "r_max")
-    tol = cfgmod.as_float(cfg, "tol")
-    coeffs = cfgmod.as_float_list(cfg, "coeffs")
-    if len(coeffs) != 4:
-        raise ConfigError("coeffs must be four numbers a0,a1,a2,a3")
+def _suite_euclidean_affine(c, rng):
     metric = geometry.euclidean()
-    f = potentials.affine(*coeffs)
-    pts = [Point3.of(rng.uniform(-r_max, r_max, size=3)) for _ in range(n)]
+    f = potentials.affine(*c.coeffs)
+    pts = [Point3.of(rng.uniform(-c.r_max, c.r_max, size=3))
+           for _ in range(c.n_points)]
 
     def curvature_zero():
         worst = 0.0
@@ -90,19 +86,18 @@ def _suite_euclidean_affine(cfg, rng, out_dir):
             bundle = geometry.curvature_at(metric, p)
             worst = max(worst, float(np.max(np.abs(bundle.riemann))),
                         abs(bundle.scalar))
-        return _ok("curvature_zero", worst, 0.0, tol)
+        return _ok(worst, 0.0, c.tol)
 
     def static_exact():
         worst = max(potentials.static_residual(f, metric, p).combined_norm
                     for p in pts)
-        return _ok("static_residual_zero", worst, 0.0, tol)
+        return _ok(worst, 0.0, c.tol)
 
     def frame_degenerate():
         bad = sum(1 for p in pts[:10]
                   if identities.ricci_eigenframe(metric, p).kind
                   != identities.ALL_EQUAL)
-        return _flag("eigenframe_all_equal", bad == 0,
-                     f"{bad} of 10 points misclassified")
+        return _flag(bad == 0, f"{bad} of 10 points misclassified")
 
     def fd_agreement():
         worst = 0.0
@@ -110,7 +105,7 @@ def _suite_euclidean_affine(cfg, rng, out_dir):
             a = geometry.curvature_at(metric, p, backend="dual").ricci
             b = geometry.curvature_at(metric, p, backend="fd").ricci
             worst = max(worst, float(np.max(np.abs(a - b))))
-        return _ok("fd_backend_agreement", worst, 0.0, 1e-6)
+        return _ok(worst, 0.0, 1e-6)
 
     checks = [("curvature_zero", curvature_zero),
               ("static_residual_zero", static_exact),
@@ -119,15 +114,10 @@ def _suite_euclidean_affine(cfg, rng, out_dir):
     return checks, []
 
 
-def _suite_schwarzschild_static(cfg, rng, out_dir):
-    mass = cfgmod.as_float(cfg, "mass")
-    n = cfgmod.as_int(cfg, "n_points")
-    r_min = cfgmod.as_float(cfg, "r_min")
-    r_max = cfgmod.as_float(cfg, "r_max")
-    tol = cfgmod.as_float(cfg, "tol")
-    metric = geometry.schwarzschild(mass)
-    f = potentials.schwarzschild_potential(mass)
-    pts = geometry.sample_shell(rng, n, r_min, r_max)
+def _suite_schwarzschild_static(c, rng):
+    metric = geometry.schwarzschild(c.mass)
+    f = potentials.schwarzschild_potential(c.mass)
+    pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
     rows = []
 
     def static_residual():
@@ -137,11 +127,11 @@ def _suite_schwarzschild_static(cfg, rng, out_dir):
             rows.append((p.r, res))
             worst = max(worst, res)
         rows.sort()
-        return _ok("static_residual_max", worst, 0.0, tol)
+        return _ok(worst, 0.0, c.tol)
 
     def scalar_flat():
         worst = max(abs(geometry.curvature_at(metric, p).scalar) for p in pts)
-        return _ok("scalar_curvature_zero", worst, 0.0, tol)
+        return _ok(worst, 0.0, c.tol)
 
     def backend_agreement():
         worst = 0.0
@@ -150,7 +140,7 @@ def _suite_schwarzschild_static(cfg, rng, out_dir):
             b = geometry.curvature_at(metric, p, backend="fd").ricci
             scale = max(1e-30, float(np.max(np.abs(a))))
             worst = max(worst, float(np.max(np.abs(a - b))) / scale)
-        return _ok("backend_relative_agreement", worst, 0.0, 1e-6)
+        return _ok(worst, 0.0, 1e-6)
 
     def frame_structure():
         worst_kind = 0
@@ -165,9 +155,8 @@ def _suite_schwarzschild_static(cfg, rng, out_dir):
             cosang = abs(float(d @ radial)) / float(np.linalg.norm(d))
             worst_angle = max(worst_angle, 1.0 - min(1.0, cosang))
         if worst_kind:
-            return _flag("simple_direction_radial", False,
-                         f"{worst_kind} points not of the two-equal kind")
-        return _ok("simple_direction_radial", worst_angle, 0.0, 1e-8)
+            return _flag(False, f"{worst_kind} points not of the two-equal kind")
+        return _ok(worst_angle, 0.0, 1e-8)
 
     def eigenvalue_ratio():
         worst = 0.0
@@ -177,7 +166,7 @@ def _suite_schwarzschild_static(cfg, rng, out_dir):
             simple = lam[frame.simple_index]
             pair = [lam[i] for i in range(3) if i != frame.simple_index]
             worst = max(worst, abs(simple + 2.0 * pair[0]) / abs(simple))
-        return _ok("radial_eigenvalue_doubling", worst, 0.0, 1e-8)
+        return _ok(worst, 0.0, 1e-8)
 
     checks = [("static_residual_max", static_residual),
               ("scalar_curvature_zero", scalar_flat),
@@ -188,15 +177,10 @@ def _suite_schwarzschild_static(cfg, rng, out_dir):
     return checks, plots
 
 
-def _suite_tod_identities(cfg, rng, out_dir):
-    mass = cfgmod.as_float(cfg, "mass")
-    n = cfgmod.as_int(cfg, "n_points")
-    r_min = cfgmod.as_float(cfg, "r_min")
-    r_max = cfgmod.as_float(cfg, "r_max")
-    tol = cfgmod.as_float(cfg, "tol")
-    metric = geometry.schwarzschild(mass)
-    f = potentials.schwarzschild_potential(mass)
-    pts = geometry.sample_shell(rng, n, r_min, r_max)
+def _suite_tod_identities(c, rng):
+    metric = geometry.schwarzschild(c.mass)
+    f = potentials.schwarzschild_potential(c.mass)
+    pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
     rows = []
 
     def residual_max():
@@ -207,13 +191,12 @@ def _suite_tod_identities(cfg, rng, out_dir):
             rows.append((p.r, m))
             worst = max(worst, m)
         rows.sort()
-        return _ok("cyclic_identity_max", worst, 0.0, tol)
+        return _ok(worst, 0.0, c.tol)
 
     def gap_scan():
         report = identities.eigenvalue_gap_scan(metric, pts[:20])
         bad = report.counts().get(identities.ALL_EQUAL, 0)
-        return _flag("no_spurious_full_degeneracy", bad == 0,
-                     f"{bad} points reported all eigenvalues equal")
+        return _flag(bad == 0, f"{bad} points reported all eigenvalues equal")
 
     checks = [("cyclic_identity_max", residual_max),
               ("no_spurious_full_degeneracy", gap_scan)]
@@ -221,11 +204,8 @@ def _suite_tod_identities(cfg, rng, out_dir):
     return checks, plots
 
 
-def _suite_growth_bound(cfg, rng, out_dir):
-    epsilon = cfgmod.as_float(cfg, "epsilon")
-    r0 = cfgmod.as_float(cfg, "r0")
-    t_end = cfgmod.as_float(cfg, "t_end")
-    n_trials = cfgmod.as_int(cfg, "n_trials")
+def _suite_growth_bound(c, rng):
+    epsilon, r0, t_end, n_trials = c.epsilon, c.r0, c.t_end, c.n_trials
     bound = GrowthBound.from_initial_data(epsilon, 1.0, r0)
     ts = np.geomspace(r0, t_end, 400)
     rows = []
@@ -243,8 +223,7 @@ def _suite_growth_bound(cfg, rng, out_dir):
             if k == 0:
                 for t, v in zip(sol_ts, fs):
                     rows.append((t, v, bound.w(t)))
-        return _ok("envelope_violations", violations, 0.0, 0.0,
-                   f"{n_trials} admissible coefficient trials")
+        return _ok(violations, 0.0, 0.0, f"{n_trials} admissible coefficient trials")
 
     def extremal_match():
         w0, dw0 = 0.99 * bound.w(r0), 0.99 * bound.w_slope(r0)
@@ -252,18 +231,17 @@ def _suite_growth_bound(cfg, rng, out_dir):
         sol_ts, fs, _ = solve_curve_ode(h, w0, dw0, r0, t_end, t_eval=ts)
         exact = 0.99 * bound.w(sol_ts)
         worst = float(np.max(np.abs(fs - exact) / np.abs(exact)))
-        return _ok("extremal_reproduction", worst, 0.0, 1e-8,
-                   "scaled extremal solution against the closed form")
+        return _ok(worst, 0.0, 1e-8, "scaled extremal solution against the closed form")
 
     def exponent_identity():
         a = bound.alpha
-        return _ok("exponent_identity", a * (a - 1.0), epsilon, 1e-13)
+        return _ok(a * (a - 1.0), epsilon, 1e-13)
 
     def tail_slope_bounded():
         h = lambda t: 0.5 * t ** (-2.75)
         sol_ts, fs, slopes = solve_curve_ode(h, 1.0, 1.0, r0, 1e6)
         worst = float(np.max(np.abs(slopes)))
-        return _ok("tail_slope_bounded", min(worst, 10.0), worst, 0.0,
+        return _ok(min(worst, 10.0), worst, 0.0,
                    "slope stays bounded when the coefficient decays faster")
 
     checks = [("envelope_violations", envelope_trials),
@@ -277,35 +255,27 @@ def _suite_growth_bound(cfg, rng, out_dir):
 _GRAPH_EXPR = "x1 + 0.5*ln(x2^2 + x3^2)"
 
 
-def _suite_zero_set_gauss_bonnet(cfg, rng, out_dir):
-    mass = cfgmod.as_float(cfg, "mass")
-    inner = cfgmod.as_float(cfg, "inner")
-    outer = cfgmod.as_float(cfg, "outer")
-    radii = cfgmod.as_float_list(cfg, "radii")
-    n_angles = cfgmod.as_int(cfg, "n_angles")
-    tol = cfgmod.as_float(cfg, "tol")
-    lo, hi = cfgmod.as_float_list(cfg, "bracket")
-    metric = geometry.schwarzschild(mass)
+def _suite_zero_set_gauss_bonnet(c, rng):
+    lo, hi = c.bracket
+    metric = geometry.schwarzschild(c.mass)
     f = potentials.expression_potential(_GRAPH_EXPR, label="log graph")
-    region = zeroset.AnnulusRegion(inner, outer)
+    region = zeroset.AnnulusRegion(c.inner, c.outer)
     graph = zeroset.extract_zero_graph(f, metric, region, n_u=4, n_v=8,
                                        bracket=lambda u, v: (lo, hi))
-    report = zeroset.gauss_bonnet_limit(graph, radii, n_angles=n_angles)
+    report = zeroset.gauss_bonnet_limit(graph, c.radii, n_angles=c.n_angles)
     rows = list(zip(report.radii, report.turning_integrals,
                     report.kappa_deviations))
 
     def limit_check():
         err = abs(report.extrapolated / (2.0 * math.pi) - 1.0)
-        return _ok("turning_limit", err, 0.0, tol,
-                   f"extrapolated {report.extrapolated:.6f} vs 2*pi")
+        return _ok(err, 0.0, c.tol, f"extrapolated {report.extrapolated:.6f} vs 2*pi")
 
     def exponent_check():
-        return _ok("deviation_decay_exponent",
-                   report.deviation_decay_exponent, -metric.tau, 0.3)
+        return _ok(report.deviation_decay_exponent, -metric.tau, 0.3)
 
     def graph_flattens():
-        du, dv = graph.chart.height_slopes(0.0, outer / 2.0)
-        return _ok("graph_slope_decay", math.hypot(du, dv), 0.0, 0.2)
+        du, dv = graph.chart.height_slopes(0.0, c.outer / 2.0)
+        return _ok(math.hypot(du, dv), 0.0, 0.2)
 
     checks = [("turning_limit", limit_check),
               ("deviation_decay_exponent", exponent_check),
@@ -316,11 +286,9 @@ def _suite_zero_set_gauss_bonnet(cfg, rng, out_dir):
     return checks, plots
 
 
-def _suite_mass_fit(cfg, rng, out_dir):
-    mass = cfgmod.as_float(cfg, "mass")
-    lo, hi = cfgmod.as_float_list(cfg, "window")
-    n_spheres = cfgmod.as_int(cfg, "n_spheres")
-    tol = cfgmod.as_float(cfg, "tol")
+def _suite_mass_fit(c, rng):
+    mass, n_spheres = c.mass, c.n_spheres
+    lo, hi = c.window
     metric = geometry.schwarzschild(mass)
     f = potentials.schwarzschild_potential(mass)
     rows = []
@@ -330,8 +298,7 @@ def _suite_mass_fit(cfg, rng, out_dir):
                                                n_spheres=n_spheres)
         for r, avg in zip(fit.radii, fit.averages):
             rows.append((r, avg, fit.model(r)))
-        return _ok("mass_recovered", fit.mass / mass, 1.0, tol,
-                   f"fitted mass {fit.mass:.8f}")
+        return _ok(fit.mass / mass, 1.0, c.tol, f"fitted mass {fit.mass:.8f}")
 
     def synthetic_exact():
         g = geometry.euclidean()
@@ -339,7 +306,7 @@ def _suite_mass_fit(cfg, rng, out_dir):
                                                label="synthetic expansion")
         fit = global_checks.fit_mass_expansion(fsyn, g, window=(lo, hi),
                                                n_spheres=n_spheres)
-        return _ok("synthetic_mass_exact", fit.mass, 3.0, 5e-3)
+        return _ok(fit.mass, 3.0, 5e-3)
 
     def unbounded_gate():
         try:
@@ -348,17 +315,15 @@ def _suite_mass_fit(cfg, rng, out_dir):
                                              window=(lo, hi),
                                              n_spheres=n_spheres)
         except UnboundedPotentialError:
-            return _flag("unbounded_rejected", True)
-        return _flag("unbounded_rejected", False,
-                     "a potential with linear growth was accepted")
+            return _flag(True)
+        return _flag(False, "a potential with linear growth was accepted")
 
     def remainder_decay():
         fit = potentials.fit_linear_part(
             f, metric, radii=list(np.geomspace(lo, hi, max(3, n_spheres))))
         if fit.remainder_exponent is None:
-            return _flag("remainder_decay_exponent", False,
-                         "remainder below resolution; widen the window inward")
-        return _ok("remainder_decay_exponent", fit.remainder_exponent, -2.0, 0.4)
+            return _flag(False, "remainder below resolution; widen the window inward")
+        return _ok(fit.remainder_exponent, -2.0, 0.4)
 
     checks = [("mass_recovered", recovered),
               ("synthetic_mass_exact", synthetic_exact),
@@ -368,12 +333,9 @@ def _suite_mass_fit(cfg, rng, out_dir):
     return checks, plots
 
 
-def _suite_huisken_yau(cfg, rng, out_dir):
-    mass = cfgmod.as_float(cfg, "mass")
-    amp = cfgmod.as_float(cfg, "perturb_amp")
-    r_lo = cfgmod.as_float(cfg, "r_lo")
-    r_hi = cfgmod.as_float(cfg, "r_hi")
-    ratio_tol = cfgmod.as_float(cfg, "ratio_factor")
+def _suite_huisken_yau(c, rng):
+    mass, amp, r_lo, r_hi = c.mass, c.perturb_amp, c.r_lo, c.r_hi
+    ratio_tol = c.ratio_factor
     pure = geometry.schwarzschild(mass)
     terms = [PerturbationTerm(0, 0, amp, (0, 0, 0)),
              PerturbationTerm(0, 1, 0.6 * amp, (0, 0, 0)),
@@ -391,7 +353,7 @@ def _suite_huisken_yau(cfg, rng, out_dir):
 
     def exact_on_pure():
         worst = sphere_max(pure, r_lo)
-        return _ok("model_exact_unperturbed", worst, 0.0, 1e-12)
+        return _ok(worst, 0.0, 1e-12)
 
     def perturbed_ratio():
         lo_val = sphere_max(bumpy, r_lo)
@@ -401,8 +363,7 @@ def _suite_huisken_yau(cfg, rng, out_dir):
         expected = (r_lo / r_hi) ** 4
         ratio = hi_val / lo_val
         passed = expected / ratio_tol <= ratio <= expected * ratio_tol
-        return CheckResult("residual_ratio_fourth_order", passed, ratio,
-                           expected, expected * (ratio_tol - 1.0),
+        return CheckResult(passed, ratio, expected, expected * (ratio_tol - 1.0),
                            f"doubling the radius scales the defect by {ratio:.5f}")
 
     def rotation_covariant():
@@ -416,7 +377,7 @@ def _suite_huisken_yau(cfg, rng, out_dir):
         b = global_checks.curvature_decay_residual(
             rotated, Point3.of(q.T @ p.as_array())).residual
         scale = max(a, 1e-30)
-        return _ok("rotation_covariance", abs(a - b) / scale, 0.0, 1e-8)
+        return _ok(abs(a - b) / scale, 0.0, 1e-8)
 
     checks = [("model_exact_unperturbed", exact_on_pure),
               ("residual_ratio_fourth_order", perturbed_ratio),
@@ -425,27 +386,22 @@ def _suite_huisken_yau(cfg, rng, out_dir):
     return checks, plots
 
 
-def _suite_anisotropy_limit(cfg, rng, out_dir):
-    masses = cfgmod.as_float_list(cfg, "masses")
-    heights = cfgmod.as_float_list(cfg, "heights")
-    inner = cfgmod.as_float(cfg, "inner")
-    outer = cfgmod.as_float(cfg, "outer")
-    tol = cfgmod.as_float(cfg, "tol")
+def _suite_anisotropy_limit(c, rng):
     f = potentials.expression_potential(_GRAPH_EXPR, label="log graph")
-    region = zeroset.AnnulusRegion(inner, outer)
+    region = zeroset.AnnulusRegion(c.inner, c.outer)
     rows = []
     checks = []
-    for m in masses:
+    for m in c.masses:
         def one(mass=m):
             metric = geometry.schwarzschild(mass)
             graph = zeroset.extract_zero_graph(
                 f, metric, region, n_u=4, n_v=8,
                 bracket=lambda u, v: (-10.0, 2.0))
-            report = global_checks.anisotropy_limit(metric, graph, heights)
+            report = global_checks.anisotropy_limit(metric, graph, c.heights)
             for y, v in zip(report.heights, report.scaled_differences):
                 rows.append((mass, y, v))
             err = abs(report.extrapolated / (3.0 * mass) - 1.0)
-            return _ok(f"limit_mass_{mass:g}", err, 0.0, tol,
+            return _ok(err, 0.0, c.tol,
                        f"extrapolated {report.extrapolated:.5f} vs {3.0 * mass:g}")
         checks.append((f"limit_mass_{m:g}", one))
     plots = [("scaled_differences.csv",
@@ -456,16 +412,9 @@ def _suite_anisotropy_limit(cfg, rng, out_dir):
 _REFINE_OUTER = 10.0  # outer radius of the angular refinement guard's shell
 
 
-def _suite_integral_identities(cfg, rng, out_dir):
-    mass = cfgmod.as_float(cfg, "mass")
-    r_inner = cfgmod.as_float(cfg, "r_inner")
-    r_outer = cfgmod.as_float(cfg, "r_outer")
-    n_polar = cfgmod.as_int(cfg, "n_polar")
-    n_azimuth = cfgmod.as_int(cfg, "n_azimuth")
-    n_panels = cfgmod.as_int(cfg, "n_panels")
-    nodes_per_panel = cfgmod.as_int(cfg, "nodes_per_panel")
-    rel_tol = cfgmod.as_float(cfg, "rel_tol")
-    capacity_tol = cfgmod.as_float(cfg, "capacity_tol")
+def _suite_integral_identities(c, rng):
+    mass, r_inner, r_outer, rel_tol = c.mass, c.r_inner, c.r_outer, c.rel_tol
+    n_panels, nodes_per_panel = c.n_panels, c.nodes_per_panel
     if mass <= 0.0:
         raise ConfigError("mass must be positive: the capacity balance needs a horizon")
     if not 0.0 < r_inner < min(r_outer, _REFINE_OUTER):
@@ -473,7 +422,7 @@ def _suite_integral_identities(cfg, rng, out_dir):
                           "the outer radius of the angular refinement shell")
     metric = geometry.schwarzschild(mass)
     f = potentials.schwarzschild_potential(mass)
-    rule = quadrature.sphere_rule(n_polar, n_azimuth)
+    rule = quadrature.sphere_rule(c.n_polar, c.n_azimuth)
     quadrature.radial_panels(r_inner, r_outer, n_panels, nodes_per_panel)
     rows = []
 
@@ -483,7 +432,7 @@ def _suite_integral_identities(cfg, rng, out_dir):
             n_panels=n_panels, nodes_per_panel=nodes_per_panel)
         rows.append((r_inner, report.flux_inner))
         rows.append((r_outer, report.flux_outer))
-        return _ok("shell_flux_defect", report.relative_defect, 0.0, rel_tol,
+        return _ok(report.relative_defect, 0.0, rel_tol,
                    f"volume term {report.bulk:.10f}")
 
     def doubled_rule_stable():
@@ -498,14 +447,13 @@ def _suite_integral_identities(cfg, rng, out_dir):
             f, metric, r_inner, _REFINE_OUTER, rule=fine,
             n_panels=8, nodes_per_panel=6)
         drift = abs(a.relative_defect - b.relative_defect)
-        return _ok("angular_refinement_stable", drift, 0.0, rel_tol,
-                   f"coarse defect {a.relative_defect:.3e}")
+        return _ok(drift, 0.0, rel_tol, f"coarse defect {a.relative_defect:.3e}")
 
     def capacity():
         full_chart = geometry.schwarzschild(mass, exterior_only=False)
         balance = global_checks.capacity_balance_instance(
             mass, f, full_chart, rule=quadrature.sphere_rule(6, 12))
-        return _ok("capacity_balance", balance.relative_gap, 0.0, capacity_tol,
+        return _ok(balance.relative_gap, 0.0, c.capacity_tol,
                    f"boundary factor {balance.boundary_gradient:.8f}, "
                    f"euler characteristic {balance.euler_characteristic}")
 
@@ -516,15 +464,10 @@ def _suite_integral_identities(cfg, rng, out_dir):
     return checks, plots
 
 
-def _suite_conformal_double(cfg, rng, out_dir):
-    mass = cfgmod.as_float(cfg, "mass")
-    n = cfgmod.as_int(cfg, "n_points")
-    r_min = cfgmod.as_float(cfg, "r_min")
-    r_max = cfgmod.as_float(cfg, "r_max")
-    tol = cfgmod.as_float(cfg, "tol")
-    metric = geometry.schwarzschild(mass)
-    f = potentials.schwarzschild_potential(mass)
-    pts = geometry.sample_shell(rng, n, r_min, r_max)
+def _suite_conformal_double(c, rng):
+    metric = geometry.schwarzschild(c.mass)
+    f = potentials.schwarzschild_potential(c.mass)
+    pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
     rows = []
 
     def both_signs():
@@ -535,14 +478,13 @@ def _suite_conformal_double(cfg, rng, out_dir):
             rows.append((p.r, plus, minus))
             worst = max(worst, abs(plus), abs(minus))
         rows.sort()
-        return _ok("doubled_scalar_flat", worst, 0.0, tol)
+        return _ok(worst, 0.0, c.tol)
 
     def nonstatic_control():
         g = geometry.euclidean()
         fq = potentials.expression_potential("x1*x1", label="quadratic control")
         val = global_checks.conformal_double_scalar(fq, g, 1, Point3(1.0, 0.0, 0.0))
-        return _ok("control_scalar_nonzero", val, -0.5, 1e-10,
-                   "a non-static pair must not look flat")
+        return _ok(val, -0.5, 1e-10, "a non-static pair must not look flat")
 
     checks = [("doubled_scalar_flat", both_signs),
               ("control_scalar_nonzero", nonstatic_control)]
@@ -550,30 +492,23 @@ def _suite_conformal_double(cfg, rng, out_dir):
     return checks, plots
 
 
-def _suite_flow_classify(cfg, rng, out_dir):
-    mass = cfgmod.as_float(cfg, "mass")
-    start = cfgmod.as_float_list(cfg, "start")
-    r_escape = cfgmod.as_float(cfg, "r_escape")
-    b_tol = cfgmod.as_float(cfg, "b_tol")
-    if len(start) != 3:
-        raise ConfigError("start must be three coordinates")
-    metric = geometry.schwarzschild(mass)
-    f = potentials.schwarzschild_potential(mass)
-    budget = global_checks.FlowBudget(r_escape=r_escape, t_max=1e10)
-    trace = global_checks.flow_classify(f, metric, Point3.of(start), budget)
+def _suite_flow_classify(c, rng):
+    metric = geometry.schwarzschild(c.mass)
+    f = potentials.schwarzschild_potential(c.mass)
+    budget = global_checks.FlowBudget(r_escape=c.r_escape, t_max=1e10)
+    trace = global_checks.flow_classify(f, metric, Point3.of(c.start), budget)
     rows = [(s.t, float(np.linalg.norm(s.position)), s.f_value, s.grad_norm)
             for s in trace.samples]
 
     def classified():
-        return _flag("escape_classification",
-                     trace.classification == global_checks.ESCAPE_TO_END,
+        return _flag(trace.classification == global_checks.ESCAPE_TO_END,
                      f"got {trace.classification}")
 
     def limit_value():
-        return _ok("limit_estimate", trace.limit_estimate, 1.0, b_tol)
+        return _ok(trace.limit_estimate, 1.0, c.b_tol)
 
     def monotone():
-        return _ok("monotone_violations", trace.monotone_violations, 0.0, 0.0)
+        return _ok(trace.monotone_violations, 0.0, 0.0)
 
     def critical_control():
         g = geometry.euclidean()
@@ -582,8 +517,7 @@ def _suite_flow_classify(cfg, rng, out_dir):
         tr = global_checks.flow_classify(
             fq, g, Point3(1.0, 0.0, 0.0),
             global_checks.FlowBudget(r_escape=50.0, t_max=50.0))
-        return _flag("critical_point_detected",
-                     tr.classification == global_checks.CONVERGE_CRITICAL,
+        return _flag(tr.classification == global_checks.CONVERGE_CRITICAL,
                      f"got {tr.classification}")
 
     def unbounded_control():
@@ -594,8 +528,7 @@ def _suite_flow_classify(cfg, rng, out_dir):
             global_checks.FlowBudget(r_escape=25.0, t_max=1e4))
         ok = (tr.classification == global_checks.ESCAPE_TO_END
               and math.isinf(tr.limit_estimate))
-        return _flag("unbounded_escape_detected", ok,
-                     f"got {tr.classification}, limit {tr.limit_estimate}")
+        return _flag(ok, f"got {tr.classification}, limit {tr.limit_estimate}")
 
     checks = [("escape_classification", classified),
               ("limit_estimate", limit_value),
@@ -653,6 +586,43 @@ SUITES = {
         _suite_flow_classify),
 }
 
+# The kind of every config key above, declared once: "count" is an integer
+# >= 1, "float" a finite number, "list" a non-empty list of finite numbers, an
+# integer n a list of exactly n numbers, and "pair" two increasing numbers.
+KEY_KINDS = {
+    **dict.fromkeys(("n_points", "n_trials", "n_angles", "n_spheres", "n_polar",
+                     "n_azimuth", "n_panels", "nodes_per_panel"), "count"),
+    **dict.fromkeys(("radii", "heights", "masses"), "list"),
+    **dict.fromkeys(("window", "bracket"), "pair"),
+    "coeffs": 4,
+    "start": 3,
+    **dict.fromkeys(("mass", "tol", "r_min", "r_max", "epsilon", "r0", "t_end",
+                     "inner", "outer", "perturb_amp", "r_lo", "r_hi",
+                     "ratio_factor", "r_inner", "r_outer", "rel_tol",
+                     "capacity_tol", "r_escape", "b_tol"), "float"),
+}
+
+
+def _coerce(cfg, key):
+    """One config value as its declared kind; ConfigError when it is not one."""
+    kind = KEY_KINDS[key]
+    if kind == "float":
+        return cfgmod.as_float(cfg, key)
+    if kind == "count":
+        value = cfgmod.as_int(cfg, key)
+        if value < 1:
+            raise ConfigError(f"key {key!r}: expected an integer >= 1, got {cfg[key]!r}")
+        return value
+    values = cfgmod.as_float_list(cfg, key)
+    if kind == "list" and not values:
+        raise ConfigError(f"key {key!r}: expected at least one number")
+    if kind == "pair" and not (len(values) == 2 and values[0] < values[1]):
+        raise ConfigError(f"key {key!r}: expected two increasing numbers lo, hi, "
+                          f"got {cfg[key]!r}")
+    if isinstance(kind, int) and len(values) != kind:
+        raise ConfigError(f"key {key!r}: expected {kind} numbers, got {cfg[key]!r}")
+    return values
+
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -677,27 +647,24 @@ def _number(x):
     return x
 
 
-def run_suite(suite, cfg_overrides, out_dir, seed=0, parallel=False):
+def run_suite(suite, cfg_overrides, out_dir, seed=0):
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; see list-suites")
     defaults, fn = SUITES[suite]
     cfg = cfgmod.merge_with_defaults(cfg_overrides, defaults, suite)
+    values = SimpleNamespace(**{key: _coerce(cfg, key) for key in cfg})
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.time()
     try:
-        checks, plots = fn(cfg, rng, out_dir)
-    except ValueError as exc:
-        # a constructor refused a configured value before any check ran
-        raise ConfigError(f"suite {suite!r}: {exc}") from None
-    if parallel:
-        with ThreadPoolExecutor(max_workers=min(8, len(checks))) as pool:
-            futures = [(name, pool.submit(_check, name, body))
-                       for name, body in checks]
-            results = [fut.result() for _, fut in futures]
-    else:
-        results = [_check(name, body) for name, body in checks]
+        checks, plots = fn(values, rng)
+    except ConfigError:
+        raise
+    except (StaticPotError, ValueError) as exc:
+        # the configured values were refused before any check ran
+        raise ConfigError(f"suite {suite!r}: {type(exc).__name__}: {exc}") from None
+    results = [_check(name, body) for name, body in checks]
     for filename, header, rows in plots:
         emit_plot_data(out_dir, filename, header, rows)
     elapsed = time.time() - started
@@ -796,8 +763,6 @@ def build_parser():
     p_verify.add_argument("--out", default="out",
                           help="directory for report.json, timing.json and CSVs")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--parallel", action="store_true",
-                          help="run the suite's checks in a thread pool")
 
     sub.add_parser("list-suites", help="print suite names and their config keys")
 
@@ -826,8 +791,7 @@ def main(argv=None):
         if args.command == "dump-curvature":
             return _cmd_dump_curvature(args)
         overrides = cfgmod.load_config(args.config) if args.config else {}
-        report = run_suite(args.suite, overrides, args.out,
-                           seed=args.seed, parallel=args.parallel)
+        report = run_suite(args.suite, overrides, args.out, seed=args.seed)
         for chk in report["checks"]:
             mark = "PASS" if chk["passed"] else "FAIL"
             print(f"[{mark}] {report['suite']}.{chk['name']}")

@@ -1,8 +1,10 @@
 """Flat key = value configuration files for the verification suites.
 
-Lines are ``key = value`` with ``#`` comments; values stay strings until a
-suite coerces them. Every suite declares its allowed keys and anything else is
-rejected, so typos fail loudly instead of silently running defaults.
+Lines are ``key = value`` with ``#`` comments; values stay strings until
+``cli.run_suite`` coerces every key of the merged config through the key table
+``cli.KEY_KINDS`` with the coercers below, before the suite is built; no suite
+coerces its own values. Every suite declares its allowed keys and anything else
+is rejected, so typos fail loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
@@ -69,15 +71,6 @@ def as_int(cfg: dict, key: str) -> int:
         return int(cfg[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: expected an integer, got {cfg[key]!r}") from None
-
-
-def as_bool(cfg: dict, key: str) -> bool:
-    v = cfg[key].strip().lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"key {key!r}: expected true/false, got {cfg[key]!r}")
 
 
 def as_float_list(cfg: dict, key: str) -> list:

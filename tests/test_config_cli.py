@@ -72,16 +72,14 @@ class TestMergeAndCoercion:
         assert merged == {"mass": "1", "tol": "1e-3"}
 
     def test_coercers_accept_good_values(self):
-        cfg = {"a": "2.5", "b": "7", "c": "true", "d": "1, 2.5, -3"}
+        cfg = {"a": "2.5", "b": "7", "d": "1, 2.5, -3"}
         assert cfgmod.as_float(cfg, "a") == 2.5
         assert cfgmod.as_int(cfg, "b") == 7
-        assert cfgmod.as_bool(cfg, "c") is True
         assert cfgmod.as_float_list(cfg, "d") == [1.0, 2.5, -3.0]
 
     @pytest.mark.parametrize("fn,val", [
         (cfgmod.as_float, "wide"),
         (cfgmod.as_int, "2.5"),
-        (cfgmod.as_bool, "maybe"),
         (cfgmod.as_float_list, "1, two, 3"),
         (cfgmod.as_float, "nan"),
         (cfgmod.as_float, "-inf"),
@@ -90,6 +88,17 @@ class TestMergeAndCoercion:
     def test_coercers_reject_bad_values(self, fn, val):
         with pytest.raises(ConfigError):
             fn({"k": val}, "k")
+
+
+class TestKeyKinds:
+    def test_every_default_has_a_kind_and_coerces(self):
+        used = set()
+        for suite, (defaults, _) in cli.SUITES.items():
+            for key in defaults:
+                assert key in cli.KEY_KINDS, f"{suite}.{key} has no declared kind"
+                cli._coerce(defaults, key)
+            used |= set(defaults)
+        assert used == set(cli.KEY_KINDS)
 
 
 class TestPlotData:
@@ -135,14 +144,6 @@ class TestRunSuite:
         cli.run_suite("euclidean_affine", {"n_points": "10"}, str(a_dir), seed=7)
         cli.run_suite("euclidean_affine", {"n_points": "10"}, str(b_dir), seed=7)
         assert (a_dir / "report.json").read_bytes() == (b_dir / "report.json").read_bytes()
-
-    def test_parallel_matches_serial(self, tmp_path):
-        s_dir, p_dir = tmp_path / "serial", tmp_path / "parallel"
-        serial = cli.run_suite("euclidean_affine", {"n_points": "10"},
-                               str(s_dir), seed=5, parallel=False)
-        parallel = cli.run_suite("euclidean_affine", {"n_points": "10"},
-                                 str(p_dir), seed=5, parallel=True)
-        assert serial == parallel
 
     def test_impossible_tolerance_fails_honestly(self, tmp_path):
         report = cli.run_suite("schwarzschild_static",
@@ -211,6 +212,15 @@ class TestCommandLine:
         ("schwarzschild_static", "mass = nan"),
         ("integral_identities", "n_polar = 1"),
         ("integral_identities", "r_inner = 50"),
+        ("euclidean_affine", "n_points = 0"),
+        ("anisotropy_limit", "masses ="),
+        ("mass_fit", "window = 400, 50"),
+        ("zero_set_gauss_bonnet", "bracket = -8"),
+        ("flow_classify", "start = 0,0,0"),
+        ("zero_set_gauss_bonnet", "radii = 50, 100, 490"),
+        ("flow_classify", "start = 1, 2, 3, 4"),
+        ("mass_fit", "window = 50, 50"),
+        ("anisotropy_limit", "heights = ,"),
     ])
     def test_rejected_suite_value_exit_two(self, tmp_path, capsys, suite, line):
         cfg = tmp_path / "bad.cfg"
@@ -221,6 +231,19 @@ class TestCommandLine:
         assert rc == 2
         assert "config error" in err
         assert "Traceback" not in err
+
+    def test_check_body_value_error_fails_the_check(self, tmp_path, capsys):
+        # two spheres are too few for the linear fit inside the check bodies
+        cfg = tmp_path / "few.cfg"
+        cfg.write_text("n_spheres = 2\n")
+        rc = cli.main(["verify", "mass_fit", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in captured.err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert any(c["detail"].startswith("ValueError: ")
+                   for c in report["checks"] if not c["passed"])
 
     def test_list_suites_names_and_keys(self, capsys):
         rc = cli.main(["list-suites"])
