@@ -702,10 +702,13 @@ def _parse_metric_spec(spec):
             raise ConfigError("euclidean takes no options")
         return geometry.euclidean()
     if family == "schwarzschild":
-        mass = float(kwargs.pop("mass", "1"))
+        mass = cfgmod.as_float({"mass": kwargs.pop("mass", "1")}, "mass")
         if kwargs:
             raise ConfigError(f"unknown schwarzschild option(s): {sorted(kwargs)}")
-        return geometry.schwarzschild(mass)
+        try:
+            return geometry.schwarzschild(mass)
+        except ValueError as exc:
+            raise ConfigError(f"metric {spec!r}: {exc}") from None
     raise ConfigError(f"unknown metric family {family!r}")
 
 
@@ -722,9 +725,14 @@ def _parse_points(arg, path):
         triples.extend(t for t in arg.split(";") if t.strip())
     pts = []
     for t in triples:
-        vals = [float(v) for v in t.split(",")]
+        try:
+            vals = [float(v) for v in t.split(",")]
+        except ValueError:
+            raise ConfigError(f"point {t!r} is not three numbers") from None
         if len(vals) != 3:
             raise ConfigError(f"point {t!r} is not three coordinates")
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"point {t!r} has a non-finite coordinate")
         pts.append(Point3.of(vals))
     if not pts:
         raise ConfigError("no points given; use --points or --points-file")
@@ -737,7 +745,11 @@ def _cmd_dump_curvature(args):
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for p in pts:
-        bundle = geometry.curvature_at(metric, p, backend=args.backend)
+        try:
+            bundle = geometry.curvature_at(metric, p, backend=args.backend)
+        except StaticPotError as exc:
+            # a point outside the chart or where the metric degenerates
+            raise ConfigError(f"{type(exc).__name__}: {exc}") from None
         ric = bundle.ricci
         rows.append((p.x1, p.x2, p.x3, bundle.scalar,
                      ric[0, 0], ric[0, 1], ric[0, 2],

@@ -1,7 +1,9 @@
 """Scalar potential fields and the static-system residuals.
 
 A potential is a scalar closure with the same genericity contract as metric
-components: it must accept floats or jets. The static system under test is
+components: it must accept floats, coordinate arrays (a batch of points, as
+the sphere drivers and the zero-set root scan pass them) or jets. The static
+system under test is
 
     Hess_g f = f * Ric_g      and      Laplace_g f = 0
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,11 +53,11 @@ class PotentialField:
         return _on_nodes(grad, p)
 
     def hessian(self, point) -> np.ndarray:
-        """Coordinate second partials (no metric involved)."""
+        """Coordinate second partials (no metric involved), ``(..., 3, 3)`` over a batch."""
         p = Point3.of(point)
         Xs = jets.seed(p.coords(), 2)
         _, _, hess = jets.taylor2(self.expr(Xs[0], Xs[1], Xs[2]))
-        return np.array([[float(hess[i][j]) for j in range(3)] for i in range(3)])
+        return _on_nodes([h for row in hess for h in row], p).reshape(np.shape(p.x1) + (3, 3))
 
 
 def _on_nodes(vals, p: Point3) -> np.ndarray:
@@ -96,79 +99,78 @@ _BIN_OPS = {ast.Add: lambda a, b: a + b,
             ast.Mult: lambda a, b: a * b,
             ast.Div: lambda a, b: a / b}
 _FUNCS = {"sqrt": jets.sqrt, "ln": jets.log}
+_NAMES = ("x1", "x2", "x3", "r")
 
 
 def _const_subtree(node) -> bool:
     return not any(isinstance(n, (ast.Name, ast.Call)) for n in ast.walk(node))
 
 
-def _validate(node) -> None:
+def _compile(node):
+    """Validate an AST node and build its evaluator ``fn(env)``, env = (x1, x2, x3, r).
+
+    The AST is walked once, here; evaluating the closures performs the same
+    operations in the same order as walking the tree at every call would.
+    """
     if isinstance(node, ast.Expression):
-        _validate(node.body)
-    elif isinstance(node, ast.BinOp):
+        return _compile(node.body)
+    if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Pow):
             if not _const_subtree(node.right):
                 raise ConfigError("exponents must be constants")
-        elif type(node.op) not in _BIN_OPS:
+            base, expo = _compile(node.left), _compile(node.right)
+            return lambda env: jets.power(base(env), expo(()))
+        op = _BIN_OPS.get(type(node.op))
+        if op is None:
             raise ConfigError(f"operator {type(node.op).__name__} not allowed")
-        _validate(node.left)
-        _validate(node.right)
-    elif isinstance(node, ast.UnaryOp):
+        left, right = _compile(node.left), _compile(node.right)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.USub, ast.UAdd)):
             raise ConfigError("only unary +/- allowed")
-        _validate(node.operand)
-    elif isinstance(node, ast.Call):
+        operand = _compile(node.operand)
+        if isinstance(node.op, ast.UAdd):
+            return operand
+        return lambda env: -operand(env)
+    if isinstance(node, ast.Call):
         if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCS):
             raise ConfigError("only sqrt() and ln() calls allowed")
         if len(node.args) != 1 or node.keywords:
             raise ConfigError("functions take exactly one argument")
-        _validate(node.args[0])
-    elif isinstance(node, ast.Name):
-        if node.id not in ("x1", "x2", "x3", "r"):
+        fn, arg = _FUNCS[node.func.id], _compile(node.args[0])
+        return lambda env: fn(arg(env))
+    if isinstance(node, ast.Name):
+        if node.id not in _NAMES:
             raise ConfigError(f"unknown name {node.id!r}")
-    elif isinstance(node, ast.Constant):
+        return operator.itemgetter(_NAMES.index(node.id))
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConfigError("only numeric constants allowed")
-    else:
-        raise ConfigError(f"construct {type(node).__name__} not allowed")
-
-
-def _eval_node(node, env):
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, env)
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Pow):
-            base = _eval_node(node.left, env)
-            expo = _eval_node(node.right, {})
-            return jets.power(base, expo)
-        return _BIN_OPS[type(node.op)](_eval_node(node.left, env), _eval_node(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        v = _eval_node(node.operand, env)
-        return -v if isinstance(node.op, ast.USub) else v
-    if isinstance(node, ast.Call):
-        return _FUNCS[node.func.id](_eval_node(node.args[0], env))
-    if isinstance(node, ast.Name):
-        return env[node.id]
-    if isinstance(node, ast.Constant):
-        return float(node.value)
+        try:
+            c = float(node.value)
+        except OverflowError:
+            raise ConfigError("numeric constant too large for a float") from None
+        return lambda env: c
     raise ConfigError(f"construct {type(node).__name__} not allowed")
 
 
 def expression_potential(text: str, label: str | None = None) -> PotentialField:
-    """Parse a potential from the small arithmetic grammar."""
+    """Parse a potential from the small arithmetic grammar.
+
+    The expression is validated and compiled into closures once; the returned
+    potential evaluates on floats, coordinate arrays and jets alike.
+    """
     try:
         tree = ast.parse(text.replace("^", "**"), "<potential>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse potential {text!r}: {exc}") from None
-    _validate(tree)
+    evaluate = _compile(tree)
     # sqrt has no jet derivative at the origin, so only build "r" when used
     uses_r = any(isinstance(n, ast.Name) and n.id == "r" for n in ast.walk(tree))
 
     def expr(X1, X2, X3):
-        env = {"x1": X1, "x2": X2, "x3": X3}
-        if uses_r:
-            env["r"] = jets.sqrt(X1 * X1 + X2 * X2 + X3 * X3)
-        return _eval_node(tree, env)
+        r = jets.sqrt(X1 * X1 + X2 * X2 + X3 * X3) if uses_r else None
+        return evaluate((X1, X2, X3, r))
 
     return PotentialField(expr=expr, label=label if label is not None else text.strip())
 
@@ -285,7 +287,8 @@ def fit_linear_part(f: PotentialField, metric: MetricField, radii: Sequence[floa
 
     The averaged partials are extrapolated in the sphere radius; the scatter of
     the gradient around the limit gives the remainder decay exponent. Raises
-    NonConvergentError when the averages show no Cauchy trend.
+    NonConvergentError when the averages show no Cauchy trend. Each sphere's
+    nodes go through one batched ``f.gradient`` call.
     """
     radii = np.array(sorted(float(r) for r in radii))
     if len(radii) < 3:
@@ -295,8 +298,8 @@ def fit_linear_part(f: PotentialField, metric: MetricField, radii: Sequence[floa
 
     node_grads = []
     for r in radii:
-        grads = np.array([f.gradient(Point3(*(r * d))) for d in rule.directions])
-        node_grads.append(grads)
+        x = r * rule.directions
+        node_grads.append(f.gradient(Point3(x[:, 0], x[:, 1], x[:, 2])))
     averages = np.array([
         (rule.weights[:, None] * grads).sum(axis=0) / (4.0 * np.pi)
         for grads in node_grads

@@ -9,7 +9,8 @@ induced area element and the outward unit normal.
 Flux and volume integrands take coordinate arrays: the drivers call
 ``scalar_fn(x1, x2, x3)`` or ``vector_fn(x1, x2, x3)`` once per sphere or
 radial panel, and the integrand returns values of shape ``x1.shape`` or
-``x1.shape + (3,)``. ``sphere_average`` stays pointwise and passes a Point3.
+``x1.shape + (3,)``. ``sphere_average`` calls ``fn`` once per sphere on a
+batched Point3, and ``fn`` returns values of shape ``x1.shape`` or one scalar.
 """
 
 from __future__ import annotations
@@ -71,11 +72,17 @@ def sphere_rule(n_polar: int = 32, n_azimuth: int = 64) -> SphereRule:
 
 
 def sphere_average(fn, radius: float, rule: SphereRule) -> float:
-    """Average of fn over the coordinate sphere with the round measure."""
-    total = 0.0
-    for d, w in zip(rule.directions, rule.weights):
-        total += w * fn(Point3(radius * d[0], radius * d[1], radius * d[2]))
-    return total / (4.0 * np.pi)
+    """Average of fn over the coordinate sphere with the round measure.
+
+    ``fn`` is called once, on a Point3 holding every node of the sphere. The
+    weighted values are summed node by node from the left, starting at 0.0
+    (``np.add.accumulate`` does not reorder), so the average carries the same
+    bits as a loop over the nodes would.
+    """
+    x = radius * rule.directions
+    vals = np.asarray(fn(Point3(x[:, 0], x[:, 1], x[:, 2])), dtype=float)
+    terms = np.concatenate(([0.0], rule.weights * vals))
+    return np.add.accumulate(terms)[-1] / (4.0 * np.pi)
 
 
 def flux_integral(metric: MetricField, vector_fn, radius: float, rule: SphereRule) -> float:

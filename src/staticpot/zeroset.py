@@ -18,8 +18,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import jets
-from .errors import (CriticalOnZeroSetError, MonotonicityError, MultiRootError,
-                     NoRootError, ResolutionError)
+from .errors import (CriticalOnZeroSetError, DomainError, MonotonicityError,
+                     MultiRootError, NoRootError, ResolutionError)
 from .geometry import MetricField, Point3, curvature_at
 from .potentials import PotentialField, require_static
 from .quadrature import aitken_limit
@@ -29,10 +29,11 @@ class SurfaceChart:
     """Implicit surface chart: root of a potential along a line family.
 
     ``embed(u, v, s)`` maps chart coordinates and the line parameter to the
-    ambient chart and must be generic over the scalar type. Roots are bracketed
-    by a sign scan, solved by Brent's method, Newton-polished and certified to
-    ``root_tol``; the directional slope along the line must stay above
-    ``slope_floor``.
+    ambient chart and must be generic over the scalar type, an array of line
+    parameters included. Roots are bracketed by a sign scan over 25 samples
+    (one array evaluation), solved by Brent's method, Newton-polished and
+    certified to ``root_tol``; the directional slope along the line must stay
+    above ``slope_floor``.
     """
 
     def __init__(self, f: PotentialField, metric: MetricField, embed: Callable,
@@ -52,6 +53,29 @@ class SurfaceChart:
         X = self.embed(u, v, s)
         return float(jets.value(self.f.expr(X[0], X[1], X[2])))
 
+    def _scan(self, u: float, v: float, ss: np.ndarray) -> list:
+        """f at the samples ``ss`` of one line, from one array evaluation.
+
+        On arrays numpy turns what raises on a float (log or sqrt outside its
+        domain, division by zero) into nan or inf. So a floating-point flag
+        sends the scan to pointwise evaluation in sample order, which raises as
+        the pointwise scan does at its first such sample. A sample that is
+        still nan or inf (numpy scalar division or power on the line
+        parameter) has no sign, and the scan raises DomainError.
+        """
+        X = self.embed(u, v, ss)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                vals = np.broadcast_to(jets.value(self.f.expr(X[0], X[1], X[2])), ss.shape)
+        except FloatingPointError:
+            vals = np.array([self._value(u, v, s) for s in ss])
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise DomainError(
+                f"{self.label}: f is not finite at s = {ss[np.argmax(bad)]:g} "
+                f"on the line (u, v) = ({u:g}, {v:g})")
+        return vals.tolist()
+
     def _slope(self, u: float, v: float, s: float) -> float:
         S = jets.Jet(s, (1.0, 0.0, 0.0))
         X = self.embed(u, v, S)
@@ -67,7 +91,7 @@ class SurfaceChart:
         pair = None
         for _ in range(7):
             ss = np.linspace(lo, hi, 25)
-            vals = [self._value(u, v, s) for s in ss]
+            vals = self._scan(u, v, ss)
             # a sample landing exactly on the root must count once, not as
             # two sign flips around it
             brackets = []

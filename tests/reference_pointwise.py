@@ -1,20 +1,28 @@
-"""Reference oracle for the differential tests of the batched curvature path.
+"""Reference oracle for the differential tests of the batched paths.
 
-A frozen copy of the pointwise path the library used before its curvature
-layer became array-generic: nested-list jet extraction, the explicit 3^4 loop
-assembler, and quadrature drivers that visit one node at a time. It runs in
-plain Python arithmetic, so the batched einsum path can be checked against it
-entry by entry. Test-only; the library never imports it.
+A frozen copy of the pointwise code the library used before its curvature,
+potential and zero-set layers became array-generic: nested-list jet
+extraction, the explicit 3^4 loop assembler, quadrature drivers that visit one
+node at a time, the recursive expression tree walker, the node-by-node
+linear-part fit and the sample-by-sample root scan. It runs in plain Python
+arithmetic, so the batched paths can be checked against it entry by entry.
+Test-only; the library never imports it.
 """
 
+import ast
 import math
+from typing import Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
-from staticpot.errors import DomainError, SingularMetricError
+from staticpot import jets
+from staticpot.errors import (ConfigError, DomainError, MultiRootError, NoRootError,
+                              MonotonicityError, NonConvergentError, SingularMetricError)
 from staticpot.geometry import CurvatureBundle, MetricField, Point3
 from staticpot.jets import peel_grad, peel_value, seed
-from staticpot.quadrature import SphereRule, radial_panels
+from staticpot.potentials import LinearPartFit, PotentialField
+from staticpot.quadrature import SphereRule, aitken_limit, radial_panels, sphere_rule
 
 _EIG_FLOOR = 1e-10
 
@@ -292,3 +300,163 @@ def reference_volume_integral(metric: MetricField, scalar_fn, r_inner: float, r_
             shell += w * scalar_fn(p) * math.sqrt(det_g)
         total += wr * shell * r * r
     return total
+
+
+def reference_sphere_average(fn, radius: float, rule: SphereRule) -> float:
+    """Average of fn over the coordinate sphere, one node at a time; fn(p)."""
+    total = 0.0
+    for d, w in zip(rule.directions, rule.weights):
+        total += w * fn(Point3(radius * d[0], radius * d[1], radius * d[2]))
+    return total / (4.0 * np.pi)
+
+
+### Expression grammar: the recursive tree walker
+
+_BIN_OPS = {ast.Add: lambda a, b: a + b,
+            ast.Sub: lambda a, b: a - b,
+            ast.Mult: lambda a, b: a * b,
+            ast.Div: lambda a, b: a / b}
+_FUNCS = {"sqrt": jets.sqrt, "ln": jets.log}
+
+
+def _eval_node(node, env):
+    if isinstance(node, ast.Expression):
+        return _eval_node(node.body, env)
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Pow):
+            base = _eval_node(node.left, env)
+            expo = _eval_node(node.right, {})
+            return jets.power(base, expo)
+        return _BIN_OPS[type(node.op)](_eval_node(node.left, env), _eval_node(node.right, env))
+    if isinstance(node, ast.UnaryOp):
+        v = _eval_node(node.operand, env)
+        return -v if isinstance(node.op, ast.USub) else v
+    if isinstance(node, ast.Call):
+        return _FUNCS[node.func.id](_eval_node(node.args[0], env))
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.Constant):
+        return float(node.value)
+    raise ConfigError(f"construct {type(node).__name__} not allowed")
+
+
+def reference_expression(text: str):
+    """The tree-walking ``expr(X1, X2, X3)`` of a grammar expression (assumed valid)."""
+    tree = ast.parse(text.replace("^", "**"), "<potential>", "eval")
+    uses_r = any(isinstance(n, ast.Name) and n.id == "r" for n in ast.walk(tree))
+
+    def expr(X1, X2, X3):
+        env = {"x1": X1, "x2": X2, "x3": X3}
+        if uses_r:
+            env["r"] = jets.sqrt(X1 * X1 + X2 * X2 + X3 * X3)
+        return _eval_node(tree, env)
+
+    return expr
+
+
+### Linear part, one gradient per node
+
+
+def reference_fit_linear_part(f: PotentialField, metric: MetricField, radii: Sequence[float],
+                              rule: SphereRule | None = None) -> LinearPartFit:
+    radii = np.array(sorted(float(r) for r in radii))
+    if len(radii) < 3:
+        raise ValueError("need at least three radii")
+    if rule is None:
+        rule = sphere_rule()
+
+    node_grads = []
+    for r in radii:
+        grads = np.array([f.gradient(Point3(*(r * d))) for d in rule.directions])
+        node_grads.append(grads)
+    averages = np.array([
+        (rule.weights[:, None] * grads).sum(axis=0) / (4.0 * np.pi)
+        for grads in node_grads
+    ])
+
+    coeffs = np.array([aitken_limit(averages[:, i]) for i in range(3)])
+
+    scale = 1.0 + np.abs(averages[-1]).max()
+    diffs = np.abs(np.diff(averages, axis=0)).max(axis=1)
+    for k in range(1, len(diffs)):
+        if diffs[k] > 1.5 * diffs[k - 1] + 1e-13 * scale and diffs[k] > 1e-10 * scale:
+            raise NonConvergentError(
+                f"{f.label}: sphere-averaged gradient is not settling "
+                f"(step {diffs[k]:.3e} after {diffs[k - 1]:.3e})")
+
+    rms = []
+    for grads in node_grads:
+        dev = grads - coeffs
+        rms.append(math.sqrt(float((rule.weights * (dev ** 2).sum(axis=1)).sum() / (4.0 * np.pi))))
+    rms = np.array(rms)
+
+    exponent = None
+    if np.all(rms > 1e-14 * scale):
+        slope = np.polyfit(np.log(radii), np.log(rms), 1)[0]
+        exponent = float(slope)
+    return LinearPartFit(coefficients=coeffs, radii=radii, averages=averages,
+                         remainder_rms=rms, remainder_exponent=exponent)
+
+
+### Certified root along one line, scanned one sample at a time
+
+
+def reference_root(chart, u: float, v: float) -> float:
+    """``SurfaceChart.root`` with its pointwise sign scan and no root cache."""
+    lo, hi = chart.bracket(u, v)
+    pair = None
+    for _ in range(7):
+        ss = np.linspace(lo, hi, 25)
+        vals = [chart._value(u, v, s) for s in ss]
+        # a sample landing exactly on the root must count once, not as
+        # two sign flips around it
+        brackets = []
+        last = None
+        for k, val in enumerate(vals):
+            if val == 0.0:
+                brackets.append((float(ss[k]), float(ss[k])))
+                last = None
+                continue
+            sgn = 1 if val > 0.0 else -1
+            if last is not None and sgn != last[1]:
+                brackets.append((float(ss[last[0]]), float(ss[k])))
+            last = (k, sgn)
+        if len(brackets) > 1:
+            raise MultiRootError(
+                f"{chart.label}: {len(brackets)} sign changes on [{lo:g}, {hi:g}] "
+                f"at (u, v) = ({u:g}, {v:g})")
+        if brackets:
+            pair = brackets[0]
+            break
+        mid, half = 0.5 * (lo + hi), hi - lo
+        lo, hi = mid - half, mid + half
+        if chart.param_floor is not None:
+            lo = max(lo, chart.param_floor)
+    if pair is None:
+        raise NoRootError(f"{chart.label}: no sign change found near (u, v) = ({u:g}, {v:g})")
+
+    if chart._value(u, v, pair[0]) == 0.0:
+        s = pair[0]
+    elif chart._value(u, v, pair[1]) == 0.0:
+        s = pair[1]
+    else:
+        s = brentq(lambda t: chart._value(u, v, t), pair[0], pair[1],
+                   xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    for _ in range(3):
+        fv = chart._value(u, v, s)
+        sl = chart._slope(u, v, s)
+        if fv == 0.0 or abs(sl) < 1e-14:
+            break
+        s -= fv / sl
+
+    fv = chart._value(u, v, s)
+    if abs(fv) > chart.root_tol:
+        raise NoRootError(
+            f"{chart.label}: root certification failed, |f| = {abs(fv):.3e} "
+            f"> {chart.root_tol:g} at (u, v) = ({u:g}, {v:g})")
+    sl = chart._slope(u, v, s)
+    if sl < chart.slope_floor:
+        raise MonotonicityError(
+            f"{chart.label}: line slope {sl:.3e} below floor {chart.slope_floor:g} "
+            f"at (u, v) = ({u:g}, {v:g})")
+    return float(s)

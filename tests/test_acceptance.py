@@ -169,11 +169,11 @@ def test_c07_turning_limit():
     exp_err = abs(report.deviation_decay_exponent - (-g.tau))
     elapsed = time.perf_counter() - t0
     _criterion("circle_turning_limit",
-               limit_err < 0.01 and exp_err <= 0.3 and elapsed < 60.0,
+               limit_err < 0.01 and exp_err <= 0.3 and elapsed < 10.0,
                f"extrapolated {report.extrapolated:.5f} vs 2*pi "
                f"(rel {limit_err:.2e} < 1e-2), deviation exponent "
                f"{report.deviation_decay_exponent:.3f} vs {-g.tau:g} "
-               f"(gap {exp_err:.2f} <= 0.3), {elapsed:.1f}s (< 60s)")
+               f"(gap {exp_err:.2f} <= 0.3), {elapsed:.1f}s (< 10s)")
 
 
 def test_c08_mass_recovery():

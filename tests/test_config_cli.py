@@ -294,6 +294,21 @@ class TestCommandLine:
         assert rc == 2
         assert "metric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--metric", "schwarzschild:mass=abc", "--points", "3,0,0"],
+        ["--metric", "schwarzschild:mass=0", "--points", "3,0,0"],
+        ["--metric", "schwarzschild:mass=nan", "--points", "3,0,0"],
+        ["--points", "1,a,0"],
+        ["--points", "nan,0,0"],
+        ["--metric", "schwarzschild:mass=2", "--points", "0.1,0,0"],  # inside the horizon
+    ])
+    def test_rejected_dump_input_exit_two(self, tmp_path, capsys, args):
+        rc = cli.main(["dump-curvature", *args, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_bad_point_exit_two(self, tmp_path, capsys):
         rc = cli.main(["dump-curvature", "--points", "1,0",
                        "--out", str(tmp_path)])
