@@ -42,7 +42,7 @@ def _check(name, fn):
     """Run one check body and name its result; an error becomes a failed result."""
     try:
         return replace(fn(), name=name)
-    except (StaticPotError, ValueError) as exc:
+    except (StaticPotError, ValueError, ArithmeticError) as exc:
         return CheckResult(False, math.nan, math.nan, math.nan,
                            f"{type(exc).__name__}: {exc}", name)
 
@@ -206,6 +206,8 @@ def _suite_tod_identities(c, rng):
 
 def _suite_growth_bound(c, rng):
     epsilon, r0, t_end, n_trials = c.epsilon, c.r0, c.t_end, c.n_trials
+    if t_end <= r0:
+        raise ConfigError(f"need t_end > r0, got t_end = {t_end:g} and r0 = {r0:g}")
     bound = GrowthBound.from_initial_data(epsilon, 1.0, r0)
     ts = np.geomspace(r0, t_end, 400)
     rows = []
@@ -505,6 +507,8 @@ def _suite_flow_classify(c, rng):
                      f"got {trace.classification}")
 
     def limit_value():
+        if trace.limit_estimate is None:
+            return _ok(math.nan, 1.0, c.b_tol, f"no limit: the flow ended as {trace.classification}")
         return _ok(trace.limit_estimate, 1.0, c.b_tol)
 
     def monotone():
@@ -661,7 +665,7 @@ def run_suite(suite, cfg_overrides, out_dir, seed=0):
         checks, plots = fn(values, rng)
     except ConfigError:
         raise
-    except (StaticPotError, ValueError) as exc:
+    except (StaticPotError, ValueError, ArithmeticError) as exc:
         # the configured values were refused before any check ran
         raise ConfigError(f"suite {suite!r}: {type(exc).__name__}: {exc}") from None
     results = [_check(name, body) for name, body in checks]

@@ -65,20 +65,16 @@ def launch_state(metric: MetricField, point, direction, f_value: float = 0.0,
                          f_value=f_value, f_slope=f_slope)
 
 
-def _ricci_quadratic(metric: MetricField, x: np.ndarray, v: np.ndarray) -> float:
-    bundle = curvature_at(metric, Point3(x[0], x[1], x[2]), check_domain=False)
-    return float(v @ bundle.ricci @ v)
-
-
 def _rhs(metric: MetricField, with_transport: bool) -> Callable:
     def rhs(t, y):
         x, v = y[0:3], y[3:6]
-        gamma = christoffel_at(metric, Point3(x[0], x[1], x[2]), check_domain=False)
-        acc = -np.einsum("kij,i,j->k", gamma, v, v)
+        p = Point3(x[0], x[1], x[2])
         if not with_transport:
-            return np.concatenate([v, acc])
-        h = _ricci_quadratic(metric, x, v)
-        return np.concatenate([v, acc, [y[7], h * y[6]]])
+            gamma = christoffel_at(metric, p, check_domain=False)
+            return np.concatenate([v, -np.einsum("kij,i,j->k", gamma, v, v)])
+        bundle = curvature_at(metric, p, check_domain=False)  # Gamma and Ric from one pass
+        h = float(v @ bundle.ricci @ v)
+        return np.concatenate([v, -np.einsum("kij,i,j->k", bundle.gamma, v, v), [y[7], h * y[6]]])
 
     return rhs
 
@@ -119,9 +115,13 @@ def integrate_geodesic(metric: MetricField, start: GeodesicState, t_end: float,
     for k, t in enumerate(sol.t):
         x = sol.y[0:3, k]
         v = sol.y[3:6, k]
-        g = metric.matrix(Point3(x[0], x[1], x[2]))
+        p = Point3(x[0], x[1], x[2])
+        if transport:
+            bundle = curvature_at(metric, p)
+            g, h = bundle.metric_matrix, float(v @ bundle.ricci @ v)
+        else:
+            g, h = metric.matrix(p), 0.0
         drift = max(drift, abs(float(v @ g @ v) - 1.0))
-        h = _ricci_quadratic(metric, x, v) if transport else 0.0
         fv, fp = (float(sol.y[6, k]), float(sol.y[7, k])) if transport else (0.0, 0.0)
         states.append(GeodesicState(t=float(t), position=x.copy(), velocity=v.copy(),
                                     f_value=fv, f_slope=fp, h_value=h))
@@ -175,6 +175,8 @@ def transport_potential(metric: MetricField, f0: float, f0_slope: float,
 def solve_curve_ode(h_fn: Callable, f0: float, f0_slope: float, t0: float, t1: float,
                     t_eval=None, rtol: float = 1e-12, atol: float = 1e-14):
     """Solve u'' = h(t) u with given initial data; returns (ts, us, slopes)."""
+    if t1 == t0:
+        raise ValueError(f"empty integration span: t1 = t0 = {t0:g}")
 
     def rhs(t, y):
         return [y[1], h_fn(t) * y[0]]

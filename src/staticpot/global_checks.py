@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from .errors import (DegenerateConformalError, IllConditionedFitError, ResolutionError,
                      StepFailureError, UnboundedPotentialError)
 from .geometry import MetricField, Point3, curvature_at, generic_metric
-from .potentials import PotentialField, fit_linear_part, require_static
+from .potentials import PotentialField, _norm_g, fit_linear_part, require_static
 from .quadrature import SphereRule, flux_integral, sphere_average, sphere_rule, volume_integral
 from .zeroset import AnnulusRegion, SurfaceGraph, extract_closed_component
 
@@ -342,8 +342,7 @@ def flow_classify(f: PotentialField, metric: MetricField, point,
 
     def grad_norm_at(y) -> float:
         g = np.array(metric.components(y[0], y[1], y[2]), dtype=float)
-        grad = f.gradient(Point3(y[0], y[1], y[2]))
-        return math.sqrt(float(grad @ np.linalg.inv(g) @ grad))
+        return _norm_g(g, f.gradient(Point3(y[0], y[1], y[2])))
 
     def ev_escape(t, y):
         return math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2) - budget.r_escape

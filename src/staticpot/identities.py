@@ -14,8 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateMetricError, ZeroPotentialError
-from .geometry import MetricField, Point3, curvature_at, ricci_with_derivative
-from .potentials import PotentialField, covariant_hessian, require_static
+from .geometry import CurvatureBundle, MetricField, Point3, curvature_at, ricci_with_derivative
+from .potentials import PotentialField, _hess_g, _taylor, require_static
 
 ALL_DISTINCT = "all_distinct"
 TWO_EQUAL = "two_equal"
@@ -41,11 +41,16 @@ def ricci_eigenframe(metric: MetricField, point, tau_eig: float = 1e-6,
     forcing the first sizable component of each column positive.
     """
     p = Point3.of(point)
-    bundle = curvature_at(metric, p, backend=backend)
+    return _eigenframe(curvature_at(metric, p, backend=backend), metric.label, tau_eig)
+
+
+def _eigenframe(bundle: CurvatureBundle, label: str, tau_eig: float) -> RicciEigenframe:
+    """The Ricci eigenframe of a single-point curvature bundle."""
+    p = bundle.point
     try:
         lam, vecs = scipy.linalg.eigh(bundle.ricci, bundle.metric_matrix)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise DegenerateMetricError(f"{metric.label}: eigenproblem failed at {p.coords()}: {exc}")
+        raise DegenerateMetricError(f"{label}: eigenproblem failed at {p.coords()}: {exc}")
     lam = np.asarray(lam, dtype=float)
     vecs = np.asarray(vecs, dtype=float)
     for k in range(3):
@@ -78,19 +83,20 @@ def tod_identity_residuals(f: PotentialField, metric: MetricField, point,
 
         f (R33;1 - R31;3) = (L2 - L3) e1(f)
 
-    and the function returns the three left-minus-right defects.
+    and the function returns the three left-minus-right defects. The frame, f
+    and grad f come from the static gate's pass.
     """
     p = Point3.of(point)
-    require_static(f, metric, p, tol=static_tol)
-    ef = ricci_eigenframe(metric, p, tau_eig=tau_eig)
+    gate = require_static(f, metric, p, tol=static_tol)
+    ef = _eigenframe(gate.curvature, metric.label, tau_eig)
     ric, dric, gamma = ricci_with_derivative(metric, p)
 
     # covariant derivative of Ricci: (grad Ric)[c, a, b] = d_c R_ab - corrections
     covd = dric - np.einsum("kca,kb->cab", gamma, ric) - np.einsum("kcb,ak->cab", gamma, ric)
     E = ef.frame
     P = np.einsum("ai,bj,ck,cab->ijk", E, E, E, covd)  # R_ij;k in the frame
-    fp = E.T @ f.gradient(p)
-    fval = f.value(p)
+    fp = E.T @ gate.gradient
+    fval = gate.f_value
     lam = ef.eigenvalues
 
     return np.array([
@@ -112,15 +118,14 @@ def quotient_residual(f: PotentialField, N: PotentialField, metric: MetricField,
     if n_val <= 1e-10:
         raise ZeroPotentialError(f"{N.label}: denominator potential is not positive at {p.coords()}")
     require_static(f, metric, p, tol=static_tol)
-    require_static(N, metric, p, tol=static_tol)
+    gate = require_static(N, metric, p, tol=static_tol)
 
     def zexpr(X1, X2, X3):
         return f.expr(X1, X2, X3) / N.expr(X1, X2, X3)
 
-    Z = PotentialField(expr=zexpr, label=f"({f.label})/({N.label})")
-    Hz = covariant_hessian(Z, metric, p)
-    dN = N.gradient(p)
-    dZ = Z.gradient(p)
+    _, dZ, hess_z = _taylor(zexpr, p, 2)
+    Hz = _hess_g(hess_z, dZ, gate.curvature.gamma)
+    dN = gate.gradient
     return n_val * Hz + np.outer(dN, dZ) + np.outer(dZ, dN)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConfigError, NonConvergentError, NotStaticError, ZeroPotentialError
-from .geometry import (MetricField, Point3, _inv3, christoffel_at, curvature_at)
+from .geometry import CurvatureBundle, MetricField, Point3, _inv3, christoffel_at, curvature_at
 from .quadrature import SphereRule, aitken_limit, sphere_rule
 
 
@@ -37,33 +37,43 @@ class PotentialField:
 
     def value(self, point):
         """Value at a point; an array over the nodes of a batched Point3."""
-        p = Point3.of(point)
-        v = jets.value(self.expr(p.x1, p.x2, p.x3))
-        if not isinstance(p.x1, np.ndarray):
-            return float(v)
-        return _on_nodes([v], p)[..., 0]
+        return _taylor(self.expr, Point3.of(point), 0)[0]
 
     def gradient(self, point) -> np.ndarray:
         """Coordinate gradient, ``(..., 3)`` over the nodes of a batched Point3."""
-        p = Point3.of(point)
-        Xs = jets.seed(p.coords(), 1)
-        _, grad = jets.taylor1(self.expr(Xs[0], Xs[1], Xs[2]))
-        if not isinstance(p.x1, np.ndarray):
-            return np.array([float(v) for v in grad])
-        return _on_nodes(grad, p)
+        return _taylor(self.expr, Point3.of(point), 1)[1]
 
     def hessian(self, point) -> np.ndarray:
         """Coordinate second partials (no metric involved), ``(..., 3, 3)`` over a batch."""
-        p = Point3.of(point)
-        Xs = jets.seed(p.coords(), 2)
-        _, _, hess = jets.taylor2(self.expr(Xs[0], Xs[1], Xs[2]))
-        return _on_nodes([h for row in hess for h in row], p).reshape(np.shape(p.x1) + (3, 3))
+        return _taylor(self.expr, Point3.of(point), 2)[2]
 
 
-def _on_nodes(vals, p: Point3) -> np.ndarray:
-    """Entries that are constants or node arrays, stacked as ``(..., len(vals))``."""
-    shape = np.shape(p.x1)
-    return np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in vals], axis=-1)
+_PARTS = (lambda e: (jets.value(e),), jets.taylor1, jets.taylor2)
+
+
+def _taylor(expr: Callable, p: Point3, depth: int) -> tuple:
+    """A scalar expression and its first ``depth`` (at most 2) partials at p.
+
+    The potential counterpart of ``geometry._metric_taylor``: seeds the
+    coordinates, evaluates ``expr`` once and returns ``(value,)``,
+    ``(value, grad)`` or ``(value, grad, hess)`` as floats, with
+    ``grad[..., i]`` and ``hess[..., i, j]`` over the batch shape of p. The
+    value is a Python float for a single point.
+    """
+    parts = _PARTS[depth](expr(*jets.seed(p.coords(), depth)))
+    if not isinstance(p.x1, np.ndarray):
+        return (float(parts[0]),) + tuple(np.array(part, dtype=float) for part in parts[1:])
+    shape = p.x1.shape
+
+    def on_nodes(vals):  # constants or node arrays, stacked as (..., len(vals))
+        return np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in vals], axis=-1)
+
+    out = [on_nodes(parts[:1])[..., 0]]
+    if depth:
+        out.append(on_nodes(parts[1]))
+    if depth == 2:
+        out.append(on_nodes([h for row in parts[2] for h in row]).reshape(shape + (3, 3)))
+    return tuple(out)
 
 
 def affine(a0: float, a1: float, a2: float, a3: float) -> PotentialField:
@@ -180,47 +190,56 @@ def expression_potential(text: str, label: str | None = None) -> PotentialField:
 
 @dataclass(frozen=True)
 class StaticResidual:
+    """The static system's defect at a point and the one pass it was built from."""
+
     point: Point3
     f_value: float
     tensor_residual: np.ndarray
     laplacian_residual: float
+    gradient: np.ndarray            # f's coordinate gradient
+    covariant_hessian: np.ndarray   # Hess_g f
+    curvature: CurvatureBundle      # the metric's curvature at the point
 
     @property
     def combined_norm(self) -> float:
         return float(np.linalg.norm(self.tensor_residual) + abs(self.laplacian_residual))
 
 
+def _hess_g(hess: np.ndarray, grad: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Covariant Hessian from coordinate partials: hess_ij - Gamma^k_ij grad_k."""
+    return hess - np.einsum("kij,k->ij", gamma, grad)
+
+
+def _norm_g(g: np.ndarray, grad: np.ndarray) -> float:
+    """|grad|_g of a coordinate gradient against the metric matrix g."""
+    return math.sqrt(float(grad @ np.linalg.inv(g) @ grad))
+
+
 def covariant_hessian(f: PotentialField, metric: MetricField, point) -> np.ndarray:
     """Hess_g f at a point: coordinate Hessian minus the Christoffel term."""
     p = Point3.of(point)
     gamma = christoffel_at(metric, p)
-    grad = f.gradient(p)
-    hess = f.hessian(p)
-    return hess - np.einsum("kij,k->ij", gamma, grad)
+    _, grad, hess = _taylor(f.expr, p, 2)
+    return _hess_g(hess, grad, gamma)
 
 
 def gradient_norm(f: PotentialField, metric: MetricField, point) -> float:
     """|grad f|_g at a point."""
     p = Point3.of(point)
-    g = metric.matrix(p)
-    grad = f.gradient(p)
-    return float(math.sqrt(grad @ np.linalg.inv(g) @ grad))
+    return _norm_g(metric.matrix(p), f.gradient(p))
 
 
 def static_residual(f: PotentialField, metric: MetricField, point, backend: str = "dual") -> StaticResidual:
     """Pointwise defect of the static system for (f, metric)."""
     p = Point3.of(point)
     bundle = curvature_at(metric, p, backend=backend)
-    # value, gradient and Hessian from one depth-2 pass
-    val, grad_l, hess_l = jets.taylor2(f.expr(*jets.seed(p.coords(), 2)))
-    fval = float(val)
-    grad = np.array([float(v) for v in grad_l])
-    hess = np.array([[float(hess_l[i][j]) for j in range(3)] for i in range(3)])
-    cov_hess = hess - np.einsum("kij,k->ij", bundle.gamma, grad)
+    fval, grad, hess = _taylor(f.expr, p, 2)
+    cov_hess = _hess_g(hess, grad, bundle.gamma)
     tensor = cov_hess - fval * bundle.ricci
     ginv = np.linalg.inv(bundle.metric_matrix)
     lap = float(np.tensordot(ginv, cov_hess))
-    return StaticResidual(point=p, f_value=fval, tensor_residual=tensor, laplacian_residual=lap)
+    return StaticResidual(point=p, f_value=fval, tensor_residual=tensor, laplacian_residual=lap,
+                          gradient=grad, covariant_hessian=cov_hess, curvature=bundle)
 
 
 def require_static(f: PotentialField, metric: MetricField, point, tol: float = 1e-6) -> StaticResidual:
@@ -236,13 +255,16 @@ def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: 
     """Defect of the gradient-norm identity satisfied by static potentials.
 
     Checks (1/2) Laplace |grad f|^2 = |Hess f|^2 + (1/2f) <grad f, grad |grad f|^2>
-    at a point where f does not vanish.
+    at a point where f does not vanish. The connection, the metric and f's
+    derivatives come from the static gate.
     """
     p = Point3.of(point)
+    # a vanishing f is reported before the gate runs, even where f has no
+    # derivatives or the point is off the chart
     fval = f.value(p)
     if abs(fval) < 1e-10:
         raise ZeroPotentialError(f"{f.label}: potential vanishes at {p.coords()}")
-    require_static(f, metric, p, tol=static_tol)
+    gate = require_static(f, metric, p, tol=static_tol)
 
     def phi_expr(X1, X2, X3):
         # |grad f|^2 as a scalar field, generic over the coordinate type
@@ -252,20 +274,13 @@ def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: 
         ginv, _ = _inv3(np.array(metric.components(X1, X2, X3), dtype=object))
         return np.einsum("ij,i,j->", ginv, fi, fi)
 
-    Xs = jets.seed(p.coords(), 2)
-    _, phi_grad_l, phi_hess_l = jets.taylor2(phi_expr(Xs[0], Xs[1], Xs[2]))
-    phi_grad = np.array([float(v) for v in phi_grad_l])
-    phi_hess = np.array([[float(phi_hess_l[i][j]) for j in range(3)] for i in range(3)])
+    _, phi_grad, phi_hess = _taylor(phi_expr, p, 2)
+    ginv = np.linalg.inv(gate.curvature.metric_matrix)
+    lap_phi = float(np.tensordot(ginv, _hess_g(phi_hess, phi_grad, gate.curvature.gamma)))
 
-    gamma = christoffel_at(metric, p)
-    g = metric.matrix(p)
-    ginv = np.linalg.inv(g)
-    lap_phi = float(np.tensordot(ginv, phi_hess - np.einsum("kij,k->ij", gamma, phi_grad)))
-
-    H = covariant_hessian(f, metric, p)
+    H = gate.covariant_hessian
     hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, H, H))
-    grad_f = f.gradient(p)
-    pairing = float(grad_f @ ginv @ phi_grad)
+    pairing = float(gate.gradient @ ginv @ phi_grad)
     return 0.5 * lap_phi - hess_sq - 0.5 * pairing / fval
 
 

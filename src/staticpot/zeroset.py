@@ -20,8 +20,8 @@ from scipy.optimize import brentq
 from . import jets
 from .errors import (CriticalOnZeroSetError, DomainError, MonotonicityError,
                      MultiRootError, NoRootError, ResolutionError)
-from .geometry import MetricField, Point3, curvature_at
-from .potentials import PotentialField, require_static
+from .geometry import MetricField, Point3, _first_kind
+from .potentials import PotentialField, _norm_g, require_static
 from .quadrature import aitken_limit
 
 
@@ -175,16 +175,6 @@ class SurfaceChart:
         S = self.root_jet(u, v, 1)
         return np.array([float(jets.peel_grad(S, 0)), float(jets.peel_grad(S, 1))])
 
-    def height_second(self, u: float, v: float) -> np.ndarray:
-        """Second derivatives of the root: [[s_uu, s_uv], [s_vu, s_vv]]."""
-        S = self.root_jet(u, v, 2)
-        out = np.zeros((2, 2))
-        for a in range(2):
-            ga = jets.peel_grad(S, a)
-            for b in range(2):
-                out[a, b] = float(jets.peel_grad(ga, b))
-        return out
-
     def tangents(self, u: float, v: float):
         S = self.root_jet(u, v, 1)
         U = jets.Jet(u, (1.0, 0.0, 0.0))
@@ -226,17 +216,8 @@ def _sigma_first(chart: SurfaceChart, u: float, v: float, delta: float):
 
 
 def _surface_christoffel(sig: np.ndarray, d_u: np.ndarray, d_v: np.ndarray) -> np.ndarray:
-    dsig = (d_u, d_v)
-    inv = np.linalg.inv(sig)
-    gam = np.zeros((2, 2, 2))
-    for k in range(2):
-        for a in range(2):
-            for b in range(2):
-                acc = 0.0
-                for l in range(2):
-                    acc += inv[k, l] * (dsig[a][l, b] + dsig[b][l, a] - dsig[l][a, b])
-                gam[k, a, b] = 0.5 * acc
-    return gam
+    """gam[k, a, b] = Gamma^k_{ab} of the two-metric sig from its chart derivatives."""
+    return 0.5 * np.einsum("kl,alb->kab", np.linalg.inv(sig), _first_kind(np.stack((d_u, d_v))))
 
 
 def gaussian_curvature(chart: SurfaceChart, u: float, v: float, delta: float) -> float:
@@ -328,15 +309,6 @@ class SurfaceGraph:
     slopes: np.ndarray       # (N, 2) dq
     sigmas: np.ndarray       # (N, 2, 2) induced metric samples
     sigma_deviation: np.ndarray  # (N,) max |sigma - identity|
-
-    def q(self, u: float, v: float) -> float:
-        return self.chart.root(u, v)
-
-    def dq(self, u: float, v: float) -> np.ndarray:
-        return self.chart.height_slopes(u, v)
-
-    def d2q(self, u: float, v: float) -> np.ndarray:
-        return self.chart.height_second(u, v)
 
     def sigma_at(self, u: float, v: float) -> np.ndarray:
         return self.chart.sigma_at(u, v)
@@ -566,9 +538,7 @@ def extract_closed_component(f: PotentialField, metric: MetricField, center,
 
     grad_norms = []
     for p in vertices:
-        g = metric.matrix(p)
-        grad = f.gradient(p)
-        gn = math.sqrt(float(grad @ np.linalg.inv(g) @ grad))
+        gn = _norm_g(metric.matrix(p), f.gradient(p))
         if gn < 1e-8:
             raise CriticalOnZeroSetError(
                 f"{f.label}: |grad f| = {gn:.3e} at {p.coords()}; component degenerate")
@@ -598,13 +568,11 @@ def _adapted_frame(f: PotentialField, metric: MetricField, chart: SurfaceChart,
                    u: float, v: float):
     p = chart.point_at(u, v)
     g = metric.matrix(p)
-    ginv = np.linalg.inv(g)
     grad = f.gradient(p)
-    nu = ginv @ grad
-    gn = math.sqrt(float(grad @ nu))
+    gn = _norm_g(g, grad)
     if gn < 1e-8:
         raise CriticalOnZeroSetError(f"{f.label}: |grad f| degenerate at {p.coords()}")
-    nu = nu / gn
+    nu = np.linalg.inv(g) @ grad / gn
     Tu, Tv = chart.tangents(u, v)
     t1 = Tu / math.sqrt(float(Tu @ g @ Tu))
     t2 = Tv - float(Tv @ g @ t1) * t1
@@ -625,8 +593,7 @@ def zero_set_laws(f: PotentialField, metric: MetricField, chart: SurfaceChart,
     gns, tang, eig_res, gaps, ks, km2, kp3 = [], [], [], [], [], [], []
     for (u, v), d in zip(samples, deltas):
         p, g, nu, gn, t1, t2 = _adapted_frame(f, metric, chart, u, v)
-        require_static(f, metric, p, tol=static_tol)
-        ric = curvature_at(metric, p).ricci
+        ric = require_static(f, metric, p, tol=static_tol).curvature.ricci
         r11 = float(t1 @ ric @ t1)
         r22 = float(t2 @ ric @ t2)
         r33 = float(nu @ ric @ nu)

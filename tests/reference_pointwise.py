@@ -6,6 +6,10 @@ extraction, the explicit 3^4 loop assembler, quadrature drivers that visit one
 node at a time, the recursive expression tree walker, the node-by-node
 linear-part fit and the sample-by-sample root scan. It runs in plain Python
 arithmetic, so the batched paths can be checked against it entry by entry.
+It also keeps the static-gated identities as they were before they read the
+static gate's curvature and potential derivatives: each evaluates them again
+after the gate, as do the surface Christoffel loop and the geodesic transport
+right-hand side with its separate Christoffel and curvature calls.
 Test-only; the library never imports it.
 """
 
@@ -16,13 +20,18 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from staticpot import jets
-from staticpot.errors import (ConfigError, DomainError, MultiRootError, NoRootError,
-                              MonotonicityError, NonConvergentError, SingularMetricError)
-from staticpot.geometry import CurvatureBundle, MetricField, Point3
+from staticpot import geometry, jets
+from staticpot.errors import (ConfigError, CriticalOnZeroSetError, DomainError, MultiRootError,
+                              NoRootError, MonotonicityError, NonConvergentError,
+                              SingularMetricError, ZeroPotentialError)
+from staticpot.geometry import (CurvatureBundle, MetricField, Point3, christoffel_at,
+                                curvature_at, ricci_with_derivative)
+from staticpot.identities import ricci_eigenframe
 from staticpot.jets import peel_grad, peel_value, seed
-from staticpot.potentials import LinearPartFit, PotentialField
+from staticpot.potentials import (LinearPartFit, PotentialField, covariant_hessian,
+                                  require_static)
 from staticpot.quadrature import SphereRule, aitken_limit, radial_panels, sphere_rule
+from staticpot.zeroset import ZeroSetLawReport, gaussian_curvature
 
 _EIG_FLOOR = 1e-10
 
@@ -460,3 +469,159 @@ def reference_root(chart, u: float, v: float) -> float:
             f"{chart.label}: line slope {sl:.3e} below floor {chart.slope_floor:g} "
             f"at (u, v) = ({u:g}, {v:g})")
     return float(s)
+
+
+### Static-gated identities, each evaluating again what the gate computed
+
+
+def reference_tod_identity_residuals(f: PotentialField, metric: MetricField, point,
+                                     static_tol: float = 1e-6, tau_eig: float = 1e-6) -> np.ndarray:
+    p = Point3.of(point)
+    require_static(f, metric, p, tol=static_tol)
+    ef = ricci_eigenframe(metric, p, tau_eig=tau_eig)
+    ric, dric, gamma = ricci_with_derivative(metric, p)
+
+    # covariant derivative of Ricci: (grad Ric)[c, a, b] = d_c R_ab - corrections
+    covd = dric - np.einsum("kca,kb->cab", gamma, ric) - np.einsum("kcb,ak->cab", gamma, ric)
+    E = ef.frame
+    P = np.einsum("ai,bj,ck,cab->ijk", E, E, E, covd)  # R_ij;k in the frame
+    fp = E.T @ f.gradient(p)
+    fval = f.value(p)
+    lam = ef.eigenvalues
+
+    return np.array([
+        fval * (P[2, 2, 0] - P[2, 0, 2]) - (lam[1] - lam[2]) * fp[0],
+        fval * (P[0, 0, 1] - P[0, 1, 0]) - (lam[2] - lam[0]) * fp[1],
+        fval * (P[1, 1, 2] - P[1, 2, 1]) - (lam[0] - lam[1]) * fp[2],
+    ])
+
+
+def reference_bochner_residual(f: PotentialField, metric: MetricField, point,
+                               static_tol: float = 1e-6) -> float:
+    p = Point3.of(point)
+    fval = f.value(p)
+    if abs(fval) < 1e-10:
+        raise ZeroPotentialError(f"{f.label}: potential vanishes at {p.coords()}")
+    require_static(f, metric, p, tol=static_tol)
+
+    def phi_expr(X1, X2, X3):
+        # |grad f|^2 as a scalar field, generic over the coordinate type
+        Ys = jets.seed((X1, X2, X3), 1)
+        F = f.expr(Ys[0], Ys[1], Ys[2])
+        fi = np.array([jets.peel_grad(F, i) for i in range(3)], dtype=object)
+        ginv, _ = geometry._inv3(np.array(metric.components(X1, X2, X3), dtype=object))
+        return np.einsum("ij,i,j->", ginv, fi, fi)
+
+    Xs = jets.seed(p.coords(), 2)
+    _, phi_grad_l, phi_hess_l = jets.taylor2(phi_expr(Xs[0], Xs[1], Xs[2]))
+    phi_grad = np.array([float(v) for v in phi_grad_l])
+    phi_hess = np.array([[float(phi_hess_l[i][j]) for j in range(3)] for i in range(3)])
+
+    gamma = christoffel_at(metric, p)
+    g = metric.matrix(p)
+    ginv = np.linalg.inv(g)
+    lap_phi = float(np.tensordot(ginv, phi_hess - np.einsum("kij,k->ij", gamma, phi_grad)))
+
+    H = covariant_hessian(f, metric, p)
+    hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, H, H))
+    grad_f = f.gradient(p)
+    pairing = float(grad_f @ ginv @ phi_grad)
+    return 0.5 * lap_phi - hess_sq - 0.5 * pairing / fval
+
+
+def reference_quotient_residual(f: PotentialField, N: PotentialField, metric: MetricField, point,
+                                static_tol: float = 1e-6) -> np.ndarray:
+    p = Point3.of(point)
+    n_val = N.value(p)
+    if n_val <= 1e-10:
+        raise ZeroPotentialError(f"{N.label}: denominator potential is not positive at {p.coords()}")
+    require_static(f, metric, p, tol=static_tol)
+    require_static(N, metric, p, tol=static_tol)
+
+    def zexpr(X1, X2, X3):
+        return f.expr(X1, X2, X3) / N.expr(X1, X2, X3)
+
+    Z = PotentialField(expr=zexpr, label=f"({f.label})/({N.label})")
+    Hz = covariant_hessian(Z, metric, p)
+    dN = N.gradient(p)
+    dZ = Z.gradient(p)
+    return n_val * Hz + np.outer(dN, dZ) + np.outer(dZ, dN)
+
+
+def _adapted_frame(f: PotentialField, metric: MetricField, chart, u: float, v: float):
+    p = chart.point_at(u, v)
+    g = metric.matrix(p)
+    ginv = np.linalg.inv(g)
+    grad = f.gradient(p)
+    nu = ginv @ grad
+    gn = math.sqrt(float(grad @ nu))
+    if gn < 1e-8:
+        raise CriticalOnZeroSetError(f"{f.label}: |grad f| degenerate at {p.coords()}")
+    nu = nu / gn
+    Tu, Tv = chart.tangents(u, v)
+    t1 = Tu / math.sqrt(float(Tu @ g @ Tu))
+    t2 = Tv - float(Tv @ g @ t1) * t1
+    t2 = t2 / math.sqrt(float(t2 @ g @ t2))
+    return p, g, nu, gn, t1, t2
+
+
+def reference_zero_set_laws(f: PotentialField, metric: MetricField, chart,
+                            samples, deltas, static_tol: float = 1e-6) -> ZeroSetLawReport:
+    gns, tang, eig_res, gaps, ks, km2, kp3 = [], [], [], [], [], [], []
+    for (u, v), d in zip(samples, deltas):
+        p, g, nu, gn, t1, t2 = _adapted_frame(f, metric, chart, u, v)
+        require_static(f, metric, p, tol=static_tol)
+        ric = curvature_at(metric, p).ricci
+        r11 = float(t1 @ ric @ t1)
+        r22 = float(t2 @ ric @ t2)
+        r33 = float(nu @ ric @ nu)
+        tang.append(max(abs(float(nu @ ric @ t1)), abs(float(nu @ ric @ t2))))
+        eig_res.append(float(np.linalg.norm(ric @ nu - r33 * (g @ nu))))
+        K = gaussian_curvature(chart, u, v, d)
+        gns.append(gn)
+        gaps.append(abs(r11 - r22))
+        ks.append(K)
+        km2.append(abs(K - 2.0 * r11))
+        kp3.append(abs(K + r33))
+    gns = np.array(gns)
+    spread = float((gns.max() - gns.min()) / max(abs(gns.mean()), 1e-300))
+    return ZeroSetLawReport(grad_norms=gns, grad_norm_spread=spread,
+                            tangential_ricci_max=np.array(tang),
+                            eigen_residuals=np.array(eig_res),
+                            r11_r22_gaps=np.array(gaps), k_values=np.array(ks),
+                            k_minus_2r11=np.array(km2), k_plus_r33=np.array(kp3))
+
+
+def reference_surface_christoffel(sig: np.ndarray, d_u: np.ndarray, d_v: np.ndarray) -> np.ndarray:
+    dsig = (d_u, d_v)
+    inv = np.linalg.inv(sig)
+    gam = np.zeros((2, 2, 2))
+    for k in range(2):
+        for a in range(2):
+            for b in range(2):
+                acc = 0.0
+                for l in range(2):
+                    acc += inv[k, l] * (dsig[a][l, b] + dsig[b][l, a] - dsig[l][a, b])
+                gam[k, a, b] = 0.5 * acc
+    return gam
+
+
+### Geodesic right-hand side: Christoffels, then the curvature at the same point
+
+
+def reference_ricci_quadratic(metric: MetricField, x: np.ndarray, v: np.ndarray) -> float:
+    bundle = curvature_at(metric, Point3(x[0], x[1], x[2]), check_domain=False)
+    return float(v @ bundle.ricci @ v)
+
+
+def reference_geodesic_rhs(metric: MetricField, with_transport: bool):
+    def rhs(t, y):
+        x, v = y[0:3], y[3:6]
+        gamma = christoffel_at(metric, Point3(x[0], x[1], x[2]), check_domain=False)
+        acc = -np.einsum("kij,i,j->k", gamma, v, v)
+        if not with_transport:
+            return np.concatenate([v, acc])
+        h = reference_ricci_quadratic(metric, x, v)
+        return np.concatenate([v, acc, [y[7], h * y[6]]])
+
+    return rhs

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import staticpot.cli as cli
@@ -245,6 +248,40 @@ class TestCommandLine:
         assert any(c["detail"].startswith("ValueError: ")
                    for c in report["checks"] if not c["passed"])
 
+    @pytest.mark.parametrize("suite,line,code,detail", [
+        # the flow never escapes, so there is no limit to compare
+        ("flow_classify", "r_escape = 0.5", 1, "no limit: the flow ended as unresolved"),
+        ("flow_classify", "r_escape = 0", 1, "no limit: the flow ended as "),
+        ("flow_classify", "r_escape = -1", 1, "no limit: the flow ended as "),
+        ("flow_classify", "r_escape = 1e300", 1, "no limit: the flow ended as "),
+        ("flow_classify", "mass = 1e-300", 1, "no limit: the flow ended as "),
+        ("growth_bound", "t_end = 1", 2, "need t_end > r0"),
+        ("growth_bound", "t_end = 0.5", 2, "need t_end > r0"),
+        ("huisken_yau", "r_lo = 0", 1, "ZeroDivisionError: "),
+        ("huisken_yau", "r_hi = 0", 1, "ZeroDivisionError: "),
+        ("huisken_yau", "ratio_factor = 0", 1, "ZeroDivisionError: "),
+        ("euclidean_affine", "r_max = 1e300", 1, "OverflowError: "),
+        ("schwarzschild_static", "r_max = 1e300", 1, "OverflowError: "),
+        ("conformal_double", "r_max = 1e300", 1, "OverflowError: "),
+        ("huisken_yau", "r_lo = 1e300", 1, "OverflowError: "),
+        # the start point is checked while the suite is set up
+        ("flow_classify", "start = 1e300, 0, 0", 2, "OverflowError: "),
+    ])
+    def test_boundary_value_exit_code(self, tmp_path, capsys, suite, line, code, detail):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(line + "\n")
+        rc = cli.main(["verify", suite, "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("config error: ") and detail in err
+        else:
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert any(c["detail"].startswith(detail)
+                       for c in report["checks"] if not c["passed"])
+
     def test_list_suites_names_and_keys(self, capsys):
         rc = cli.main(["list-suites"])
         out = capsys.readouterr().out
@@ -314,3 +351,53 @@ class TestCommandLine:
                        "--out", str(tmp_path)])
         assert rc == 2
         capsys.readouterr()
+
+
+# Exit-code fuzz: boundary values for the numeric keys of the cheap suites. The
+# sample sizes are pinned small so that every example runs in well under a second.
+_CHEAP = {"euclidean_affine": {"n_points": "3"}, "schwarzschild_static": {"n_points": "3"},
+          "tod_identities": {"n_points": "3"}, "growth_bound": {"n_trials": "1"},
+          "huisken_yau": {}, "conformal_double": {"n_points": "3"}, "flow_classify": {},
+          "mass_fit": {}}
+_RELATED = (("r_min", "r_max"), ("r_lo", "r_hi"), ("r0", "t_end"))
+_BOUNDARY = ("0", "-1", "1e-300", "1e300")
+
+
+@st.composite
+def _edge_configs(draw):
+    suite = draw(st.sampled_from(sorted(_CHEAP)))
+    defaults, cfg = cli.SUITES[suite][0], dict(_CHEAP[suite])
+    keys = sorted(k for k in defaults if k not in cfg)
+    pairs = ([("window", k) for k in keys if cli.KEY_KINDS[k] == "pair"]
+             + [p for p in _RELATED if p[0] in defaults])
+    singles = [k for k in keys if cli.KEY_KINDS[k] in ("float", "count")]
+    if pairs and draw(st.booleans()):
+        pair, swap = draw(st.sampled_from(pairs)), draw(st.booleans())
+        if pair[0] == "window":
+            lo, hi = (v.strip() for v in defaults[pair[1]].split(","))
+            cfg[pair[1]] = f"{hi}, {lo}" if swap else f"{lo}, {lo}"
+        else:
+            a, b = pair
+            cfg[b] = defaults[a]
+            if swap:
+                cfg[a] = defaults[b]
+    else:
+        cfg[draw(st.sampled_from(singles))] = draw(st.sampled_from(_BOUNDARY))
+    return suite, cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_edge_configs())
+def test_boundary_values_keep_the_exit_code_contract(case):
+    suite, cfg = case
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "edge.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["verify", suite, "--config", path,
+                           "--out", os.path.join(out, "run")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

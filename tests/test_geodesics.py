@@ -77,6 +77,11 @@ class TestTransport:
         assert np.allclose(slopes, 2.0, atol=1e-10)
 
 
+    def test_curve_ode_rejects_empty_span(self):
+        with pytest.raises(ValueError, match="empty integration span"):
+            sp.solve_curve_ode(lambda t: 0.0, 1.0, 2.0, 1.0, 1.0)
+
+
 class TestGrowthBound:
     def test_exponent_solves_indicial_equation(self):
         b = sp.GrowthBound.from_initial_data(0.75, 1.3, 2.0)
