@@ -57,6 +57,11 @@ def _flag(passed, detail=""):
     return CheckResult(bool(passed), 1.0 if passed else 0.0, 1.0, 0.0, detail)
 
 
+def _worst(*arrays):
+    """Largest entry of the arrays; NaN when any entry is NaN, so a check fails on it."""
+    return float(np.max(np.concatenate([np.ravel(a) for a in arrays])))
+
+
 def emit_plot_data(out_dir, filename, header, rows):
     """Write one CSV of plot data; header-only when there are no rows."""
     path = os.path.join(out_dir, filename)
@@ -79,33 +84,25 @@ def _suite_euclidean_affine(c, rng):
     f = potentials.affine(*c.coeffs)
     pts = [Point3.of(rng.uniform(-c.r_max, c.r_max, size=3))
            for _ in range(c.n_points)]
+    nodes, head = Point3.stack(pts), Point3.stack(pts[:10])
 
     def curvature_zero():
-        worst = 0.0
-        for p in pts:
-            bundle = geometry.curvature_at(metric, p)
-            worst = max(worst, float(np.max(np.abs(bundle.riemann))),
-                        abs(bundle.scalar))
-        return _ok(worst, 0.0, c.tol)
+        bundle = geometry.curvature_at(metric, nodes)
+        return _ok(_worst(np.abs(bundle.riemann), np.abs(bundle.scalar)), 0.0, c.tol)
 
     def static_exact():
-        worst = max(potentials.static_residual(f, metric, p).combined_norm
-                    for p in pts)
-        return _ok(worst, 0.0, c.tol)
+        return _ok(_worst(potentials.static_residual(f, metric, nodes).combined_norm),
+                   0.0, c.tol)
 
     def frame_degenerate():
-        bad = sum(1 for p in pts[:10]
-                  if identities.ricci_eigenframe(metric, p).kind
-                  != identities.ALL_EQUAL)
+        bad = sum(1 for frame in identities.ricci_eigenframe(metric, head)
+                  if frame.kind != identities.ALL_EQUAL)
         return _flag(bad == 0, f"{bad} of 10 points misclassified")
 
     def fd_agreement():
-        worst = 0.0
-        for p in pts[:10]:
-            a = geometry.curvature_at(metric, p, backend="dual").ricci
-            b = geometry.curvature_at(metric, p, backend="fd").ricci
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        return _ok(worst, 0.0, 1e-6)
+        a = geometry.curvature_at(metric, head, backend="dual").ricci
+        b = geometry.curvature_at(metric, head, backend="fd").ricci
+        return _ok(_worst(np.abs(a - b)), 0.0, 1e-6)
 
     checks = [("curvature_zero", curvature_zero),
               ("static_residual_zero", static_exact),
@@ -118,55 +115,46 @@ def _suite_schwarzschild_static(c, rng):
     metric = geometry.schwarzschild(c.mass)
     f = potentials.schwarzschild_potential(c.mass)
     pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
+    nodes, head = Point3.stack(pts), Point3.stack(pts[:20])
     rows = []
 
     def static_residual():
-        worst = 0.0
-        for p in pts:
-            res = potentials.static_residual(f, metric, p).combined_norm
-            rows.append((p.r, res))
-            worst = max(worst, res)
-        rows.sort()
-        return _ok(worst, 0.0, c.tol)
+        res = potentials.static_residual(f, metric, nodes).combined_norm
+        rows.extend(sorted(zip(nodes.r.tolist(), res.tolist())))
+        return _ok(_worst(res), 0.0, c.tol)
 
     def scalar_flat():
-        worst = max(abs(geometry.curvature_at(metric, p).scalar) for p in pts)
-        return _ok(worst, 0.0, c.tol)
+        return _ok(_worst(np.abs(geometry.curvature_at(metric, nodes).scalar)), 0.0, c.tol)
 
     def backend_agreement():
-        worst = 0.0
-        for p in pts[:20]:
-            a = geometry.curvature_at(metric, p, backend="dual").ricci
-            b = geometry.curvature_at(metric, p, backend="fd").ricci
-            scale = max(1e-30, float(np.max(np.abs(a))))
-            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
-        return _ok(worst, 0.0, 1e-6)
+        a = geometry.curvature_at(metric, head, backend="dual").ricci
+        b = geometry.curvature_at(metric, head, backend="fd").ricci
+        scale = np.maximum(1e-30, np.abs(a).max(axis=(-2, -1)))
+        return _ok(_worst(np.abs(a - b).max(axis=(-2, -1)) / scale), 0.0, 1e-6)
 
     def frame_structure():
         worst_kind = 0
-        worst_angle = 0.0
-        for p in pts[:20]:
-            frame = identities.ricci_eigenframe(metric, p)
+        angles = [0.0]
+        for p, frame in zip(pts, identities.ricci_eigenframe(metric, head)):
             if frame.kind != identities.TWO_EQUAL:
                 worst_kind += 1
                 continue
             d = frame.frame[:, frame.simple_index]
             radial = p.as_array() / p.r
             cosang = abs(float(d @ radial)) / float(np.linalg.norm(d))
-            worst_angle = max(worst_angle, 1.0 - min(1.0, cosang))
+            angles.append(1.0 - min(1.0, cosang))
         if worst_kind:
             return _flag(False, f"{worst_kind} points not of the two-equal kind")
-        return _ok(worst_angle, 0.0, 1e-8)
+        return _ok(_worst(angles), 0.0, 1e-8)
 
     def eigenvalue_ratio():
-        worst = 0.0
-        for p in pts[:20]:
-            frame = identities.ricci_eigenframe(metric, p)
+        ratios = [0.0]
+        for frame in identities.ricci_eigenframe(metric, head):
             lam = frame.eigenvalues
             simple = lam[frame.simple_index]
             pair = [lam[i] for i in range(3) if i != frame.simple_index]
-            worst = max(worst, abs(simple + 2.0 * pair[0]) / abs(simple))
-        return _ok(worst, 0.0, 1e-8)
+            ratios.append(abs(simple + 2.0 * pair[0]) / abs(simple))
+        return _ok(_worst(ratios), 0.0, 1e-8)
 
     checks = [("static_residual_max", static_residual),
               ("scalar_curvature_zero", scalar_flat),
@@ -181,17 +169,13 @@ def _suite_tod_identities(c, rng):
     metric = geometry.schwarzschild(c.mass)
     f = potentials.schwarzschild_potential(c.mass)
     pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
+    nodes = Point3.stack(pts)
     rows = []
 
     def residual_max():
-        worst = 0.0
-        for p in pts:
-            res = identities.tod_identity_residuals(f, metric, p)
-            m = float(np.max(np.abs(res)))
-            rows.append((p.r, m))
-            worst = max(worst, m)
-        rows.sort()
-        return _ok(worst, 0.0, c.tol)
+        res = np.abs(identities.tod_identity_residuals(f, metric, nodes)).max(axis=-1)
+        rows.extend(sorted(zip(nodes.r.tolist(), res.tolist())))
+        return _ok(_worst(res), 0.0, c.tol)
 
     def gap_scan():
         report = identities.eigenvalue_gap_scan(metric, pts[:20])
@@ -347,11 +331,9 @@ def _suite_huisken_yau(c, rng):
     rows = []
 
     def sphere_max(metric, r):
-        worst = 0.0
-        for d in dirs:
-            res = global_checks.curvature_decay_residual(metric, Point3.of(r * d))
-            worst = max(worst, res.residual)
-        return worst
+        x = r * dirs
+        res = global_checks.curvature_decay_residual(metric, Point3(x[:, 0], x[:, 1], x[:, 2]))
+        return _worst(res.residual)
 
     def exact_on_pure():
         worst = sphere_max(pure, r_lo)
@@ -470,17 +452,14 @@ def _suite_conformal_double(c, rng):
     metric = geometry.schwarzschild(c.mass)
     f = potentials.schwarzschild_potential(c.mass)
     pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
+    nodes = Point3.stack(pts)
     rows = []
 
     def both_signs():
-        worst = 0.0
-        for p in pts:
-            plus = global_checks.conformal_double_scalar(f, metric, 1, p)
-            minus = global_checks.conformal_double_scalar(f, metric, -1, p)
-            rows.append((p.r, plus, minus))
-            worst = max(worst, abs(plus), abs(minus))
-        rows.sort()
-        return _ok(worst, 0.0, c.tol)
+        plus = global_checks.conformal_double_scalar(f, metric, 1, nodes)
+        minus = global_checks.conformal_double_scalar(f, metric, -1, nodes)
+        rows.extend(sorted(zip(nodes.r.tolist(), plus.tolist(), minus.tolist())))
+        return _ok(_worst(np.abs(plus), np.abs(minus)), 0.0, c.tol)
 
     def nonstatic_control():
         g = geometry.euclidean()

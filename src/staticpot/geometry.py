@@ -41,8 +41,15 @@ class Point3:
 
     @property
     def r(self) -> float:
-        r2 = self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2
-        return np.sqrt(r2) if isinstance(r2, np.ndarray) else math.sqrt(r2)
+        """Chart radius; a squared coordinate that overflows raises OverflowError,
+        for a batch as for one point."""
+        if not isinstance(self.x1, np.ndarray):
+            return math.sqrt(self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2)
+        try:
+            with np.errstate(over="raise"):
+                return np.sqrt(self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2)
+        except FloatingPointError as exc:
+            raise OverflowError(str(exc)) from None
 
     def coords(self) -> tuple:
         return (self.x1, self.x2, self.x3)
@@ -55,6 +62,12 @@ class Point3:
         if isinstance(obj, Point3):
             return obj
         x1, x2, x3 = (float(v) for v in obj)
+        return Point3(x1, x2, x3)
+
+    @staticmethod
+    def stack(points) -> "Point3":
+        """One batched Point3 holding ``points`` (at least one) in sample order."""
+        x1, x2, x3 = (np.array(x, dtype=float) for x in zip(*(Point3.of(p).coords() for p in points)))
         return Point3(x1, x2, x3)
 
 
@@ -282,11 +295,63 @@ def rotate_chart(metric: MetricField, rotation) -> MetricField:
     )
 
 
-### Curvature assembly, generic over the scalar type
+### Curvature assembly on float arrays
 #
-# The routines below take arrays with any leading batch shape: float arrays for
-# one point (shape ()) or for a batch of nodes, and object arrays of depth-1
-# jets when ricci_with_derivative differentiates the whole assembly once more.
+# The routines below take float arrays with any leading batch shape: shape ()
+# for one point, or the shape of a batch of nodes. They also take _Tangent
+# pairs, which carry each array together with its derivatives along the three
+# chart coordinates; ricci_with_derivative runs the assembly on those to
+# differentiate it once more.
+
+
+class _Tangent:
+    """An array ``v`` and its coordinate derivatives ``t[..., c, ...] = d_c v``.
+
+    The derivative slot c sits right after the batch axes, so negative axes
+    address the same tensor slots of ``v`` and ``t``. Sums, real multiples and
+    swaps of tensor slots act on both parts; products go through ``_ein``.
+    """
+
+    __slots__ = ("v", "t")
+
+    def __init__(self, v, t):
+        self.v = v
+        self.t = t
+
+    def __add__(self, other):
+        return _Tangent(self.v + other.v, self.t + other.t)
+
+    def __sub__(self, other):
+        return _Tangent(self.v - other.v, self.t - other.t)
+
+    def __rmul__(self, scale: float):
+        return _Tangent(scale * self.v, scale * self.t)
+
+    def swapaxes(self, a: int, b: int):
+        return _Tangent(self.v.swapaxes(a, b), self.t.swapaxes(a, b))
+
+
+def _ein(spec: str, *ops):
+    """``np.einsum(spec, *ops)``, with _Tangent operands by the product rule.
+
+    Every subscript starts with ``...``; the derivative slot enters the
+    tangent terms as the extra label Z after it.
+    """
+    if _Tangent not in map(type, ops):
+        return np.einsum(spec, *ops)
+    terms, out = spec.split("->")
+    terms = terms.split(",")
+    vals = [o.v if isinstance(o, _Tangent) else o for o in ops]
+    tan = None
+    for n, o in enumerate(ops):
+        if not isinstance(o, _Tangent):
+            continue
+        sub = ",".join(t.replace("...", "...Z") if k == n else t for k, t in enumerate(terms))
+        part = np.einsum(f"{sub}->{out.replace('...', '...Z')}",
+                         *(o.t if k == n else v for k, v in enumerate(vals)))
+        tan = part if tan is None else tan + part
+    return _Tangent(np.einsum(spec, *vals), tan)
+
 
 # flat indices of m[j+1, i+1], m[j+2, i+2], m[j+1, i+2], m[j+2, i+1] (mod 3),
 # whose products give entry (i, j) of the adjugate
@@ -296,7 +361,14 @@ _ADJUGATE_TAKE = np.array([[[3 * ((j + a) % 3) + (i + b) % 3 for j in range(3)]
 
 
 def _inv3(m):
-    """Inverse and determinant of ``m[..., 3, 3]`` via the adjugate."""
+    """Inverse and determinant of ``m[..., 3, 3]`` via the adjugate.
+
+    For a _Tangent the inverse carries d(m^-1) = -m^-1 (dm) m^-1; the
+    determinant is returned as a plain array.
+    """
+    if isinstance(m, _Tangent):
+        inv, det = _inv3(m.v)
+        return _Tangent(inv, -np.einsum("...ij,...cjk,...kl->...cil", inv, m.t, inv)), det
     t = m.reshape(m.shape[:-2] + (9,))[..., _ADJUGATE_TAKE]
     adj = t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]
     det = np.asarray((m[..., 0, :] * adj[..., :, 0]).sum(axis=-1))
@@ -312,55 +384,47 @@ def _connection(g, dg):
     """Inverse metric, first-kind symbols and gamma[..., k, i, j] = Gamma^k_{ij}."""
     ginv, _ = _inv3(g)
     sym = _first_kind(dg)
-    return ginv, sym, 0.5 * np.einsum("...kl,...ilj->...kij", ginv, sym)
+    return ginv, sym, 0.5 * _ein("...kl,...ilj->...kij", ginv, sym)
 
 
 def _assemble_curvature(g, dg, d2g):
     """Christoffels, Riemann, Ricci and scalar curvature from metric jets.
 
     Layouts: dg[..., k, i, j] = d_k g_ij, d2g[..., k, l, i, j] = d_k d_l g_ij,
-    riemann[..., d, a, b, c] = R^d_{abc} in the fixed sign convention.
+    riemann[..., d, a, b, c] = R^d_{abc} in the fixed sign convention. Given
+    _Tangent inputs (each paired with the next derivative order) every output
+    is a _Tangent.
     """
     ginv, _, gamma = _connection(g, dg)
     # d_b Gamma^d_{ac} = (1/2) g^dl d_b sym_alc - g^ds d_b g_sk Gamma^k_{ac}, so
     # with y[..., d, b, k] = g^ds d_b g_sk the quadratic terms share one product
-    y = np.einsum("...ds,...bsk->...dbk", ginv, dg)
+    y = _ein("...ds,...bsk->...dbk", ginv, dg)
     # half[..., d, a, b, c] = d_b Gamma^d_{ac} + Gamma^k_{ac} Gamma^d_{bk};
     # the Riemann tensor is its antisymmetric part in (b, c)
-    half = (0.5 * np.einsum("...dl,...balc->...dabc", ginv, _first_kind(d2g))
-            + np.einsum("...kac,...dbk->...dabc", gamma, gamma - y))
+    half = (0.5 * _ein("...dl,...balc->...dabc", ginv, _first_kind(d2g))
+            + _ein("...kac,...dbk->...dabc", gamma, gamma - y))
     riem = half - half.swapaxes(-2, -1)
-    ric = np.einsum("...dadc->...ac", riem)
-    scal = np.einsum("...ac,...ac->...", ginv, ric)
+    ric = _ein("...dadc->...ac", riem)
+    scal = _ein("...ac,...ac->...", ginv, ric)
     return gamma, riem, ric, scal
 
 
 def _metric_taylor(metric: MetricField, coords, depth: int):
-    """The metric and its first ``depth`` (at most 2) coordinate derivatives.
+    """The metric and its first ``depth`` (at most 3) coordinate derivatives.
 
     Seeds ``coords`` to ``depth`` levels of jets, evaluates the components once
-    and returns ``(g,)``, ``(g, dg)`` or ``(g, dg, d2g)`` with g[..., i, j],
-    dg[..., k, i, j] = d_k g_ij and d2g[..., k, l, i, j] = d_k d_l g_ij. The
-    batch shape is that of the coordinates; jet-valued coordinates give object
-    arrays of jets.
+    and returns ``(g,)``, ``(g, dg)``, ``(g, dg, d2g)`` or ``(g, dg, d2g, d3g)``
+    with g[..., i, j], dg[..., k, i, j] = d_k g_ij, d2g[..., k, l, i, j] =
+    d_k d_l g_ij and d3g[..., c, k, l, i, j] = d_c d_k d_l g_ij, as float
+    arrays over the batch shape of the coordinates.
     """
     comps = metric.components(*jets.seed(coords, depth))
-    # per order n, the entries by (i, j) and then by derivative slots (k, l)
-    flat = ([e for row in comps for e in row], [], [])
-    if depth:
-        taylor = jets.taylor1 if depth == 1 else jets.taylor2
-        for n, e in enumerate(flat[0]):
-            parts = taylor(e)
-            flat[0][n] = parts[0]
-            flat[1].extend(parts[1])
-            if depth == 2:
-                for h in parts[2]:
-                    flat[2].extend(h)
-    batch = getattr(coords[0], "shape", ())  # jets and floats have shape ()
-    dtype = object if isinstance(coords[0], jets.Jet) else float
+    # per order n, the entries by (i, j) and then by derivative slots
+    flat = jets.taylor([e for row in comps for e in row], depth)
+    batch = getattr(coords[0], "shape", ())  # floats and numpy scalars have shape ()
     out = []
-    for n in range(depth + 1):
-        a = _stack(flat[n], batch, dtype).reshape((3,) * (n + 2) + batch)
+    for n, vals in enumerate(flat):
+        a = _stack(vals, batch).reshape((3,) * (n + 2) + batch)
         if a.ndim > 2:
             # batch axes first, then the derivative slots, then (i, j)
             nt = n + 2
@@ -369,11 +433,11 @@ def _metric_taylor(metric: MetricField, coords, depth: int):
     return tuple(out)
 
 
-def _stack(vals, batch: tuple, dtype) -> np.ndarray:
-    """Array of shape ``(len(vals),) + batch`` from scalars and batch-shaped arrays."""
+def _stack(vals, batch: tuple) -> np.ndarray:
+    """Float array of shape ``(len(vals),) + batch`` from scalars and batch-shaped arrays."""
     if not batch:
-        return np.array(vals, dtype)
-    out = np.empty((len(vals),) + batch, dtype)
+        return np.array(vals, float)
+    out = np.empty((len(vals),) + batch)
     for k, v in enumerate(vals):
         out[k] = v
     return out
@@ -474,26 +538,22 @@ def christoffel_at(metric: MetricField, point, check_domain: bool = True) -> np.
     return _connection(g, dg)[2]
 
 
-def _jet_part(a, slot=None) -> np.ndarray:
-    """Float array of the values (or derivative ``slot``) of the jets in ``a``."""
-    part = jets.peel_value if slot is None else (lambda e: jets.peel_grad(e, slot))
-    return np.frompyfunc(part, 1, 1)(a).astype(float)
-
-
 def ricci_with_derivative(metric: MetricField, point):
-    """Ricci tensor, its coordinate derivative and the Christoffels at a point.
+    """Ricci tensor, its coordinate derivative and the Christoffels.
 
-    Returns ``(ric, dric, gamma)`` with ``dric[c, a, b] = d_c Ric_ab``. The
-    whole curvature assembly runs on object arrays of depth-1 jets on top of
-    the depth-2 metric jets, so the derivative is exact.
+    Returns ``(ric, dric, gamma)`` with ``dric[..., c, a, b] = d_c Ric_ab``.
+    One depth-3 jet evaluation gives the metric to third order; the curvature
+    assembly then carries every array with its coordinate derivative as a
+    _Tangent pair, so the derivative is exact up to roundoff. A batched Point3
+    is evaluated in one pass, with the batch shape in front.
     """
     p = Point3.of(point)
     _require_inside(metric, p)
-    g, dg, d2g = _metric_taylor(metric, jets.seed(p.coords(), 1), 2)
-    _check_positive(_jet_part(g), metric.label, p)
-    gamma, _riem, ric, _scal = _assemble_curvature(g, dg, d2g)
-    dric = np.stack([_jet_part(ric, c) for c in range(3)])
-    return _jet_part(ric), dric, _jet_part(gamma)
+    g, dg, d2g, d3g = _metric_taylor(metric, p.coords(), 3)
+    _check_positive(g, metric.label, p)
+    gamma, _riem, ric, _scal = _assemble_curvature(_Tangent(g, dg), _Tangent(dg, d2g),
+                                                   _Tangent(d2g, d3g))
+    return ric.v, ric.t, gamma.v
 
 
 def reconstruct_riemann_from_ricci(ricci, scalar: float, g) -> np.ndarray:

@@ -17,8 +17,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import (DegenerateConformalError, IllConditionedFitError, ResolutionError,
                      StepFailureError, UnboundedPotentialError)
-from .geometry import MetricField, Point3, curvature_at, generic_metric
-from .potentials import PotentialField, _norm_g, fit_linear_part, require_static
+from .geometry import MetricField, Point3, _first_flagged, curvature_at, generic_metric
+from .potentials import PotentialField, _norm_g, _pair, fit_linear_part, require_static
 from .quadrature import SphereRule, flux_integral, sphere_average, sphere_rule, volume_integral
 from .zeroset import AnnulusRegion, SurfaceGraph, extract_closed_component
 
@@ -99,17 +99,24 @@ def curvature_decay_residual(metric: MetricField, point) -> DecayModelResidual:
 
     The model is (m/|y|^3) phi^-2 (delta - 3 yhat yhat) with
     phi = 1 + m/(2|y|); for the unperturbed conformal slice it is exact, and
-    for perturbed ends the deviation inherits the perturbation's decay.
+    for perturbed ends the deviation inherits the perturbation's decay. A
+    batched Point3 takes one curvature pass; the fields then carry the batch
+    shape in front.
     """
     p = Point3.of(point)
     m = metric.mass
     r = p.r
-    phi = 1.0 + m / (2.0 * r)
-    yhat = p.as_array() / r
-    model = (m / r ** 3) * phi ** -2 * (np.eye(3) - 3.0 * np.outer(yhat, yhat))
+
+    def radial(q: float) -> float:  # in float arithmetic, node by node
+        return (m / q ** 3) * (1.0 + m / (2.0 * q)) ** -2
+
+    coef = np.reshape([radial(float(q)) for q in np.ravel(r)], np.shape(r) + (1, 1))
+    yhat = np.stack(np.broadcast_arrays(*p.coords()), axis=-1) / np.asarray(r)[..., None]
+    model = coef * (np.eye(3) - 3.0 * (yhat[..., :, None] * yhat[..., None, :]))
     ric = curvature_at(metric, p).ricci
+    residual = np.sqrt(_pair(ric - model, ric - model))
     return DecayModelResidual(point=p, computed=ric, model=model,
-                              residual=float(np.linalg.norm(ric - model)))
+                              residual=residual if np.ndim(residual) else float(residual))
 
 
 ### Anisotropy sequence along a zero-set graph
@@ -269,15 +276,18 @@ def conformal_double_scalar(f: PotentialField, metric: MetricField, sign: int, p
     """Scalar curvature of (1 +/- f)^4 g at a point.
 
     Raises DegenerateConformalError where the conformal factor is not safely
-    positive.
+    positive, at the first such node of a batched Point3, whose nodes then
+    take one curvature pass and give an array of scalars.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     p = Point3.of(point)
     u0 = 1.0 + sign * f.value(p)
-    if u0 <= 1e-8:
+    low = u0 <= 1e-8
+    if np.any(low):
         raise DegenerateConformalError(
-            f"conformal factor 1{'+' if sign > 0 else '-'}f = {u0:.3e} at {p.coords()}")
+            f"conformal factor 1{'+' if sign > 0 else '-'}f = "
+            f"{float(np.ravel(u0)[np.flatnonzero(low)[0]]):.3e} at {_first_flagged(p, low)}")
 
     def comps(X1, X2, X3):
         u = 1.0 + sign * f.expr(X1, X2, X3)

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateMetricError, ZeroPotentialError
-from .geometry import CurvatureBundle, MetricField, Point3, curvature_at, ricci_with_derivative
+from .geometry import MetricField, Point3, curvature_at, ricci_with_derivative
 from .potentials import PotentialField, _hess_g, _taylor, require_static
 
 ALL_DISTINCT = "all_distinct"
@@ -33,22 +33,35 @@ class RicciEigenframe:
 
 
 def ricci_eigenframe(metric: MetricField, point, tau_eig: float = 1e-6,
-                     backend: str = "dual") -> RicciEigenframe:
+                     backend: str = "dual"):
     """Diagonalize Ricci against the metric at a point.
 
     Coincidence of eigenvalues is decided by gaps relative to
     ``tau_eig * (1 + max |eigenvalue|)``; the frame is made deterministic by
-    forcing the first sizable component of each column positive.
+    forcing the first sizable component of each column positive. A batched
+    Point3 takes one curvature pass and returns the list of its nodes' frames
+    in sample order.
     """
     p = Point3.of(point)
-    return _eigenframe(curvature_at(metric, p, backend=backend), metric.label, tau_eig)
+    bundle = curvature_at(metric, p, backend=backend)
+    frames = [_eigenframe(bundle.ricci[k], bundle.metric_matrix[k], q, metric.label, tau_eig)
+              for k, q in _nodes(p)]
+    return frames if isinstance(p.x1, np.ndarray) else frames[0]
 
 
-def _eigenframe(bundle: CurvatureBundle, label: str, tau_eig: float) -> RicciEigenframe:
-    """The Ricci eigenframe of a single-point curvature bundle."""
-    p = bundle.point
+def _nodes(p: Point3):
+    """(index, node) pairs of a Point3 in sample order; ((), p) for one point."""
+    if not isinstance(p.x1, np.ndarray):
+        return [((), p)]
+    xs = np.broadcast_arrays(*p.coords())
+    return [(k, Point3(*(float(x[k]) for x in xs))) for k in np.ndindex(xs[0].shape)]
+
+
+def _eigenframe(ric: np.ndarray, g: np.ndarray, p: Point3, label: str,
+                tau_eig: float) -> RicciEigenframe:
+    """The Ricci eigenframe at one point from its Ricci and metric matrices."""
     try:
-        lam, vecs = scipy.linalg.eigh(bundle.ricci, bundle.metric_matrix)
+        lam, vecs = scipy.linalg.eigh(ric, g)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise DegenerateMetricError(f"{label}: eigenproblem failed at {p.coords()}: {exc}")
     lam = np.asarray(lam, dtype=float)
@@ -83,27 +96,31 @@ def tod_identity_residuals(f: PotentialField, metric: MetricField, point,
 
         f (R33;1 - R31;3) = (L2 - L3) e1(f)
 
-    and the function returns the three left-minus-right defects. The frame, f
-    and grad f come from the static gate's pass.
+    and the function returns the three left-minus-right defects, as
+    ``(..., 3)`` over the nodes of a batched Point3. The frame, f and grad f
+    come from the static gate's pass; the gate and the Ricci derivative each
+    take one pass for the whole batch, and the frames are found node by node.
     """
     p = Point3.of(point)
     gate = require_static(f, metric, p, tol=static_tol)
-    ef = _eigenframe(gate.curvature, metric.label, tau_eig)
     ric, dric, gamma = ricci_with_derivative(metric, p)
 
-    # covariant derivative of Ricci: (grad Ric)[c, a, b] = d_c R_ab - corrections
-    covd = dric - np.einsum("kca,kb->cab", gamma, ric) - np.einsum("kcb,ak->cab", gamma, ric)
-    E = ef.frame
-    P = np.einsum("ai,bj,ck,cab->ijk", E, E, E, covd)  # R_ij;k in the frame
-    fp = E.T @ gate.gradient
-    fval = gate.f_value
-    lam = ef.eigenvalues
-
-    return np.array([
-        fval * (P[2, 2, 0] - P[2, 0, 2]) - (lam[1] - lam[2]) * fp[0],
-        fval * (P[0, 0, 1] - P[0, 1, 0]) - (lam[2] - lam[0]) * fp[1],
-        fval * (P[1, 1, 2] - P[1, 2, 1]) - (lam[0] - lam[1]) * fp[2],
-    ])
+    # covariant derivative of Ricci: (grad Ric)[..., c, a, b] = d_c R_ab - corrections
+    covd = (dric - np.einsum("...kca,...kb->...cab", gamma, ric)
+            - np.einsum("...kcb,...ak->...cab", gamma, ric))
+    bundle = gate.curvature
+    out = np.empty(np.shape(gate.f_value) + (3,))
+    for k, q in _nodes(p):
+        ef = _eigenframe(bundle.ricci[k], bundle.metric_matrix[k], q, metric.label, tau_eig)
+        E = ef.frame
+        P = np.einsum("ai,bj,ck,cab->ijk", E, E, E, covd[k])  # R_ij;k in the frame
+        fp = E.T @ gate.gradient[k]
+        fval = np.asarray(gate.f_value)[k]
+        lam = ef.eigenvalues
+        out[k] = (fval * (P[2, 2, 0] - P[2, 0, 2]) - (lam[1] - lam[2]) * fp[0],
+                  fval * (P[0, 0, 1] - P[0, 1, 0]) - (lam[2] - lam[0]) * fp[1],
+                  fval * (P[1, 1, 2] - P[1, 2, 1]) - (lam[0] - lam[1]) * fp[2])
+    return out
 
 
 def quotient_residual(f: PotentialField, N: PotentialField, metric: MetricField, point,
@@ -179,13 +196,17 @@ class GapScanReport:
 
 
 def eigenvalue_gap_scan(metric: MetricField, points, tau_eig: float = 1e-6) -> GapScanReport:
-    """Classify Ricci eigenvalue coincidence pointwise over a sample set."""
+    """Classify Ricci eigenvalue coincidence pointwise over a sample set.
+
+    The sample set takes one batched curvature pass.
+    """
+    points = [Point3.of(q) for q in points]
+    frames = ricci_eigenframe(metric, Point3.stack(points), tau_eig=tau_eig) if points else []
     records = []
-    for point in points:
-        ef = ricci_eigenframe(metric, point, tau_eig=tau_eig)
+    for point, ef in zip(points, frames):
         direction = None
         if ef.kind == TWO_EQUAL:
             direction = ef.frame[:, ef.simple_index].copy()
-        records.append(GapRecord(point=Point3.of(point), eigenvalues=ef.eigenvalues,
+        records.append(GapRecord(point=point, eigenvalues=ef.eigenvalues,
                                  kind=ef.kind, pair=ef.pair, simple_direction=direction))
     return GapScanReport(tau_eig=tau_eig, records=records)

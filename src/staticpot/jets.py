@@ -194,9 +194,31 @@ def peel_grad(x, i):
     return x.grad[i] if isinstance(x, Jet) else 0.0
 
 
+_ZERO_SLOTS = (0.0, 0.0, 0.0)
+
+
+def taylor(entries, depth):
+    """Values and partials up to order ``depth`` of depth-``depth`` evaluations.
+
+    Returns ``depth + 1`` lists; list n holds, entry after entry, the 3^n
+    partials of order n, the slot of the outermost jet level first, so that at
+    n = 2 the entry's block of nine holds at ``3 * i + j`` the partial taken
+    with respect to coordinate ``i`` then ``j``. Order n takes n derivative
+    slots from the outer levels and then the value of what is left. Constants
+    differentiate to 0.
+    """
+    level = list(entries)
+    out = [[_raw(x) for x in level] if depth else level]
+    for n in range(depth - 1, -1, -1):  # n jet levels are left below the slots taken
+        level = [d for x in level for d in (x.grad if isinstance(x, Jet) else _ZERO_SLOTS)]
+        out.append([_raw(x) for x in level] if n else level)
+    return out
+
+
 def taylor1(e):
     """Value and gradient of a depth-1 evaluation (entries at base level)."""
-    return peel_value(e), [peel_grad(e, 0), peel_grad(e, 1), peel_grad(e, 2)]
+    (val,), grad = taylor([e], 1)
+    return val, grad
 
 
 def taylor2(e):
@@ -205,6 +227,5 @@ def taylor2(e):
     ``hess[i][j]`` holds the mixed partial taken with respect to coordinate
     ``i`` then ``j``; symmetric to roundoff for smooth inputs.
     """
-    slots = e.grad if isinstance(e, Jet) else (0.0, 0.0, 0.0)
-    hess = [list(s.grad) if isinstance(s, Jet) else [0.0, 0.0, 0.0] for s in slots]
-    return peel_value(peel_value(e)), [peel_value(s) for s in slots], hess
+    (val,), grad, flat = taylor([e], 2)
+    return val, grad, [flat[3 * i:3 * i + 3] for i in range(3)]

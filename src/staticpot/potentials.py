@@ -23,7 +23,8 @@ import numpy as np
 
 from . import jets
 from .errors import ConfigError, NonConvergentError, NotStaticError, ZeroPotentialError
-from .geometry import CurvatureBundle, MetricField, Point3, _inv3, christoffel_at, curvature_at
+from .geometry import (CurvatureBundle, MetricField, Point3, _first_flagged, _metric_taylor,
+                       christoffel_at, curvature_at)
 from .quadrature import SphereRule, aitken_limit, sphere_rule
 
 
@@ -48,32 +49,26 @@ class PotentialField:
         return _taylor(self.expr, Point3.of(point), 2)[2]
 
 
-_PARTS = (lambda e: (jets.value(e),), jets.taylor1, jets.taylor2)
-
-
 def _taylor(expr: Callable, p: Point3, depth: int) -> tuple:
-    """A scalar expression and its first ``depth`` (at most 2) partials at p.
+    """A scalar expression and its first ``depth`` (at most 3) partials at p.
 
     The potential counterpart of ``geometry._metric_taylor``: seeds the
     coordinates, evaluates ``expr`` once and returns ``(value,)``,
-    ``(value, grad)`` or ``(value, grad, hess)`` as floats, with
-    ``grad[..., i]`` and ``hess[..., i, j]`` over the batch shape of p. The
-    value is a Python float for a single point.
+    ``(value, grad)``, ``(value, grad, hess)`` or ``(value, grad, hess, d3)``
+    as floats, with ``grad[..., i]``, ``hess[..., i, j]`` and
+    ``d3[..., i, j, k]`` over the batch shape of p. The value is a Python
+    float for a single point.
     """
-    parts = _PARTS[depth](expr(*jets.seed(p.coords(), depth)))
+    parts = jets.taylor([expr(*jets.seed(p.coords(), depth))], depth)
     if not isinstance(p.x1, np.ndarray):
-        return (float(parts[0]),) + tuple(np.array(part, dtype=float) for part in parts[1:])
+        return (float(parts[0][0]),) + tuple(np.array(part, dtype=float).reshape((3,) * n)
+                                             for n, part in enumerate(parts[1:], 1))
     shape = p.x1.shape
 
     def on_nodes(vals):  # constants or node arrays, stacked as (..., len(vals))
         return np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in vals], axis=-1)
 
-    out = [on_nodes(parts[:1])[..., 0]]
-    if depth:
-        out.append(on_nodes(parts[1]))
-    if depth == 2:
-        out.append(on_nodes([h for row in parts[2] for h in row]).reshape(shape + (3, 3)))
-    return tuple(out)
+    return tuple(on_nodes(part).reshape(shape + (3,) * n) for n, part in enumerate(parts))
 
 
 def affine(a0: float, a1: float, a2: float, a3: float) -> PotentialField:
@@ -190,7 +185,12 @@ def expression_potential(text: str, label: str | None = None) -> PotentialField:
 
 @dataclass(frozen=True)
 class StaticResidual:
-    """The static system's defect at a point and the one pass it was built from."""
+    """The static system's defect and the one pass it was built from.
+
+    For a batched Point3 every field carries the batch shape in front, and
+    ``f_value``, ``laplacian_residual`` and ``combined_norm`` are arrays over
+    the nodes; for one point they are floats.
+    """
 
     point: Point3
     f_value: float
@@ -202,12 +202,19 @@ class StaticResidual:
 
     @property
     def combined_norm(self) -> float:
-        return float(np.linalg.norm(self.tensor_residual) + abs(self.laplacian_residual))
+        norm = np.sqrt(_pair(self.tensor_residual, self.tensor_residual))
+        out = norm + np.abs(self.laplacian_residual)
+        return out if np.ndim(out) else float(out)
+
+
+def _pair(a: np.ndarray, b: np.ndarray):
+    """sum_ij a_ij b_ij over the trailing 3x3 slots, summed in np.tensordot's order."""
+    return np.vecdot(a.reshape(a.shape[:-2] + (9,)), b.reshape(b.shape[:-2] + (9,)))
 
 
 def _hess_g(hess: np.ndarray, grad: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Covariant Hessian from coordinate partials: hess_ij - Gamma^k_ij grad_k."""
-    return hess - np.einsum("kij,k->ij", gamma, grad)
+    return hess - np.einsum("...kij,...k->...ij", gamma, grad)
 
 
 def _norm_g(g: np.ndarray, grad: np.ndarray) -> float:
@@ -230,25 +237,37 @@ def gradient_norm(f: PotentialField, metric: MetricField, point) -> float:
 
 
 def static_residual(f: PotentialField, metric: MetricField, point, backend: str = "dual") -> StaticResidual:
-    """Pointwise defect of the static system for (f, metric)."""
+    """Pointwise defect of the static system for (f, metric).
+
+    A batched Point3 takes one curvature pass and one potential pass for all
+    its nodes.
+    """
     p = Point3.of(point)
     bundle = curvature_at(metric, p, backend=backend)
     fval, grad, hess = _taylor(f.expr, p, 2)
     cov_hess = _hess_g(hess, grad, bundle.gamma)
-    tensor = cov_hess - fval * bundle.ricci
-    ginv = np.linalg.inv(bundle.metric_matrix)
-    lap = float(np.tensordot(ginv, cov_hess))
-    return StaticResidual(point=p, f_value=fval, tensor_residual=tensor, laplacian_residual=lap,
+    tensor = cov_hess - np.asarray(fval)[..., None, None] * bundle.ricci
+    lap = _pair(np.linalg.inv(bundle.metric_matrix), cov_hess)
+    return StaticResidual(point=p, f_value=fval, tensor_residual=tensor,
+                          laplacian_residual=lap if np.ndim(lap) else float(lap),
                           gradient=grad, covariant_hessian=cov_hess, curvature=bundle)
 
 
-def require_static(f: PotentialField, metric: MetricField, point, tol: float = 1e-6) -> StaticResidual:
-    res = static_residual(f, metric, point)
-    if res.combined_norm > tol * (1.0 + abs(res.f_value)):
+def _gate(res: StaticResidual, f: PotentialField, metric: MetricField, tol: float) -> StaticResidual:
+    """``res``, or NotStaticError at its first node whose defect exceeds the gate."""
+    combined = res.combined_norm
+    bad = combined > tol * (1.0 + np.abs(res.f_value))
+    if np.any(bad):
+        worst = float(np.ravel(combined)[np.flatnonzero(bad)[0]])
         raise NotStaticError(
-            f"{f.label} on {metric.label}: static residual {res.combined_norm:.3e} "
-            f"at {res.point.coords()} exceeds gate {tol:g}*(1+|f|)")
+            f"{f.label} on {metric.label}: static residual {worst:.3e} "
+            f"at {_first_flagged(res.point, bad)} exceeds gate {tol:g}*(1+|f|)")
     return res
+
+
+def require_static(f: PotentialField, metric: MetricField, point, tol: float = 1e-6) -> StaticResidual:
+    """``static_residual``, raising NotStaticError at the first node over the gate."""
+    return _gate(static_residual(f, metric, point), f, metric, tol)
 
 
 def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: float = 1e-6) -> float:
@@ -256,7 +275,9 @@ def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: 
 
     Checks (1/2) Laplace |grad f|^2 = |Hess f|^2 + (1/2f) <grad f, grad |grad f|^2>
     at a point where f does not vanish. The connection, the metric and f's
-    derivatives come from the static gate.
+    derivatives come from the static gate; the first two partials of
+    phi = g^ij f_i f_j come from f's third-order Taylor data and the metric's
+    second-order data by the product rule, with d(g^-1) = -g^-1 (dg) g^-1.
     """
     p = Point3.of(point)
     # a vanishing f is reported before the gate runs, even where f has no
@@ -266,16 +287,21 @@ def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: 
         raise ZeroPotentialError(f"{f.label}: potential vanishes at {p.coords()}")
     gate = require_static(f, metric, p, tol=static_tol)
 
-    def phi_expr(X1, X2, X3):
-        # |grad f|^2 as a scalar field, generic over the coordinate type
-        Ys = jets.seed((X1, X2, X3), 1)
-        F = f.expr(Ys[0], Ys[1], Ys[2])
-        fi = np.array([jets.peel_grad(F, i) for i in range(3)], dtype=object)
-        ginv, _ = _inv3(np.array(metric.components(X1, X2, X3), dtype=object))
-        return np.einsum("ij,i,j->", ginv, fi, fi)
-
-    _, phi_grad, phi_hess = _taylor(phi_expr, p, 2)
+    _, dg, d2g = _metric_taylor(metric, p.coords(), 2)
+    _, df, d2f, d3f = _taylor(f.expr, p, 3)
     ginv = np.linalg.inv(gate.curvature.metric_matrix)
+    a = np.einsum("ik,ckj->cij", ginv, dg)          # g^-1 d_c g
+    dginv = -np.einsum("cik,kj->cij", a, ginv)      # d_c g^-1
+    d2ginv = (np.einsum("dik,ckl,lj->cdij", a, a, ginv)
+              + np.einsum("cik,dkl,lj->cdij", a, a, ginv)
+              - np.einsum("ik,cdkl,lj->cdij", ginv, d2g, ginv))
+    gf = ginv @ df                                  # g^ij f_j
+    phi_grad = np.einsum("cij,i,j->c", dginv, df, df) + 2.0 * d2f @ gf
+    phi_hess = (np.einsum("cdij,i,j->cd", d2ginv, df, df)
+                + 2.0 * np.einsum("cij,id,j->cd", dginv, d2f, df)
+                + 2.0 * np.einsum("dij,ic,j->cd", dginv, d2f, df)
+                + 2.0 * d3f @ gf
+                + 2.0 * np.einsum("ic,ij,jd->cd", d2f, ginv, d2f))
     lap_phi = float(np.tensordot(ginv, _hess_g(phi_hess, phi_grad, gate.curvature.gamma)))
 
     H = gate.covariant_hessian

@@ -21,7 +21,7 @@ from . import jets
 from .errors import (CriticalOnZeroSetError, DomainError, MonotonicityError,
                      MultiRootError, NoRootError, ResolutionError)
 from .geometry import MetricField, Point3, _first_kind
-from .potentials import PotentialField, _norm_g, require_static
+from .potentials import PotentialField, StaticResidual, _gate, _norm_g, static_residual
 from .quadrature import aitken_limit
 
 
@@ -564,20 +564,19 @@ class ZeroSetLawReport:
     k_plus_r33: np.ndarray
 
 
-def _adapted_frame(f: PotentialField, metric: MetricField, chart: SurfaceChart,
+def _adapted_frame(f: PotentialField, res: StaticResidual, chart: SurfaceChart,
                    u: float, v: float):
-    p = chart.point_at(u, v)
-    g = metric.matrix(p)
-    grad = f.gradient(p)
+    """Unit normal, |grad f|_g and a g-orthonormal tangent pair, from the static pass."""
+    g, grad = res.curvature.metric_matrix, res.gradient
     gn = _norm_g(g, grad)
     if gn < 1e-8:
-        raise CriticalOnZeroSetError(f"{f.label}: |grad f| degenerate at {p.coords()}")
+        raise CriticalOnZeroSetError(f"{f.label}: |grad f| degenerate at {res.point.coords()}")
     nu = np.linalg.inv(g) @ grad / gn
     Tu, Tv = chart.tangents(u, v)
     t1 = Tu / math.sqrt(float(Tu @ g @ Tu))
     t2 = Tv - float(Tv @ g @ t1) * t1
     t2 = t2 / math.sqrt(float(t2 @ g @ t2))
-    return p, g, nu, gn, t1, t2
+    return g, nu, gn, t1, t2
 
 
 def zero_set_laws(f: PotentialField, metric: MetricField, chart: SurfaceChart,
@@ -588,12 +587,14 @@ def zero_set_laws(f: PotentialField, metric: MetricField, chart: SurfaceChart,
     stencil steps for the intrinsic curvature. At each sample the normal must
     be a Ricci eigenvector, the two tangential eigenvalues must coincide, and
     the intrinsic curvature must equal both twice the tangential eigenvalue
-    and minus the normal one.
+    and minus the normal one. Each sample takes one static pass; a critical
+    zero set is reported before a failed static gate.
     """
     gns, tang, eig_res, gaps, ks, km2, kp3 = [], [], [], [], [], [], []
     for (u, v), d in zip(samples, deltas):
-        p, g, nu, gn, t1, t2 = _adapted_frame(f, metric, chart, u, v)
-        ric = require_static(f, metric, p, tol=static_tol).curvature.ricci
+        res = static_residual(f, metric, chart.point_at(u, v))
+        g, nu, gn, t1, t2 = _adapted_frame(f, res, chart, u, v)
+        ric = _gate(res, f, metric, static_tol).curvature.ricci
         r11 = float(t1 @ ric @ t1)
         r22 = float(t2 @ ric @ t2)
         r33 = float(nu @ ric @ nu)
