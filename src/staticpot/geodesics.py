@@ -14,10 +14,17 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainExitError, PreconditionError, StepFailureError
 from .geometry import MetricField, Point3, christoffel_at, curvature_at
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported at the first integration so that
+    importing staticpot loads no scipy. A module attribute, so that perfbench's
+    tracer can rebind it to count right-hand-side evaluations."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)

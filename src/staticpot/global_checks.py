@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (DegenerateConformalError, IllConditionedFitError, ResolutionError,
                      StepFailureError, UnboundedPotentialError)
+from .geodesics import solve_ivp
 from .geometry import MetricField, Point3, _first_flagged, curvature_at, generic_metric
 from .potentials import PotentialField, _norm_g, _pair, fit_linear_part, require_static
 from .quadrature import SphereRule, flux_integral, sphere_average, sphere_rule, volume_integral
@@ -277,11 +277,13 @@ def conformal_double_scalar(f: PotentialField, metric: MetricField, sign: int, p
 
     Raises DegenerateConformalError where the conformal factor is not safely
     positive, at the first such node of a batched Point3, whose nodes then
-    take one curvature pass and give an array of scalars.
+    take one curvature pass and give an array of scalars. Coordinates whose
+    squares overflow raise OverflowError before f is evaluated.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     p = Point3.of(point)
+    p.r  # an overflowing coordinate raises here, before f overflows with numpy warnings
     u0 = 1.0 + sign * f.value(p)
     low = u0 <= 1e-8
     if np.any(low):

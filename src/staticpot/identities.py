@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateMetricError, ZeroPotentialError
-from .geometry import MetricField, Point3, curvature_at, ricci_with_derivative
+from .geometry import MetricField, Point3, _first_flagged, curvature_at, ricci_with_derivative
 from .potentials import PotentialField, _hess_g, _taylor, require_static
 
 ALL_DISTINCT = "all_distinct"
@@ -39,52 +38,64 @@ def ricci_eigenframe(metric: MetricField, point, tau_eig: float = 1e-6,
     Coincidence of eigenvalues is decided by gaps relative to
     ``tau_eig * (1 + max |eigenvalue|)``; the frame is made deterministic by
     forcing the first sizable component of each column positive. A batched
-    Point3 takes one curvature pass and returns the list of its nodes' frames
-    in sample order.
+    Point3 takes one curvature pass and one eigensolve, and returns the list of
+    its nodes' frames in sample order.
     """
     p = Point3.of(point)
     bundle = curvature_at(metric, p, backend=backend)
-    frames = [_eigenframe(bundle.ricci[k], bundle.metric_matrix[k], q, metric.label, tau_eig)
-              for k, q in _nodes(p)]
-    return frames if isinstance(p.x1, np.ndarray) else frames[0]
-
-
-def _nodes(p: Point3):
-    """(index, node) pairs of a Point3 in sample order; ((), p) for one point."""
+    lam, vecs = _eigenframes(bundle.ricci, bundle.metric_matrix, p, metric.label)
+    classes = _classify(lam, tau_eig)
     if not isinstance(p.x1, np.ndarray):
-        return [((), p)]
+        return RicciEigenframe(p, lam, vecs, *_CLASSES[classes])
     xs = np.broadcast_arrays(*p.coords())
-    return [(k, Point3(*(float(x[k]) for x in xs))) for k in np.ndindex(xs[0].shape)]
+    return [RicciEigenframe(Point3(*(float(x[k]) for x in xs)), lam[k], vecs[k],
+                            *_CLASSES[classes[k]])
+            for k in np.ndindex(xs[0].shape)]
 
 
-def _eigenframe(ric: np.ndarray, g: np.ndarray, p: Point3, label: str,
-                tau_eig: float) -> RicciEigenframe:
-    """The Ricci eigenframe at one point from its Ricci and metric matrices."""
+def _eigenframes(ric: np.ndarray, g: np.ndarray, p: Point3, label: str) -> tuple:
+    """Eigenvalues (ascending) and sign-fixed g-orthonormal eigenvector columns
+    of ``Ric v = lambda g v``, node by node over ``(..., 3, 3)`` stacks.
+
+    The problem is reduced by the Cholesky factor L of g to the symmetric one
+    of L^-1 Ric L^-T, whose eigenvectors W give the frame L^-T W. A node whose
+    metric has no Cholesky factor raises DegenerateMetricError, at the first
+    such node of a batched Point3.
+    """
     try:
-        lam, vecs = scipy.linalg.eigh(ric, g)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise DegenerateMetricError(f"{label}: eigenproblem failed at {p.coords()}: {exc}")
-    lam = np.asarray(lam, dtype=float)
-    vecs = np.asarray(vecs, dtype=float)
-    for k in range(3):
-        col = vecs[:, k]
-        lead = next((c for c in col if abs(c) > 1e-12), 1.0)
-        if lead < 0:
-            vecs[:, k] = -col
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        bad = [_no_cholesky(m) for m in np.reshape(g, (-1, 3, 3))]
+        raise DegenerateMetricError(
+            f"{label}: eigenproblem failed at {_first_flagged(p, bad)}: {exc}") from None
+    inv_t = np.swapaxes(np.linalg.inv(chol), -2, -1)
+    lam, w = np.linalg.eigh(np.swapaxes(inv_t, -2, -1) @ ric @ inv_t)
+    vecs = inv_t @ w
+    # sign rule: the first component of each column with |c| > 1e-12 is positive
+    sizable = np.abs(vecs) > 1e-12
+    lead = np.take_along_axis(vecs, sizable.argmax(axis=-2)[..., None, :], axis=-2)
+    flip = (lead < 0) & sizable.any(axis=-2, keepdims=True)
+    return lam, np.where(flip, -vecs, vecs)
 
-    thr = tau_eig * (1.0 + np.abs(lam).max())
-    low_gap = lam[1] - lam[0] < thr
-    high_gap = lam[2] - lam[1] < thr
-    if low_gap and high_gap:
-        kind, pair, simple = ALL_EQUAL, None, None
-    elif low_gap:
-        kind, pair, simple = TWO_EQUAL, (0, 1), 2
-    elif high_gap:
-        kind, pair, simple = TWO_EQUAL, (1, 2), 0
-    else:
-        kind, pair, simple = ALL_DISTINCT, None, None
-    return RicciEigenframe(point=p, eigenvalues=lam, frame=vecs, kind=kind,
-                           pair=pair, simple_index=simple)
+
+def _no_cholesky(g: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+# (kind, pair, simple_index) by class code 2 * (low gap closed) + (high gap closed)
+_CLASSES = ((ALL_DISTINCT, None, None), (TWO_EQUAL, (1, 2), 0),
+            (TWO_EQUAL, (0, 1), 2), (ALL_EQUAL, None, None))
+
+
+def _classify(lam: np.ndarray, tau_eig: float) -> np.ndarray:
+    """Class codes into ``_CLASSES`` of ascending eigenvalue triples ``(..., 3)``."""
+    thr = tau_eig * (1.0 + np.abs(lam).max(axis=-1))
+    gaps = np.diff(lam, axis=-1)
+    return 2 * (gaps[..., 0] < thr) + (gaps[..., 1] < thr)
 
 
 def tod_identity_residuals(f: PotentialField, metric: MetricField, point,
@@ -98,8 +109,8 @@ def tod_identity_residuals(f: PotentialField, metric: MetricField, point,
 
     and the function returns the three left-minus-right defects, as
     ``(..., 3)`` over the nodes of a batched Point3. The frame, f and grad f
-    come from the static gate's pass; the gate and the Ricci derivative each
-    take one pass for the whole batch, and the frames are found node by node.
+    come from the static gate's pass; the gate, the Ricci derivative and the
+    eigensolve each take one pass for the whole batch.
     """
     p = Point3.of(point)
     gate = require_static(f, metric, p, tol=static_tol)
@@ -109,18 +120,14 @@ def tod_identity_residuals(f: PotentialField, metric: MetricField, point,
     covd = (dric - np.einsum("...kca,...kb->...cab", gamma, ric)
             - np.einsum("...kcb,...ak->...cab", gamma, ric))
     bundle = gate.curvature
-    out = np.empty(np.shape(gate.f_value) + (3,))
-    for k, q in _nodes(p):
-        ef = _eigenframe(bundle.ricci[k], bundle.metric_matrix[k], q, metric.label, tau_eig)
-        E = ef.frame
-        P = np.einsum("ai,bj,ck,cab->ijk", E, E, E, covd[k])  # R_ij;k in the frame
-        fp = E.T @ gate.gradient[k]
-        fval = np.asarray(gate.f_value)[k]
-        lam = ef.eigenvalues
-        out[k] = (fval * (P[2, 2, 0] - P[2, 0, 2]) - (lam[1] - lam[2]) * fp[0],
-                  fval * (P[0, 0, 1] - P[0, 1, 0]) - (lam[2] - lam[0]) * fp[1],
-                  fval * (P[1, 1, 2] - P[1, 2, 1]) - (lam[0] - lam[1]) * fp[2])
-    return out
+    lam, E = _eigenframes(bundle.ricci, bundle.metric_matrix, p, metric.label)
+    P = np.einsum("...ai,...bj,...ck,...cab->...ijk", E, E, E, covd)  # R_ij;k in the frame
+    fp = (gate.gradient[..., None, :] @ E)[..., 0, :]  # e_i(f)
+    # identity i pairs the cyclic successors j = i + 1, k = i + 2:
+    # f (R_kk;i - R_ki;k) = (L_j - L_k) e_i(f)
+    i, j, k = [0, 1, 2], [1, 2, 0], [2, 0, 1]
+    return (np.expand_dims(gate.f_value, -1) * (P[..., k, k, i] - P[..., k, i, k])
+            - (lam[..., j] - lam[..., k]) * fp)
 
 
 def quotient_residual(f: PotentialField, N: PotentialField, metric: MetricField, point,

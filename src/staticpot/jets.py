@@ -214,18 +214,3 @@ def taylor(entries, depth):
         out.append([_raw(x) for x in level] if n else level)
     return out
 
-
-def taylor1(e):
-    """Value and gradient of a depth-1 evaluation (entries at base level)."""
-    (val,), grad = taylor([e], 1)
-    return val, grad
-
-
-def taylor2(e):
-    """Value, gradient and Hessian of a depth-2 evaluation.
-
-    ``hess[i][j]`` holds the mixed partial taken with respect to coordinate
-    ``i`` then ``j``; symmetric to roundoff for smooth inputs.
-    """
-    (val,), grad, flat = taylor([e], 2)
-    return val, grad, [flat[3 * i:3 * i + 3] for i in range(3)]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import jets
 from .errors import (CriticalOnZeroSetError, DomainError, MonotonicityError,
@@ -23,6 +22,14 @@ from .errors import (CriticalOnZeroSetError, DomainError, MonotonicityError,
 from .geometry import MetricField, Point3, _first_kind
 from .potentials import PotentialField, StaticResidual, _gate, _norm_g, static_residual
 from .quadrature import aitken_limit
+
+
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, imported at the first root solve so that
+    importing staticpot loads no scipy. A module attribute, so that perfbench's
+    tracer can rebind it to count objective evaluations."""
+    from scipy.optimize import brentq
+    return brentq(f, a, b, **kwargs)
 
 
 class SurfaceChart:

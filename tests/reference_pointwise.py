@@ -513,7 +513,7 @@ def reference_bochner_residual(f: PotentialField, metric: MetricField, point,
         return np.einsum("ij,i,j->", ginv, fi, fi)
 
     Xs = jets.seed(p.coords(), 2)
-    _, phi_grad_l, phi_hess_l = jets.taylor2(phi_expr(Xs[0], Xs[1], Xs[2]))
+    _, phi_grad_l, phi_hess_l = taylor2(phi_expr(Xs[0], Xs[1], Xs[2]))
     phi_grad = np.array([float(v) for v in phi_grad_l])
     phi_hess = np.array([[float(phi_hess_l[i][j]) for j in range(3)] for i in range(3)])
 

@@ -13,6 +13,7 @@ check that reduces over it.
 """
 
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -172,11 +173,21 @@ CUBIC_NODES = [Point3(0.1, 1.0, 0.0), Point3(-0.5, 0.0, 2.0), Point3(3.0, 1.0, 1
 F1 = sp.schwarzschild_potential(1.0)
 DOMAIN_NODES = [Point3(2.0, 0.0, 0.0), Point3(0.0, 1.0, 1.0), Point3(0.1, 0.2, 0.0),
                 Point3(0.3, 0.0, 0.0)]
+# a skew part leaves the symmetric part (checked positive) the identity, but the
+# lower triangle the eigensolve factors is positive definite only for |x1| < 1/2
+SKEWED = sp.generic_metric(lambda x1, x2, x3: [[1.0 + 0.0 * x1, 2.0 * x1, 0.0],
+                                               [-2.0 * x1, 1.0, 0.0],
+                                               [0.0, 0.0, 1.0]], label="skewed")
+SKEWED_NODES = [Point3(0.1, 0.3, 0.2), Point3(0.7, 0.1, 0.0), Point3(0.2, -1.0, 0.5),
+                Point3(0.9, 0.0, 0.0)]
 
 
 @pytest.mark.parametrize("fn,args,points,kind", [
     (sp.require_static, (CUBIC, sp.euclidean()), CUBIC_NODES, sp.NotStaticError),
     (sp.tod_identity_residuals, (CUBIC, sp.euclidean()), CUBIC_NODES, sp.NotStaticError),
+    (sp.ricci_eigenframe, (SKEWED,), SKEWED_NODES, sp.DegenerateMetricError),
+    (functools.partial(sp.tod_identity_residuals, static_tol=LOOSE),
+     (sp.affine(1.0, 0.5, -0.25, 2.0), SKEWED), SKEWED_NODES, sp.DegenerateMetricError),
     (sp.require_static, (F1, sp.schwarzschild(1.0)), DOMAIN_NODES, sp.DomainError),
     (sp.static_residual, (F1, sp.schwarzschild(1.0)), DOMAIN_NODES, sp.DomainError),
     (sp.tod_identity_residuals, (F1, sp.schwarzschild(1.0)), DOMAIN_NODES, sp.DomainError),
