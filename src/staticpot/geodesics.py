@@ -181,15 +181,27 @@ def transport_potential(metric: MetricField, f0: float, f0_slope: float,
 
 def solve_curve_ode(h_fn: Callable, f0: float, f0_slope: float, t0: float, t1: float,
                     t_eval=None, rtol: float = 1e-12, atol: float = 1e-14):
-    """Solve u'' = h(t) u with given initial data; returns (ts, us, slopes)."""
+    """Solve u'' = h(t) u with given initial data; returns (ts, us, slopes).
+
+    The integration runs with floating-point overflow and invalid operations
+    raised: a solution too large to step on fails with StepFailureError
+    naming the last t of the right-hand side, not with inf or nan.
+    """
     if t1 == t0:
         raise ValueError(f"empty integration span: t1 = t0 = {t0:g}")
+    last_t = [t0]
 
     def rhs(t, y):
+        last_t[0] = t
         return [y[1], h_fn(t) * y[0]]
 
-    sol = solve_ivp(rhs, (t0, t1), [f0, f0_slope], method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=t_eval)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sol = solve_ivp(rhs, (t0, t1), [f0, f0_slope], method="DOP853",
+                            rtol=rtol, atol=atol, t_eval=t_eval)
+    except FloatingPointError as exc:
+        raise StepFailureError(
+            f"transport equation failed at t = {last_t[0]:g}: {exc}") from None
     if not sol.success:
         raise StepFailureError(f"transport equation failed: {sol.message}")
     return sol.t, sol.y[0], sol.y[1]

@@ -20,7 +20,7 @@ from .geodesics import solve_ivp
 from .geometry import MetricField, Point3, _first_flagged, curvature_at, generic_metric
 from .potentials import PotentialField, _norm_g, _pair, fit_linear_part, require_static
 from .quadrature import SphereRule, flux_integral, sphere_average, sphere_rule, volume_integral
-from .zeroset import AnnulusRegion, SurfaceGraph, extract_closed_component
+from .zeroset import AnnulusRegion, SurfaceGraph, _quad, extract_closed_component
 
 ESCAPE_TO_END = "escape_to_end"
 EXIT_BOUNDARY = "exit_boundary"
@@ -134,7 +134,8 @@ def anisotropy_limit(metric: MetricField, graph: SurfaceGraph, heights) -> Aniso
 
     At base points (0, y) of the graph the two chart tangents are normalized
     and the difference Ric(t_u, t_u) - Ric(t_v, t_v), scaled by |y|^3, is
-    extrapolated in 1/|y|.
+    extrapolated in 1/|y|. All heights take one batched chart call per
+    quantity and one curvature pass.
     """
     region = graph.region
     heights = np.array(sorted(float(y) for y in heights))
@@ -142,16 +143,13 @@ def anisotropy_limit(metric: MetricField, graph: SurfaceGraph, heights) -> Aniso
         if heights[0] <= region.inner or heights[-1] >= region.outer:
             raise ResolutionError(
                 f"heights must lie inside the annulus ({region.inner:g}, {region.outer:g})")
-    vals = []
-    for y in heights:
-        p = graph.point_at(0.0, y)
-        g = metric.matrix(p)
-        Tu, Tv = graph.chart.tangents(0.0, y)
-        tu = Tu / math.sqrt(float(Tu @ g @ Tu))
-        tv = Tv / math.sqrt(float(Tv @ g @ Tv))
-        ric = curvature_at(metric, p).ricci
-        vals.append(abs(y) ** 3 * float(tu @ ric @ tu - tv @ ric @ tv))
-    vals = np.array(vals)
+    base = np.zeros_like(heights)
+    bundle = curvature_at(metric, graph.point_at(base, heights))
+    g, ric = bundle.metric_matrix, bundle.ricci
+    tu, tv = graph.chart.tangents(base, heights)
+    tu = tu / np.sqrt(_quad(tu, g, tu))[:, None]
+    tv = tv / np.sqrt(_quad(tv, g, tv))[:, None]
+    vals = np.abs(heights) ** 3 * (_quad(tu, ric, tu) - _quad(tv, ric, tv))
     design = np.column_stack([np.ones_like(heights), 1.0 / heights, 1.0 / heights ** 2])
     coef, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)
     return AnisotropyReport(heights=heights, scaled_differences=vals,

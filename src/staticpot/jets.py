@@ -26,6 +26,9 @@ class Jet:
     """Truncated Taylor scalar: a value plus three first-derivative slots."""
 
     __slots__ = ("val", "grad")
+    # numpy defers to the reflected operators: ``array - jet`` calls
+    # ``Jet.__rsub__`` instead of building an object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, val, grad):
         self.val = val

@@ -217,9 +217,14 @@ def _hess_g(hess: np.ndarray, grad: np.ndarray, gamma: np.ndarray) -> np.ndarray
     return hess - np.einsum("...kij,...k->...ij", gamma, grad)
 
 
-def _norm_g(g: np.ndarray, grad: np.ndarray) -> float:
-    """|grad|_g of a coordinate gradient against the metric matrix g."""
-    return math.sqrt(float(grad @ np.linalg.inv(g) @ grad))
+def _norm_g(g: np.ndarray, grad: np.ndarray):
+    """|grad|_g of a coordinate gradient against the metric matrix g.
+
+    Stacked gradients and matrices give an array, in the order of the 1-D
+    products grad @ inv(g) @ grad.
+    """
+    out = np.sqrt(((grad[..., None, :] @ np.linalg.inv(g)) @ grad[..., :, None])[..., 0, 0])
+    return out if np.ndim(out) else float(out)
 
 
 def covariant_hessian(f: PotentialField, metric: MetricField, point) -> np.ndarray:

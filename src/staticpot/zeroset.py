@@ -6,6 +6,11 @@ closed components. The same chart object then provides tangents and the induced
 two-metric by implicit differentiation in jet arithmetic, which is exact; only
 the intrinsic curvature quantities use finite-difference stencils on top of the
 exact surface evaluations.
+
+The chart is batched: it takes arrays of line coordinates and solves all their
+lines in one array pass, with Brent's method run lane by lane (``brentq``). So
+each stencil set (a circle, a grid, a sample set with its stencils) is one
+chart call, and a failing batch raises the error of its first failing line.
 """
 
 from __future__ import annotations
@@ -19,28 +24,151 @@ import numpy as np
 from . import jets
 from .errors import (CriticalOnZeroSetError, DomainError, MonotonicityError,
                      MultiRootError, NoRootError, ResolutionError)
-from .geometry import MetricField, Point3, _first_kind
+from .geometry import MetricField, Point3, _first_flagged, _first_kind
 from .potentials import PotentialField, StaticResidual, _gate, _norm_g, static_residual
 from .quadrature import aitken_limit
 
 
-def brentq(f, a, b, **kwargs):
-    """``scipy.optimize.brentq``, imported at the first root solve so that
-    importing staticpot loads no scipy. A module attribute, so that perfbench's
-    tracer can rebind it to count objective evaluations."""
-    from scipy.optimize import brentq
-    return brentq(f, a, b, **kwargs)
+def brentq(f, a, b, xtol: float = 2e-12, rtol: float = 8.881784197001252e-16,
+           maxiter: int = 100) -> np.ndarray:
+    """Brent's method on many brackets at once: a numpy port of scipy's brentq.c.
+
+    ``f(x, lanes)`` evaluates the objective at ``x`` for the brackets
+    ``lanes`` (indices into ``a`` and ``b``). Every lane takes the scalar
+    algorithm's steps in its order, and a converged lane is frozen and no
+    longer evaluated, so each root is the one ``scipy.optimize.brentq`` finds
+    on the same objective, bit for bit (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4). Raises ValueError at the first lane
+    whose end values have the same sign or whose objective is NaN, and
+    RuntimeError at the first lane not converged after ``maxiter`` steps. A
+    module attribute, so that perfbench's tracer can rebind it to count
+    objective evaluations.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = a.ravel(), b.ravel()
+    lanes = np.arange(a.size)
+
+    def call(x, at):
+        fx = np.broadcast_to(np.asarray(f(x, at), dtype=float), x.shape)
+        nan = np.isnan(fx)
+        if nan.any():
+            k = int(np.argmax(nan))
+            raise ValueError(f"The function value at x={x[k]} is NaN; solver cannot "
+                             f"continue (bracket {int(at[k])})")
+        return fx
+
+    xpre, xcur = a.copy(), b.copy()
+    fpre, fcur = call(xpre, lanes), call(xcur, lanes)
+    root = np.where(fpre == 0, xpre, xcur)
+    same = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) == np.signbit(fcur))
+    if same.any():
+        raise ValueError(f"f(a) and f(b) must have different signs "
+                         f"(bracket {int(np.argmax(same))})")
+    live = (fpre != 0) & (fcur != 0)
+    lanes, xpre, xcur, fpre, fcur = (x[live] for x in (lanes, xpre, xcur, fpre, fcur))
+    xblk, fblk, spre, scur = (np.zeros(lanes.size) for _ in range(4))
+    for _ in range(maxiter):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        step = xcur - xpre
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[lanes[done]] = xcur[done]
+        go = ~done
+        if not go.any():
+            return root
+        (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis) = (
+            x[go] for x in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                            delta, sbis))
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolated = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolated = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolated, extrapolated)
+        cap = 3 * np.abs(sbis) - delta
+        cap = np.where(np.abs(spre) < cap, np.abs(spre), cap)  # C's MIN(a, b)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < cap))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = call(xcur, lanes)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is "
+                       f"{xcur[0]} (bracket {int(lanes[0])})")
+
+
+def _lines(u, v):
+    """Broadcast line coordinates: their shape, and u and v as flat float lanes."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    return u.shape, u.ravel(), v.ravel()
+
+
+def _on_lanes(x, n: int) -> np.ndarray:
+    """A jet slot or value over n lanes; constants are broadcast."""
+    return np.broadcast_to(np.asarray(x, dtype=float), (n,))
+
+
+def _shaped(x, shape):
+    """Jet slots or values over flat lanes, reshaped to ``shape`` (floats for a single line)."""
+    if isinstance(x, jets.Jet):
+        return jets.Jet(_shaped(x.val, shape), tuple(_shaped(g, shape) for g in x.grad))
+    if not isinstance(x, np.ndarray):
+        return x
+    return x.reshape(shape) if shape else float(x[0])
+
+
+def _dot(x, y):
+    """x @ y over stacked vectors, as the 1-D product computes it."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _quad(x, a, y):
+    """x @ a @ y over stacked vectors and matrices, as the 1-D products compute it."""
+    return _dot((x[..., None, :] @ a)[..., 0, :], y)
+
+
+@dataclass(frozen=True)
+class _Lift:
+    """Flat lanes of lines lifted to the surface by one solve."""
+
+    s: np.ndarray        # roots of the lines
+    jet: object          # root as a depth-1 jet in (u, v)
+    point: Point3        # surface points
+    tu: np.ndarray       # (n, 3) chart tangents d/du
+    tv: np.ndarray       # (n, 3) chart tangents d/dv
 
 
 class SurfaceChart:
-    """Implicit surface chart: root of a potential along a line family.
+    """Implicit surface chart: root of a potential along a line family, batched.
 
     ``embed(u, v, s)`` maps chart coordinates and the line parameter to the
-    ambient chart and must be generic over the scalar type, an array of line
-    parameters included. Roots are bracketed by a sign scan over 25 samples
-    (one array evaluation), solved by Brent's method, Newton-polished and
-    certified to ``root_tol``; the directional slope along the line must stay
-    above ``slope_floor``.
+    ambient chart and must be generic over the scalar type: arrays of lines and
+    of line parameters, and jets with array slots. ``bracket(u, v)`` gives one
+    line's starting bracket. Every method takes (u, v) as scalars or arrays and
+    solves all lines in one array pass:
+
+    - a sign scan over 25 samples per line, one ``(lines, 25)`` evaluation;
+      a bracket without a sign change is widened about its midpoint, up to
+      seven scans, never below ``param_floor``;
+    - Brent's method lane by lane (``brentq``), three Newton polish steps,
+      certification to ``root_tol`` and the slope floor: the directional slope
+      along the line must stay above ``slope_floor``.
+
+    A batch with a failing line raises the error of its first failing line,
+    naming that line's (u, v). Where a floating-point flag is raised on the
+    arrays, the evaluation falls back to floats line by line, so a line fails
+    with the exception it raises there.
     """
 
     def __init__(self, f: PotentialField, metric: MetricField, embed: Callable,
@@ -54,113 +182,183 @@ class SurfaceChart:
         self.root_tol = root_tol
         self.label = label
         self.param_floor = param_floor  # widened brackets never go below this
-        self._roots = {}
+
+    # -- evaluation along lines
 
     def _value(self, u: float, v: float, s: float) -> float:
         X = self.embed(u, v, s)
         return float(jets.value(self.f.expr(X[0], X[1], X[2])))
-
-    def _scan(self, u: float, v: float, ss: np.ndarray) -> list:
-        """f at the samples ``ss`` of one line, from one array evaluation.
-
-        On arrays numpy turns what raises on a float (log or sqrt outside its
-        domain, division by zero) into nan or inf. So a floating-point flag
-        sends the scan to pointwise evaluation in sample order, which raises as
-        the pointwise scan does at its first such sample. A sample that is
-        still nan or inf (numpy scalar division or power on the line
-        parameter) has no sign, and the scan raises DomainError.
-        """
-        X = self.embed(u, v, ss)
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                vals = np.broadcast_to(jets.value(self.f.expr(X[0], X[1], X[2])), ss.shape)
-        except FloatingPointError:
-            vals = np.array([self._value(u, v, s) for s in ss])
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            raise DomainError(
-                f"{self.label}: f is not finite at s = {ss[np.argmax(bad)]:g} "
-                f"on the line (u, v) = ({u:g}, {v:g})")
-        return vals.tolist()
 
     def _slope(self, u: float, v: float, s: float) -> float:
         S = jets.Jet(s, (1.0, 0.0, 0.0))
         X = self.embed(u, v, S)
         return float(jets.peel_grad(self.f.expr(X[0], X[1], X[2]), 0))
 
-    def root(self, u: float, v: float) -> float:
-        key = (u, v)
-        cached = self._roots.get(key)
-        if cached is not None:
-            return cached
+    def _eval(self, on_arrays, on_floats, u, v, s, lanes, errors) -> np.ndarray:
+        """``on_arrays(u, v, s)`` in one evaluation, or ``on_floats`` line by line.
 
-        lo, hi = self.bracket(u, v)
-        pair = None
+        A floating-point flag on the arrays sends every line to float
+        evaluation; a line that raises there has its error recorded in
+        ``errors[lane]`` (the first one a lane meets is kept) and reads 0.
+        """
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return np.broadcast_to(np.asarray(on_arrays(u, v, s), dtype=float), s.shape)
+        except FloatingPointError:
+            pass
+        out = np.zeros(s.shape)
+        for k, lane in enumerate(lanes.tolist()):
+            try:
+                out[k] = on_floats(float(u[k]), float(v[k]), float(s[k]))
+            except Exception as exc:  # the line's own failure, raised in lane order
+                errors.setdefault(lane, exc)
+        return out
+
+    def _values(self, u, v, s, lanes, errors) -> np.ndarray:
+        def on_arrays(u, v, s):
+            X = self.embed(u, v, s)
+            return jets.value(self.f.expr(X[0], X[1], X[2]))
+
+        return self._eval(on_arrays, self._value, u, v, s, lanes, errors)
+
+    def _slopes(self, u, v, s, lanes, errors) -> np.ndarray:
+        def on_arrays(u, v, s):
+            X = self.embed(u, v, jets.Jet(s, (1.0, 0.0, 0.0)))
+            return jets.peel_grad(self.f.expr(X[0], X[1], X[2]), 0)
+
+        return self._eval(on_arrays, self._slope, u, v, s, lanes, errors)
+
+    def _scan(self, u: float, v: float, ss: np.ndarray) -> np.ndarray:
+        """f at the samples ``ss`` of one line, from one array evaluation.
+
+        On arrays numpy turns what raises on a float (log or sqrt outside its
+        domain, division by zero) into nan or inf. So a floating-point flag
+        sends the scan to pointwise evaluation in sample order, which raises as
+        the pointwise scan does at its first such sample.
+        """
+        X = self.embed(u, v, ss)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return np.broadcast_to(jets.value(self.f.expr(X[0], X[1], X[2])), ss.shape)
+        except FloatingPointError:
+            return np.array([self._value(u, v, s) for s in ss])
+
+    def _scan_lines(self, u, v, ss, lanes, errors) -> np.ndarray:
+        """f at the samples ``ss[k]`` of each line: one ``(lines, 25)`` evaluation.
+
+        A floating-point flag sends each line to its own scan. A sample that is
+        still nan or inf (numpy scalar division or power on the line
+        parameter) has no sign, and its line fails with DomainError.
+        """
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                X = self.embed(u[:, None], v[:, None], ss)
+                vals = np.broadcast_to(jets.value(self.f.expr(X[0], X[1], X[2])), ss.shape)
+        except FloatingPointError:
+            vals = np.zeros(ss.shape)
+            for k, lane in enumerate(lanes.tolist()):
+                try:
+                    vals[k] = self._scan(float(u[k]), float(v[k]), ss[k])
+                except Exception as exc:
+                    errors.setdefault(lane, exc)
+        bad = ~np.isfinite(vals)
+        for k in np.flatnonzero(bad.any(axis=1)).tolist():
+            errors.setdefault(int(lanes[k]), DomainError(
+                f"{self.label}: f is not finite at s = {ss[k, np.argmax(bad[k])]:g} "
+                f"on the line (u, v) = ({u[k]:g}, {v[k]:g})"))
+        return vals
+
+    # -- certified roots
+
+    def _solve(self, u: np.ndarray, v: np.ndarray):
+        """Certified roots of the lines (flat lanes u, v) and the slopes there."""
+        n = u.size
+        errors = {}  # lane -> the first error the lane met
+        lanes = np.arange(n)
+        ends = np.array([self.bracket(a, b) for a, b in zip(u.tolist(), v.tolist())],
+                        dtype=float).reshape(n, 2)
+        lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
+        s_lo, s_hi = np.zeros(n), np.zeros(n)
+        ok = np.ones(n, dtype=bool)  # lanes with no error yet
+
+        scan = lanes
         for _ in range(7):
-            ss = np.linspace(lo, hi, 25)
-            vals = self._scan(u, v, ss)
-            # a sample landing exactly on the root must count once, not as
-            # two sign flips around it
-            brackets = []
-            last = None
-            for k, val in enumerate(vals):
-                if val == 0.0:
-                    brackets.append((float(ss[k]), float(ss[k])))
-                    last = None
-                    continue
-                sgn = 1 if val > 0.0 else -1
-                if last is not None and sgn != last[1]:
-                    brackets.append((float(ss[last[0]]), float(ss[k])))
-                last = (k, sgn)
-            if len(brackets) > 1:
-                raise MultiRootError(
-                    f"{self.label}: {len(brackets)} sign changes on [{lo:g}, {hi:g}] "
-                    f"at (u, v) = ({u:g}, {v:g})")
-            if brackets:
-                pair = brackets[0]
+            if not scan.size:
                 break
-            mid, half = 0.5 * (lo + hi), hi - lo
-            lo, hi = mid - half, mid + half
+            ss = np.linspace(lo[scan], hi[scan], 25, axis=-1)
+            vals = self._scan_lines(u[scan], v[scan], ss, scan, errors)
+            # a sample landing exactly on the root counts once, not as two
+            # sign flips around it
+            zero = vals == 0.0
+            pos = vals > 0.0
+            events = zero.copy()
+            events[:, 1:] |= ~zero[:, 1:] & ~zero[:, :-1] & (pos[:, 1:] != pos[:, :-1])
+            count = events.sum(axis=1)
+            ok[list(errors)] = False
+            live = ok[scan]
+            for k in np.flatnonzero(live & (count > 1)).tolist():
+                lane = int(scan[k])
+                errors[lane] = MultiRootError(
+                    f"{self.label}: {count[k]} sign changes on [{lo[lane]:g}, {hi[lane]:g}] "
+                    f"at (u, v) = ({u[lane]:g}, {v[lane]:g})")
+            rows = np.flatnonzero(live & (count == 1))
+            at = events[rows].argmax(axis=1)
+            s_hi[scan[rows]] = ss[rows, at]
+            s_lo[scan[rows]] = np.where(zero[rows, at], ss[rows, at], ss[rows, at - 1])
+            scan = scan[live & (count == 0)]
+            mid, half = 0.5 * (lo[scan] + hi[scan]), hi[scan] - lo[scan]
+            lo[scan], hi[scan] = mid - half, mid + half
             if self.param_floor is not None:
-                lo = max(lo, self.param_floor)
-        if pair is None:
-            raise NoRootError(f"{self.label}: no sign change found near (u, v) = ({u:g}, {v:g})")
+                lo[scan] = np.maximum(lo[scan], self.param_floor)
+        for lane in scan.tolist():
+            errors[lane] = NoRootError(
+                f"{self.label}: no sign change found near (u, v) = ({u[lane]:g}, {v[lane]:g})")
 
-        if self._value(u, v, pair[0]) == 0.0:
-            s = pair[0]
-        elif self._value(u, v, pair[1]) == 0.0:
-            s = pair[1]
-        else:
-            s = brentq(lambda t: self._value(u, v, t), pair[0], pair[1],
-                       xtol=1e-13, rtol=8.9e-16, maxiter=200)
+        s = s_lo.copy()
+        ok[list(errors)] = False
+        solve = lanes[ok & (s_lo != s_hi)]
+        if solve.size:
+            s[solve] = brentq(
+                lambda t, j: self._values(u[solve[j]], v[solve[j]], t, solve[j], errors),
+                s_lo[solve], s_hi[solve], xtol=1e-13, rtol=8.9e-16, maxiter=200)
+            ok[list(errors)] = False
+
+        polish = lanes[ok]
         for _ in range(3):
-            fv = self._value(u, v, s)
-            sl = self._slope(u, v, s)
-            if fv == 0.0 or abs(sl) < 1e-14:
+            if not polish.size:
                 break
-            s -= fv / sl
+            fv = self._values(u[polish], v[polish], s[polish], polish, errors)
+            sl = self._slopes(u[polish], v[polish], s[polish], polish, errors)
+            ok[list(errors)] = False
+            step = ok[polish] & ~((fv == 0.0) | (np.abs(sl) < 1e-14))
+            polish = polish[step]
+            s[polish] -= fv[step] / sl[step]
 
-        fv = self._value(u, v, s)
-        if abs(fv) > self.root_tol:
-            raise NoRootError(
-                f"{self.label}: root certification failed, |f| = {abs(fv):.3e} "
-                f"> {self.root_tol:g} at (u, v) = ({u:g}, {v:g})")
-        sl = self._slope(u, v, s)
-        if sl < self.slope_floor:
-            raise MonotonicityError(
-                f"{self.label}: line slope {sl:.3e} below floor {self.slope_floor:g} "
-                f"at (u, v) = ({u:g}, {v:g})")
-        self._roots[key] = float(s)
-        return float(s)
+        check = lanes[ok]
+        fv = np.abs(self._values(u[check], v[check], s[check], check, errors))
+        for k in np.flatnonzero(fv > self.root_tol).tolist():
+            lane = int(check[k])
+            errors.setdefault(lane, NoRootError(
+                f"{self.label}: root certification failed, |f| = {fv[k]:.3e} "
+                f"> {self.root_tol:g} at (u, v) = ({u[lane]:g}, {v[lane]:g})"))
+        ok[list(errors)] = False
+        check = lanes[ok]
+        slope = np.zeros(n)
+        slope[check] = self._slopes(u[check], v[check], s[check], check, errors)
+        for lane in check[slope[check] < self.slope_floor].tolist():
+            errors.setdefault(lane, MonotonicityError(
+                f"{self.label}: line slope {slope[lane]:.3e} below floor {self.slope_floor:g} "
+                f"at (u, v) = ({u[lane]:g}, {v[lane]:g})"))
+        if errors:
+            raise errors[min(errors)]
+        return s, slope
 
-    def root_jet(self, u: float, v: float, depth: int):
+    def _root_jet(self, u, v, s0, slope, depth: int):
         """Root as a jet in (u, v), exact to the seeded depth.
 
         Simplified Newton in jet arithmetic with the frozen float slope; each
         sweep gains one Taylor order, so depth+1 sweeps land exactly.
         """
-        s0 = self.root(u, v)
-        d = self._slope(u, v, s0)
         U, V = u, v
         for _ in range(depth):
             U = jets.Jet(U, (1.0, 0.0, 0.0))
@@ -168,88 +366,154 @@ class SurfaceChart:
         S = s0
         for _ in range(depth + 1):
             X = self.embed(U, V, S)
-            F = self.f.expr(X[0], X[1], X[2])
-            S = S - F / d
+            S = S - self.f.expr(X[0], X[1], X[2]) / slope
         return S
 
-    def point_at(self, u: float, v: float) -> Point3:
-        s = self.root(u, v)
-        X = self.embed(u, v, s)
-        return Point3(float(X[0]), float(X[1]), float(X[2]))
+    def _points(self, u, v, s) -> Point3:
+        return Point3(*(_on_lanes(x, u.size) for x in self.embed(u, v, s)))
 
-    def height_slopes(self, u: float, v: float) -> np.ndarray:
-        """(ds/du, ds/dv) of the root."""
-        S = self.root_jet(u, v, 1)
-        return np.array([float(jets.peel_grad(S, 0)), float(jets.peel_grad(S, 1))])
+    def _lift(self, u, v) -> _Lift:
+        """Roots, root jets, surface points and chart tangents of flat lanes: one solve."""
+        s, slope = self._solve(u, v)
+        S = self._root_jet(u, v, s, slope, 1)
+        X = self.embed(jets.Jet(u, (1.0, 0.0, 0.0)), jets.Jet(v, (0.0, 1.0, 0.0)), S)
+        tu = np.stack([_on_lanes(jets.peel_grad(x, 0), u.size) for x in X], axis=-1)
+        tv = np.stack([_on_lanes(jets.peel_grad(x, 1), u.size) for x in X], axis=-1)
+        return _Lift(s=s, jet=S, point=self._points(u, v, s), tu=tu, tv=tv)
 
-    def tangents(self, u: float, v: float):
-        S = self.root_jet(u, v, 1)
-        U = jets.Jet(u, (1.0, 0.0, 0.0))
-        V = jets.Jet(v, (0.0, 1.0, 0.0))
-        X = self.embed(U, V, S)
-        Tu = np.array([float(jets.peel_grad(X[i], 0)) for i in range(3)])
-        Tv = np.array([float(jets.peel_grad(X[i], 1)) for i in range(3)])
-        return Tu, Tv
+    def _sigma(self, lift: _Lift) -> np.ndarray:
+        """(n, 2, 2) induced two-metric of lifted lanes, from one metric evaluation."""
+        g = self.metric.matrix(lift.point)
+        e, fm = _quad(lift.tu, g, lift.tu), _quad(lift.tu, g, lift.tv)
+        return np.stack([e, fm, fm, _quad(lift.tv, g, lift.tv)], axis=-1).reshape(-1, 2, 2)
 
-    def sigma_at(self, u: float, v: float) -> np.ndarray:
-        """Induced two-metric in the chart coordinates."""
-        Tu, Tv = self.tangents(u, v)
-        g = self.metric.matrix(self.point_at(u, v))
-        e = float(Tu @ g @ Tu)
-        fm = float(Tu @ g @ Tv)
-        gg = float(Tv @ g @ Tv)
-        return np.array([[e, fm], [fm, gg]])
+    # -- public evaluations: (u, v) scalars or arrays of lines
+
+    def roots(self, u, v) -> np.ndarray:
+        """Certified roots of the lines (u, v), shaped like their broadcast."""
+        shape, u, v = _lines(u, v)
+        return self._solve(u, v)[0].reshape(shape)
+
+    def root(self, u: float, v: float) -> float:
+        """Certified root of one line: a batch of one."""
+        return float(self.roots(u, v))
+
+    def root_jet(self, u, v, depth: int):
+        """Root as a jet in (u, v), exact to the seeded depth; slots shaped like (u, v)."""
+        shape, u, v = _lines(u, v)
+        s, slope = self._solve(u, v)
+        return _shaped(self._root_jet(u, v, s, slope, depth), shape)
+
+    def point_at(self, u, v) -> Point3:
+        """Surface points; float coordinates for a single line."""
+        shape, u, v = _lines(u, v)
+        p = self._points(u, v, self._solve(u, v)[0])
+        return Point3(*(_shaped(x, shape) for x in p.coords()))
+
+    def height_slopes(self, u, v) -> np.ndarray:
+        """(ds/du, ds/dv) of the roots, ``(..., 2)``."""
+        shape, u, v = _lines(u, v)
+        s, slope = self._solve(u, v)
+        S = self._root_jet(u, v, s, slope, 1)
+        return np.stack([_on_lanes(jets.peel_grad(S, i), u.size) for i in (0, 1)],
+                        axis=-1).reshape(shape + (2,))
+
+    def tangents(self, u, v):
+        """Chart tangents (d/du, d/dv) of the surface, each ``(..., 3)``."""
+        shape, u, v = _lines(u, v)
+        lift = self._lift(u, v)
+        return lift.tu.reshape(shape + (3,)), lift.tv.reshape(shape + (3,))
+
+    def sigma_at(self, u, v) -> np.ndarray:
+        """Induced two-metric in the chart coordinates, ``(..., 2, 2)``."""
+        shape, u, v = _lines(u, v)
+        return self._sigma(self._lift(u, v)).reshape(shape + (2, 2))
 
 
 ### Fourth-order stencils on chart evaluations
 
 _C1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _C2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_STEPS = np.arange(-2.0, 3.0)
 
 
-def _sigma_grid(chart: SurfaceChart, u: float, v: float, delta: float) -> np.ndarray:
-    return np.array([[chart.sigma_at(u + i * delta, v + j * delta)
-                      for j in range(-2, 3)] for i in range(-2, 3)])
+def _stencil(c: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """Weights c contracted with the five samples of ``line[..., 5, 2, 2]``."""
+    return (c @ line.reshape(line.shape[:-2] + (4,))).reshape(line.shape[:-3] + (2, 2))
 
 
-def _sigma_first(chart: SurfaceChart, u: float, v: float, delta: float):
-    """sigma and its first chart derivatives from a 9-point cross."""
-    line_u = np.array([chart.sigma_at(u + i * delta, v) for i in range(-2, 3)])
-    line_v = np.array([chart.sigma_at(u, v + j * delta) for j in range(-2, 3)])
-    sig = line_u[2]
-    d_u = np.tensordot(_C1, line_u, axes=(0, 0)) / delta
-    d_v = np.tensordot(_C1, line_v, axes=(0, 0)) / delta
-    return sig, d_u, d_v
+def _grid_lines(u, v, delta):
+    """Chart coordinates of the 5x5 stencil grids around (u, v), ``(..., 5, 5)`` each."""
+    d = np.asarray(delta, dtype=float)[..., None, None]
+    return np.broadcast_arrays(np.asarray(u, dtype=float)[..., None, None] + _STEPS[:, None] * d,
+                               np.asarray(v, dtype=float)[..., None, None] + _STEPS[None, :] * d)
+
+
+def _sigma_grid(chart: SurfaceChart, u, v, delta) -> np.ndarray:
+    """sigma on the 5x5 stencil grids around (u, v): ``(..., 5, 5, 2, 2)``, one chart call."""
+    return chart.sigma_at(*_grid_lines(u, v, delta))
+
+
+def _first_derivatives(S: np.ndarray, delta):
+    """sigma and its first chart derivatives from the cross of a 5x5 grid."""
+    d = np.asarray(delta, dtype=float)[..., None, None]
+    return (S[..., 2, 2, :, :], _stencil(_C1, S[..., :, 2, :, :]) / d,
+            _stencil(_C1, S[..., 2, :, :, :]) / d)
+
+
+def _sigma_first(chart: SurfaceChart, u, v, delta):
+    """sigma and its first chart derivatives from a 9-point cross, one chart call."""
+    u, v, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (u, v, delta)))
+    steps = delta[..., None] * _STEPS
+    on_u, on_v = u[..., None] + steps, v[..., None] + steps
+    cross = chart.sigma_at(  # the u line, then the v line without its center
+        np.concatenate([on_u, np.repeat(u[..., None], 4, axis=-1)], axis=-1),
+        np.concatenate([np.repeat(v[..., None], 5, axis=-1), on_v[..., [0, 1, 3, 4]]], axis=-1))
+    line_u = cross[..., :5, :, :]
+    line_v = cross[..., [5, 6, 2, 7, 8], :, :]
+    d = delta[..., None, None]
+    return line_u[..., 2, :, :], _stencil(_C1, line_u) / d, _stencil(_C1, line_v) / d
 
 
 def _surface_christoffel(sig: np.ndarray, d_u: np.ndarray, d_v: np.ndarray) -> np.ndarray:
-    """gam[k, a, b] = Gamma^k_{ab} of the two-metric sig from its chart derivatives."""
-    return 0.5 * np.einsum("kl,alb->kab", np.linalg.inv(sig), _first_kind(np.stack((d_u, d_v))))
+    """gam[..., k, a, b] = Gamma^k_{ab} of the two-metric sig from its chart derivatives."""
+    return 0.5 * np.einsum("...kl,...alb->...kab", np.linalg.inv(sig),
+                           _first_kind(np.stack((d_u, d_v), axis=-3)))
 
 
-def gaussian_curvature(chart: SurfaceChart, u: float, v: float, delta: float) -> float:
-    """Intrinsic curvature of the induced two-metric via the Brioschi formula."""
-    S = _sigma_grid(chart, u, v, delta)
-    sig = S[2, 2]
-    d_u = np.tensordot(_C1, S[:, 2], axes=(0, 0)) / delta
-    d_v = np.tensordot(_C1, S[2, :], axes=(0, 0)) / delta
-    d_uu = np.tensordot(_C2, S[:, 2], axes=(0, 0)) / (delta * delta)
-    d_vv = np.tensordot(_C2, S[2, :], axes=(0, 0)) / (delta * delta)
-    d_uv = np.einsum("i,j,ijab->ab", _C1, _C1, S) / (delta * delta)
+def _brioschi(S: np.ndarray, delta) -> np.ndarray:
+    """Intrinsic curvature from the sigma grids ``S[..., 5, 5, 2, 2]`` (Brioschi formula)."""
+    d = np.asarray(delta, dtype=float)[..., None, None]
+    sig, d_u, d_v = _first_derivatives(S, delta)
+    d_uu = _stencil(_C2, S[..., :, 2, :, :]) / (d * d)
+    d_vv = _stencil(_C2, S[..., 2, :, :, :]) / (d * d)
+    d_uv = np.einsum("i,j,...ijab->...ab", _C1, _C1, S) / (d * d)
 
-    E, F, G = sig[0, 0], sig[0, 1], sig[1, 1]
-    M1 = np.array([
-        [-0.5 * d_vv[0, 0] + d_uv[0, 1] - 0.5 * d_uu[1, 1], 0.5 * d_u[0, 0], d_u[0, 1] - 0.5 * d_v[0, 0]],
-        [d_v[0, 1] - 0.5 * d_u[1, 1], E, F],
-        [0.5 * d_v[1, 1], F, G],
-    ])
-    M2 = np.array([
-        [0.0, 0.5 * d_v[0, 0], 0.5 * d_u[1, 1]],
-        [0.5 * d_v[0, 0], E, F],
-        [0.5 * d_u[1, 1], F, G],
-    ])
+    E, F, G = sig[..., 0, 0], sig[..., 0, 1], sig[..., 1, 1]
+    zero = np.zeros_like(E)
+    M1 = np.stack([
+        -0.5 * d_vv[..., 0, 0] + d_uv[..., 0, 1] - 0.5 * d_uu[..., 1, 1], 0.5 * d_u[..., 0, 0],
+        d_u[..., 0, 1] - 0.5 * d_v[..., 0, 0],
+        d_v[..., 0, 1] - 0.5 * d_u[..., 1, 1], E, F,
+        0.5 * d_v[..., 1, 1], F, G,
+    ], axis=-1).reshape(E.shape + (3, 3))
+    M2 = np.stack([
+        zero, 0.5 * d_v[..., 0, 0], 0.5 * d_u[..., 1, 1],
+        0.5 * d_v[..., 0, 0], E, F,
+        0.5 * d_u[..., 1, 1], F, G,
+    ], axis=-1).reshape(E.shape + (3, 3))
     den = (E * G - F * F) ** 2
-    return float((np.linalg.det(M1) - np.linalg.det(M2)) / den)
+    return (np.linalg.det(M1) - np.linalg.det(M2)) / den
+
+
+def gaussian_curvature(chart: SurfaceChart, u, v, delta):
+    """Intrinsic curvature of the induced two-metric via the Brioschi formula.
+
+    (u, v) and the stencil steps ``delta`` may be arrays: all their stencils
+    take one chart call. A float for a single point.
+    """
+    K = _brioschi(_sigma_grid(chart, u, v, delta), delta)
+    return K if np.ndim(K) else float(K)
 
 
 ### Regions and graph extraction
@@ -335,9 +599,10 @@ def extract_zero_graph(f: PotentialField, metric: MetricField, region,
                        slope_floor: float = 0.5, root_tol: float = 1e-10) -> SurfaceGraph:
     """Extract the zero set of f as a graph along the x1 direction.
 
-    Every grid node gets a certified root; the graph-direction derivative must
-    stay above ``slope_floor`` (MonotonicityError otherwise), and missing or
-    multiple crossings raise NoRootError / MultiRootError.
+    Every grid node gets a certified root, all from one chart call; the
+    graph-direction derivative must stay above ``slope_floor``
+    (MonotonicityError otherwise), and missing or multiple crossings raise
+    NoRootError / MultiRootError.
     """
 
     def embed(U, V, S):
@@ -347,20 +612,17 @@ def extract_zero_graph(f: PotentialField, metric: MetricField, region,
                          bracket if bracket is not None else _default_graph_bracket,
                          slope_floor=slope_floor, root_tol=root_tol,
                          label=f"graph[{f.label}]")
-    nodes = region.grid(n_u, n_v)
-    heights, slopes, sigmas, devs = [], [], [], []
-    eye = np.eye(2)
-    for (u, v) in nodes:
-        heights.append(chart.root(u, v))
-        slopes.append(chart.height_slopes(u, v))
-        sig = chart.sigma_at(u, v)
-        sigmas.append(sig)
-        devs.append(float(np.abs(sig - eye).max()))
-    return SurfaceGraph(chart=chart, region=region, nodes=np.array(nodes),
-                        heights=np.array(heights), slopes=np.array(slopes),
-                        sigmas=np.array(sigmas), sigma_deviation=np.array(devs))
+    nodes = np.array(region.grid(n_u, n_v))
+    lift = chart._lift(nodes[:, 0], nodes[:, 1])
+    slopes = np.stack([_on_lanes(jets.peel_grad(lift.jet, i), len(nodes)) for i in (0, 1)],
+                      axis=-1)
+    sigmas = chart._sigma(lift)
+    return SurfaceGraph(chart=chart, region=region, nodes=nodes, heights=lift.s,
+                        slopes=slopes, sigmas=sigmas,
+                        sigma_deviation=np.abs(sigmas - np.eye(2)).max(axis=(1, 2)))
 
 
+### Boundary circles: geodesic curvature and the turning-number limit
 ### Boundary circles: geodesic curvature and the turning-number limit
 
 
@@ -372,9 +634,17 @@ class CircleTurning:
     mean_kappa_deviation: float   # mean of |kappa * radius - 1|
 
 
+def _running_sum(terms: np.ndarray) -> float:
+    """Left-to-right sum, as a loop adding one term at a time computes it."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
 def circle_turning(graph: SurfaceGraph, radius: float, n_angles: int = 256,
                    delta: float | None = None) -> CircleTurning:
-    """Total geodesic curvature of the coordinate circle |(u, v)| = radius."""
+    """Total geodesic curvature of the coordinate circle |(u, v)| = radius.
+
+    The stencils of all angles take one chart call.
+    """
     region = graph.region
     if not isinstance(region, AnnulusRegion):
         raise ResolutionError("turning integrals need an annulus graph")
@@ -385,26 +655,20 @@ def circle_turning(graph: SurfaceGraph, radius: float, n_angles: int = 256,
             f"circle radius {radius:g} too close to the annulus edge for stencil {d:g}")
 
     w = 2.0 * np.pi / n_angles
-    total = 0.0
-    length = 0.0
-    dev = 0.0
-    for k in range(n_angles):
-        lam = w * k
-        cl, sl = math.cos(lam), math.sin(lam)
-        u, v = radius * cl, radius * sl
-        sig, d_u, d_v = _sigma_first(graph.chart, u, v, d)
-        gam = _surface_christoffel(sig, d_u, d_v)
-        cp = np.array([-radius * sl, radius * cl])
-        cpp = np.array([-radius * cl, -radius * sl])
-        acc = cpp + np.einsum("kab,a,b->k", gam, cp, cp)
-        speed2 = float(cp @ sig @ cp)
-        num = cp[0] * acc[1] - cp[1] * acc[0]
-        kappa = math.sqrt(float(np.linalg.det(sig))) * num / speed2 ** 1.5
-        total += kappa * math.sqrt(speed2) * w
-        length += math.sqrt(speed2) * w
-        dev += abs(kappa * radius - 1.0) / n_angles
-    return CircleTurning(radius=radius, turning_integral=total, length=length,
-                         mean_kappa_deviation=dev)
+    lam = w * np.arange(n_angles)
+    cl, sl = np.cos(lam), np.sin(lam)
+    sig, d_u, d_v = _sigma_first(graph.chart, radius * cl, radius * sl, d)
+    gam = _surface_christoffel(sig, d_u, d_v)
+    cp = np.stack([-radius * sl, radius * cl], axis=-1)
+    cpp = np.stack([-radius * cl, -radius * sl], axis=-1)
+    acc = cpp + np.einsum("...kab,...a,...b->...k", gam, cp, cp)
+    speed2 = _quad(cp, sig, cp)
+    num = cp[:, 0] * acc[:, 1] - cp[:, 1] * acc[:, 0]
+    kappa = np.sqrt(np.linalg.det(sig)) * num / speed2 ** 1.5
+    speed = np.sqrt(speed2)
+    return CircleTurning(radius=radius, turning_integral=_running_sum(kappa * speed * w),
+                         length=_running_sum(speed * w),
+                         mean_kappa_deviation=_running_sum(np.abs(kappa * radius - 1.0) / n_angles))
 
 
 @dataclass(frozen=True)
@@ -454,34 +718,27 @@ class ClosedComponent:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def curvature_integral(self, n_polar: int = 16, n_azimuth: int = 32) -> float:
-        """Integral of the intrinsic curvature over the component."""
+    @staticmethod
+    def _nodes(n_polar: int, n_azimuth: int):
+        """Gauss-Legendre polar times uniform azimuthal nodes, polar-major, and weights."""
         xi, wxi = np.polynomial.legendre.leggauss(n_polar)
         thetas = 0.5 * math.pi * (xi + 1.0)
-        wth = 0.5 * math.pi * wxi
         phis = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-        wph = 2.0 * np.pi / n_azimuth
-        total = 0.0
-        for th, wt in zip(thetas, wth):
-            d = min(0.02, th / 3.0, (math.pi - th) / 3.0)
-            for ph in phis:
-                K = gaussian_curvature(self.chart, float(th), float(ph), d)
-                sig = self.chart.sigma_at(float(th), float(ph))
-                total += wt * wph * K * math.sqrt(float(np.linalg.det(sig)))
-        return total
+        weights = (0.5 * math.pi * wxi)[:, None] * (2.0 * np.pi / n_azimuth)
+        th, ph = np.meshgrid(thetas, phis, indexing="ij")
+        return th, ph, np.broadcast_to(weights, th.shape)
+
+    def curvature_integral(self, n_polar: int = 16, n_azimuth: int = 32) -> float:
+        """Integral of the intrinsic curvature over the component, one chart call."""
+        th, ph, wt = self._nodes(n_polar, n_azimuth)
+        d = np.minimum(np.minimum(0.02, th / 3.0), (math.pi - th) / 3.0)
+        S = _sigma_grid(self.chart, th, ph, d)
+        area = np.sqrt(np.linalg.det(S[..., 2, 2, :, :]))
+        return _running_sum((wt * _brioschi(S, d) * area).ravel())
 
     def area(self, n_polar: int = 16, n_azimuth: int = 32) -> float:
-        xi, wxi = np.polynomial.legendre.leggauss(n_polar)
-        thetas = 0.5 * math.pi * (xi + 1.0)
-        wth = 0.5 * math.pi * wxi
-        phis = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-        wph = 2.0 * np.pi / n_azimuth
-        total = 0.0
-        for th, wt in zip(thetas, wth):
-            for ph in phis:
-                sig = self.chart.sigma_at(float(th), float(ph))
-                total += wt * wph * math.sqrt(float(np.linalg.det(sig)))
-        return total
+        th, ph, wt = self._nodes(n_polar, n_azimuth)
+        return _running_sum((wt * np.sqrt(np.linalg.det(self.chart.sigma_at(th, ph)))).ravel())
 
 
 def extract_closed_component(f: PotentialField, metric: MetricField, center,
@@ -489,9 +746,10 @@ def extract_closed_component(f: PotentialField, metric: MetricField, center,
                              root_tol: float = 1e-10) -> ClosedComponent:
     """Mesh a closed zero-set component star-shaped around a center.
 
-    Rays are solved like graph lines; the Euler characteristic comes from the
-    actual vertex/edge/face counts of the triangulation. Vanishing |grad f| on
-    the component raises CriticalOnZeroSetError.
+    Rays are solved like graph lines, all vertices in one chart call; the Euler
+    characteristic comes from the actual vertex/edge/face counts of the
+    triangulation. Vanishing |grad f| on the component raises
+    CriticalOnZeroSetError.
     """
     if hasattr(center, "as_array"):
         center = center.as_array()
@@ -518,7 +776,9 @@ def extract_closed_component(f: PotentialField, metric: MetricField, center,
             params.append((th, ph))
     params.append((math.pi, 0.0))
 
-    vertices = [chart.point_at(u, v) for (u, v) in params]
+    us, vs = np.array(params).T
+    p = chart.point_at(us, vs)
+    vertices = [Point3(*xyz) for xyz in zip(*(x.tolist() for x in p.coords()))]
 
     def ring_index(i: int, j: int) -> int:
         return 1 + i * n_phi + (j % n_phi)
@@ -543,17 +803,17 @@ def extract_closed_component(f: PotentialField, metric: MetricField, center,
         edges.add(tuple(sorted((a, cc))))
     euler = len(vertices) - len(edges) + len(triangles)
 
-    grad_norms = []
-    for p in vertices:
-        gn = _norm_g(metric.matrix(p), f.gradient(p))
-        if gn < 1e-8:
-            raise CriticalOnZeroSetError(
-                f"{f.label}: |grad f| = {gn:.3e} at {p.coords()}; component degenerate")
-        grad_norms.append(gn)
+    grad_norms = _norm_g(metric.matrix(p), f.gradient(p))
+    low = grad_norms < 1e-8
+    if low.any():
+        k = int(np.argmax(low))
+        raise CriticalOnZeroSetError(
+            f"{f.label}: |grad f| = {grad_norms[k]:.3e} at {vertices[k].coords()}; "
+            "component degenerate")
 
     return ClosedComponent(chart=chart, center=c, vertex_params=params,
                            vertices=vertices, triangles=triangles,
-                           euler_characteristic=euler, grad_norms=np.array(grad_norms))
+                           euler_characteristic=euler, grad_norms=grad_norms)
 
 
 ### Adapted-frame curvature laws on zero sets
@@ -571,18 +831,19 @@ class ZeroSetLawReport:
     k_plus_r33: np.ndarray
 
 
-def _adapted_frame(f: PotentialField, res: StaticResidual, chart: SurfaceChart,
-                   u: float, v: float):
-    """Unit normal, |grad f|_g and a g-orthonormal tangent pair, from the static pass."""
+def _adapted_frame(f: PotentialField, res: StaticResidual, lift: _Lift):
+    """Unit normals, |grad f|_g and g-orthonormal tangent pairs, from the static pass."""
     g, grad = res.curvature.metric_matrix, res.gradient
     gn = _norm_g(g, grad)
-    if gn < 1e-8:
-        raise CriticalOnZeroSetError(f"{f.label}: |grad f| degenerate at {res.point.coords()}")
-    nu = np.linalg.inv(g) @ grad / gn
-    Tu, Tv = chart.tangents(u, v)
-    t1 = Tu / math.sqrt(float(Tu @ g @ Tu))
-    t2 = Tv - float(Tv @ g @ t1) * t1
-    t2 = t2 / math.sqrt(float(t2 @ g @ t2))
+    low = gn < 1e-8
+    if low.any():
+        raise CriticalOnZeroSetError(
+            f"{f.label}: |grad f| degenerate at {_first_flagged(res.point, low)}")
+    nu = (np.linalg.inv(g) @ grad[..., None])[..., 0] / gn[:, None]
+    tu, tv = lift.tu, lift.tv
+    t1 = tu / np.sqrt(_quad(tu, g, tu))[:, None]
+    t2 = tv - _quad(tv, g, t1)[:, None] * t1
+    t2 = t2 / np.sqrt(_quad(t2, g, t2))[:, None]
     return g, nu, gn, t1, t2
 
 
@@ -594,32 +855,29 @@ def zero_set_laws(f: PotentialField, metric: MetricField, chart: SurfaceChart,
     stencil steps for the intrinsic curvature. At each sample the normal must
     be a Ricci eigenvector, the two tangential eigenvalues must coincide, and
     the intrinsic curvature must equal both twice the tangential eigenvalue
-    and minus the normal one. Each sample takes one static pass; a critical
-    zero set is reported before a failed static gate.
+    and minus the normal one. The sample set takes one chart call for the
+    samples, one static pass and one chart call for the curvature stencils.
+    Failures are reported stage by stage, at the first failing sample: a
+    critical zero set before a failed static gate.
     """
-    gns, tang, eig_res, gaps, ks, km2, kp3 = [], [], [], [], [], [], []
-    for (u, v), d in zip(samples, deltas):
-        res = static_residual(f, metric, chart.point_at(u, v))
-        g, nu, gn, t1, t2 = _adapted_frame(f, res, chart, u, v)
-        ric = _gate(res, f, metric, static_tol).curvature.ricci
-        r11 = float(t1 @ ric @ t1)
-        r22 = float(t2 @ ric @ t2)
-        r33 = float(nu @ ric @ nu)
-        tang.append(max(abs(float(nu @ ric @ t1)), abs(float(nu @ ric @ t2))))
-        eig_res.append(float(np.linalg.norm(ric @ nu - r33 * (g @ nu))))
-        K = gaussian_curvature(chart, u, v, d)
-        gns.append(gn)
-        gaps.append(abs(r11 - r22))
-        ks.append(K)
-        km2.append(abs(K - 2.0 * r11))
-        kp3.append(abs(K + r33))
-    gns = np.array(gns)
-    spread = float((gns.max() - gns.min()) / max(abs(gns.mean()), 1e-300))
-    return ZeroSetLawReport(grad_norms=gns, grad_norm_spread=spread,
-                            tangential_ricci_max=np.array(tang),
-                            eigen_residuals=np.array(eig_res),
-                            r11_r22_gaps=np.array(gaps), k_values=np.array(ks),
-                            k_minus_2r11=np.array(km2), k_plus_r33=np.array(kp3))
+    us, vs = np.array(samples, dtype=float).reshape(-1, 2).T
+    ds = np.asarray(deltas, dtype=float)
+    lift = chart._lift(us, vs)
+    res = static_residual(f, metric, lift.point)
+    g, nu, gn, t1, t2 = _adapted_frame(f, res, lift)
+    ric = _gate(res, f, metric, static_tol).curvature.ricci
+    r11 = _quad(t1, ric, t1)
+    r22 = _quad(t2, ric, t2)
+    r33 = _quad(nu, ric, nu)
+    tang = np.maximum(np.abs(_quad(nu, ric, t1)), np.abs(_quad(nu, ric, t2)))
+    resid = (ric @ nu[..., None])[..., 0] - r33[:, None] * (g @ nu[..., None])[..., 0]
+    ks = gaussian_curvature(chart, us, vs, ds)
+    spread = float((gn.max() - gn.min()) / max(abs(gn.mean()), 1e-300))
+    return ZeroSetLawReport(grad_norms=gn, grad_norm_spread=spread,
+                            tangential_ricci_max=tang,
+                            eigen_residuals=np.sqrt(_dot(resid, resid)),
+                            r11_r22_gaps=np.abs(r11 - r22), k_values=ks,
+                            k_minus_2r11=np.abs(ks - 2.0 * r11), k_plus_r33=np.abs(ks + r33))
 
 
 @dataclass(frozen=True)
@@ -630,44 +888,41 @@ class SecondPotentialReport:
     hessian_scale: float
 
 
-def _scalar_grid(fn, u: float, v: float, delta: float) -> np.ndarray:
-    return np.array([[fn(u + i * delta, v + j * delta) for j in range(-2, 3)]
-                     for i in range(-2, 3)])
-
-
 def second_potential_laws(f_second: PotentialField, chart: SurfaceChart,
                           samples, deltas) -> SecondPotentialReport:
     """Constancy of K f^3 and the intrinsic Hessian law for a second potential.
 
     ``f_second`` is a static potential whose zero set is elsewhere; restricted
     to this chart's surface it must satisfy Hess_sigma f = (K f / 2) sigma,
-    and K f^3 must be constant along each component.
+    and K f^3 must be constant along each component. The stencils of all
+    samples take one chart call, which gives f, sigma and the intrinsic
+    curvature.
     """
-    vals, res_max, scale = [], 0.0, 0.0
+    us, vs = np.array(samples, dtype=float).reshape(-1, 2).T
+    d = np.asarray(deltas, dtype=float)
+    grid_u, grid_v = _grid_lines(us, vs, d)
+    lift = chart._lift(grid_u.ravel(), grid_v.ravel())
+    S = chart._sigma(lift).reshape(grid_u.shape + (2, 2))
+    grid = f_second.value(lift.point).reshape(grid_u.shape)
 
-    def restricted(u, v):
-        return f_second.value(chart.point_at(u, v))
+    dd = d * d
+    f_c = grid[:, 2, 2]
+    f_u = _dot(_C1, grid[:, :, 2]) / d
+    f_v = _dot(_C1, grid[:, 2, :]) / d
+    f_uu = _dot(_C2, grid[:, :, 2]) / dd
+    f_vv = _dot(_C2, grid[:, 2, :]) / dd
+    f_uv = np.einsum("i,j,...ij->...", _C1, _C1, grid) / dd
 
-    for (u, v), d in zip(samples, deltas):
-        grid = _scalar_grid(restricted, u, v, d)
-        f_c = grid[2, 2]
-        f_u = float(_C1 @ grid[:, 2]) / d
-        f_v = float(_C1 @ grid[2, :]) / d
-        f_uu = float(_C2 @ grid[:, 2]) / (d * d)
-        f_vv = float(_C2 @ grid[2, :]) / (d * d)
-        f_uv = float(np.einsum("i,j,ij->", _C1, _C1, grid)) / (d * d)
+    sig, d_u, d_v = _first_derivatives(S, d)
+    gam = _surface_christoffel(sig, d_u, d_v)
+    hess = np.stack([f_uu, f_uv, f_uv, f_vv], axis=-1).reshape(-1, 2, 2)
+    hess -= gam[:, 0] * f_u[:, None, None] + gam[:, 1] * f_v[:, None, None]
 
-        sig, d_u, d_v = _sigma_first(chart, u, v, d)
-        gam = _surface_christoffel(sig, d_u, d_v)
-        hess = np.array([[f_uu, f_uv], [f_uv, f_vv]])
-        hess -= gam[0] * f_u + gam[1] * f_v
-
-        K = gaussian_curvature(chart, u, v, d)
-        law = 0.5 * K * f_c * sig
-        res_max = max(res_max, float(np.abs(hess - law).max()))
-        scale = max(scale, float(np.abs(law).max()) + abs(f_uu) + abs(f_vv))
-        vals.append(K * f_c ** 3)
-    vals = np.array(vals)
+    K = _brioschi(S, d)
+    law = (0.5 * K * f_c)[:, None, None] * sig
+    res_max = float(np.abs(hess - law).max(axis=(1, 2)).max(initial=0.0))
+    scale = float((np.abs(law).max(axis=(1, 2)) + np.abs(f_uu) + np.abs(f_vv)).max(initial=0.0))
+    vals = K * f_c ** 3
     spread = float((vals.max() - vals.min()) / max(abs(vals.mean()), 1e-300))
     return SecondPotentialReport(values=vals, relative_spread=spread,
                                  hessian_residual_max=res_max, hessian_scale=scale)

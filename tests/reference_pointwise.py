@@ -4,8 +4,11 @@ A frozen copy of the pointwise code the library used before its curvature,
 potential and zero-set layers became array-generic: nested-list jet
 extraction, the explicit 3^4 loop assembler, quadrature drivers that visit one
 node at a time, the recursive expression tree walker, the node-by-node
-linear-part fit and the sample-by-sample root scan. It runs in plain Python
-arithmetic, so the batched paths can be checked against it entry by entry.
+linear-part fit, and the per-line surface chart: a sample-by-sample root scan
+refined by ``scipy.optimize.brentq``, tangents and sigma one line per call, and
+curvature stencils and turning integrals built one point at a time. It runs in
+plain Python arithmetic, so the batched paths can be checked against it entry
+by entry.
 It also keeps the static-gated identities as they were before they read the
 static gate's curvature and potential derivatives: each evaluates them again
 after the gate, as do the surface Christoffel loop and the geodesic transport
@@ -407,7 +410,7 @@ def reference_fit_linear_part(f: PotentialField, metric: MetricField, radii: Seq
                          remainder_rms=rms, remainder_exponent=exponent)
 
 
-### Certified root along one line, scanned one sample at a time
+### Per-line surface chart: one certified root, scanned one sample at a time
 
 
 def reference_root(chart, u: float, v: float) -> float:
@@ -469,6 +472,107 @@ def reference_root(chart, u: float, v: float) -> float:
             f"{chart.label}: line slope {sl:.3e} below floor {chart.slope_floor:g} "
             f"at (u, v) = ({u:g}, {v:g})")
     return float(s)
+
+
+def reference_root_jet(chart, u: float, v: float, depth: int):
+    s0 = reference_root(chart, u, v)
+    d = chart._slope(u, v, s0)
+    U, V = u, v
+    for _ in range(depth):
+        U = jets.Jet(U, (1.0, 0.0, 0.0))
+        V = jets.Jet(V, (0.0, 1.0, 0.0))
+    S = s0
+    for _ in range(depth + 1):
+        X = chart.embed(U, V, S)
+        F = chart.f.expr(X[0], X[1], X[2])
+        S = S - F / d
+    return S
+
+
+def reference_point_at(chart, u: float, v: float) -> Point3:
+    s = reference_root(chart, u, v)
+    X = chart.embed(u, v, s)
+    return Point3(float(X[0]), float(X[1]), float(X[2]))
+
+
+def reference_height_slopes(chart, u: float, v: float) -> np.ndarray:
+    S = reference_root_jet(chart, u, v, 1)
+    return np.array([float(peel_grad(S, 0)), float(peel_grad(S, 1))])
+
+
+def reference_tangents(chart, u: float, v: float):
+    S = reference_root_jet(chart, u, v, 1)
+    U = jets.Jet(u, (1.0, 0.0, 0.0))
+    V = jets.Jet(v, (0.0, 1.0, 0.0))
+    X = chart.embed(U, V, S)
+    Tu = np.array([float(peel_grad(X[i], 0)) for i in range(3)])
+    Tv = np.array([float(peel_grad(X[i], 1)) for i in range(3)])
+    return Tu, Tv
+
+
+def reference_sigma_at(chart, u: float, v: float) -> np.ndarray:
+    Tu, Tv = reference_tangents(chart, u, v)
+    g = chart.metric.matrix(reference_point_at(chart, u, v))
+    e = float(Tu @ g @ Tu)
+    fm = float(Tu @ g @ Tv)
+    gg = float(Tv @ g @ Tv)
+    return np.array([[e, fm], [fm, gg]])
+
+
+### Stencils of one sigma evaluation per chart point
+
+_C1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_C2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+
+
+def reference_gaussian_curvature(chart, u: float, v: float, delta: float) -> float:
+    S = np.array([[reference_sigma_at(chart, u + i * delta, v + j * delta)
+                   for j in range(-2, 3)] for i in range(-2, 3)])
+    sig = S[2, 2]
+    d_u = np.tensordot(_C1, S[:, 2], axes=(0, 0)) / delta
+    d_v = np.tensordot(_C1, S[2, :], axes=(0, 0)) / delta
+    d_uu = np.tensordot(_C2, S[:, 2], axes=(0, 0)) / (delta * delta)
+    d_vv = np.tensordot(_C2, S[2, :], axes=(0, 0)) / (delta * delta)
+    d_uv = np.einsum("i,j,ijab->ab", _C1, _C1, S) / (delta * delta)
+
+    E, F, G = sig[0, 0], sig[0, 1], sig[1, 1]
+    M1 = np.array([
+        [-0.5 * d_vv[0, 0] + d_uv[0, 1] - 0.5 * d_uu[1, 1], 0.5 * d_u[0, 0], d_u[0, 1] - 0.5 * d_v[0, 0]],
+        [d_v[0, 1] - 0.5 * d_u[1, 1], E, F],
+        [0.5 * d_v[1, 1], F, G],
+    ])
+    M2 = np.array([
+        [0.0, 0.5 * d_v[0, 0], 0.5 * d_u[1, 1]],
+        [0.5 * d_v[0, 0], E, F],
+        [0.5 * d_u[1, 1], F, G],
+    ])
+    den = (E * G - F * F) ** 2
+    return float((np.linalg.det(M1) - np.linalg.det(M2)) / den)
+
+
+def reference_circle_turning(chart, radius: float, n_angles: int, d: float):
+    """(turning integral, length, mean |kappa radius - 1|) one angle at a time."""
+    w = 2.0 * np.pi / n_angles
+    total = length = dev = 0.0
+    for k in range(n_angles):
+        lam = w * k
+        cl, sl = math.cos(lam), math.sin(lam)
+        u, v = radius * cl, radius * sl
+        line_u = np.array([reference_sigma_at(chart, u + i * d, v) for i in range(-2, 3)])
+        line_v = np.array([reference_sigma_at(chart, u, v + j * d) for j in range(-2, 3)])
+        sig = line_u[2]
+        gam = reference_surface_christoffel(sig, np.tensordot(_C1, line_u, axes=(0, 0)) / d,
+                                            np.tensordot(_C1, line_v, axes=(0, 0)) / d)
+        cp = np.array([-radius * sl, radius * cl])
+        cpp = np.array([-radius * cl, -radius * sl])
+        acc = cpp + np.einsum("kab,a,b->k", gam, cp, cp)
+        speed2 = float(cp @ sig @ cp)
+        num = cp[0] * acc[1] - cp[1] * acc[0]
+        kappa = math.sqrt(float(np.linalg.det(sig))) * num / speed2 ** 1.5
+        total += kappa * math.sqrt(speed2) * w
+        length += math.sqrt(speed2) * w
+        dev += abs(kappa * radius - 1.0) / n_angles
+    return total, length, dev
 
 
 ### Static-gated identities, each evaluating again what the gate computed

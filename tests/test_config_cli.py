@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,22 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert rc == 1
         assert "[FAIL]" in out
+
+    def test_overflowing_transport_fails_without_warnings(self, tmp_path, capsys):
+        # the transport equation overflows at epsilon = 1e300: its checks fail
+        # with StepFailureError, and no RuntimeWarning reaches the user
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("epsilon = 1e300\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["verify", "growth_bound",
+                           "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        details = {c["name"]: c["detail"] for c in report["checks"]}
+        assert details["envelope_violations"].startswith(
+            "StepFailureError: transport equation failed at t = ")
 
     def test_unknown_suite_exit_two(self, tmp_path, capsys):
         rc = cli.main(["verify", "bogus", "--out", str(tmp_path)])

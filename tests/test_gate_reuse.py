@@ -293,26 +293,23 @@ def test_bochner_reads_connection_and_metric_from_gate(counts):
 
 def test_zero_set_laws_one_curvature_per_sample(counts):
     f, g, chart, samples, deltas = _warped_strip()
-    chart.point_at(*samples[0])  # roots are cached; count the laws alone
-    counts.clear()
     sp.zero_set_laws(f, g, chart, samples[:1], deltas[:1])
     assert counts["curvature_at"] == 1
 
 
 def test_zero_set_laws_frame_reads_the_static_pass(counts):
     # the adapted frame takes g and grad f from the static pass: past the
-    # intrinsic curvature stencils, no metric or gradient evaluation is left
+    # intrinsic curvature stencils, no metric or gradient evaluation is left,
+    # and the whole sample set takes one curvature pass
     f, g, chart, samples, deltas = _warped_strip()
-    sp.zero_set_laws(f, g, chart, samples, deltas)  # fills the root cache
-    counts.clear()
-    for (u, v), d in zip(samples, deltas):
-        zeroset.gaussian_curvature(chart, u, v, d)
+    us, vs = np.array(samples).T
+    zeroset.gaussian_curvature(chart, us, vs, np.array(deltas))
     stencils = dict(counts)
     counts.clear()
     sp.zero_set_laws(f, g, chart, samples, deltas)
-    assert counts.get("matrix", 0) == stencils.get("matrix", 0)
+    assert counts.get("matrix", 0) == stencils.get("matrix", 0) == 1
     assert counts.get("gradient", 0) == stencils.get("gradient", 0) == 0
-    assert counts["curvature_at"] == len(samples)
+    assert counts["curvature_at"] == 1
 
 
 def test_zero_set_laws_reports_a_critical_zero_set_before_the_gate():

@@ -151,3 +151,22 @@ def test_chain_rule_against_fd(a, b, c):
     expected = fd_gradient(plain, (a, b, c))
     for u, v in zip(grad, expected):
         assert u == pytest.approx(v, rel=1e-5, abs=1e-7)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_array_op_jet_defers_to_the_jet(op):
+    # without __array_ufunc__ = None numpy would build an object array of
+    # jets instead of calling the jet's reflected operator
+    a = np.array([1.5, -2.0, 4.0])
+    J = jets.Jet(np.array([2.0, 3.0, -1.0]), (np.array([1.0, 0.5, 2.0]), 0.0, 1.0))
+    out = eval(f"a {op} J")
+    assert isinstance(out, jets.Jet)
+    assert isinstance(out.val, np.ndarray) and out.val.dtype == float
+    want = {"+": lambda x: x + a, "-": lambda x: a - x,
+            "*": lambda x: a * x, "/": lambda x: a / x}[op]
+    assert np.array_equal(out.val, want(J.val))
+    for slot in out.grad:
+        assert not (isinstance(slot, np.ndarray) and slot.dtype == object)
+    h = 1e-7
+    fd = (want(J.val + h * J.grad[0]) - want(J.val - h * J.grad[0])) / (2 * h)
+    assert np.allclose(out.grad[0], fd, rtol=1e-6)

@@ -1,8 +1,9 @@
 """Start-up cost: importing staticpot loads no scipy.
 
-scipy is needed only by the ODE drivers (``solve_ivp``) and the zero-set root
-solver (``brentq``), which import it at their first call. Each check runs in a
-fresh interpreter, since the test process itself has scipy loaded.
+scipy is needed only by the ODE drivers (``solve_ivp``), which import it at
+their first call; the zero-set root solver is a numpy port of Brent's method.
+Each check runs in a fresh interpreter, since the test process itself has scipy
+loaded.
 """
 
 import json
@@ -14,9 +15,10 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# suites that use neither an ODE driver nor the root solver
+# suites that use no ODE driver
 SCIPY_FREE_SUITES = ["euclidean_affine", "schwarzschild_static", "tod_identities",
-                     "conformal_double", "huisken_yau", "mass_fit"]
+                     "conformal_double", "huisken_yau", "mass_fit",
+                     "zero_set_gauss_bonnet", "anisotropy_limit"]
 
 
 def _run(code):
@@ -47,8 +49,7 @@ def test_pointwise_suites_run_without_scipy(tmp_path):
 
 @pytest.mark.parametrize("call", [
     "staticpot.solve_curve_ode(lambda t: 0.0, 1.0, 0.0, 0.0, 1.0)",
-    "staticpot.zeroset.brentq(lambda t: t - 0.5, 0.0, 1.0)",
-], ids=["solve_ivp", "brentq"])
+], ids=["solve_ivp"])
 def test_solvers_load_scipy_at_first_call(call):
     before, after = _run("import json, sys\n"
                          "import staticpot, staticpot.zeroset\n"
