@@ -5,6 +5,12 @@ along the curve by the second-order equation u'' = Ric(c', c') u, which is the
 restriction of the static system to the curve. The growth side packages the
 comparison envelope w(t) = A t^alpha built from a curvature smallness constant
 and sup data on the launch sphere.
+
+Every ODE here, and the gradient flow of ``global_checks``, is solved by
+``solve_ivp``: the lane-wise numpy port of scipy's DOP853 in ``ode``, which
+takes scipy's steps bit for bit. A geodesic is a batch of one lane
+(``one_lane``); ``solve_curve_ode`` solves a whole batch of transport equations
+in one call.
 """
 
 from __future__ import annotations
@@ -17,14 +23,22 @@ import numpy as np
 
 from .errors import DomainExitError, PreconditionError, StepFailureError
 from .geometry import MetricField, Point3, christoffel_at, curvature_at
+from .zeroset import _quad
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported at the first integration so that
-    importing staticpot loads no scipy. A module attribute, so that perfbench's
-    tracer can rebind it to count right-hand-side evaluations."""
-    from scipy.integrate import solve_ivp
+    """``ode.solve_ivp``, imported at the first integration: compiling the port
+    is ~15 ms of a fresh start, and most suites integrate nothing. A module
+    attribute, so that perfbench's tracer can rebind it to count right-hand-side
+    evaluations."""
+    from .ode import solve_ivp
     return solve_ivp(*args, **kwargs)
+
+
+def one_lane(fn):
+    """The lane-wise form of a one-system ``fn(t, y)`` for ``solve_ivp``, on a
+    batch of one lane; its (n,) or scalar value broadcasts over the lane."""
+    return lambda t, y, lanes: fn(t[0], y[0])
 
 
 @dataclass(frozen=True)
@@ -93,7 +107,8 @@ def integrate_geodesic(metric: MetricField, start: GeodesicState, t_end: float,
 
     Raises DomainExitError when the curve reaches the chart boundary and
     StepFailureError when the integrator gives up or the unit-speed drift
-    exceeds 1e-6.
+    exceeds 1e-6. The samples are evaluated in one batched pass: one
+    ``curvature_at`` with transport, one ``metric.matrix`` without.
     """
     y0 = np.concatenate([start.position, start.velocity]
                         + ([[start.f_value, start.f_slope]] if transport else []))
@@ -101,13 +116,10 @@ def integrate_geodesic(metric: MetricField, start: GeodesicState, t_end: float,
     def boundary(t, y):
         return metric.boundary_margin(Point3(y[0], y[1], y[2]))
 
-    boundary.terminal = True
-    boundary.direction = -1
-
-    sol = solve_ivp(_rhs(metric, transport), (start.t, start.t + t_end), y0,
-                    method="DOP853", rtol=rtol, atol=atol,
+    sol = solve_ivp(one_lane(_rhs(metric, transport)), (start.t, start.t + t_end), y0[None],
+                    rtol=rtol, atol=atol,
                     t_eval=np.linspace(start.t, start.t + t_end, n_samples + 1),
-                    events=[boundary], dense_output=False)
+                    events=[(one_lane(boundary), -1)]).lanes[0]
     if sol.status == -1:
         raise StepFailureError(f"geodesic integration failed: {sol.message}")
     if sol.status == 1 and len(sol.t_events[0]) > 0:
@@ -117,21 +129,19 @@ def integrate_geodesic(metric: MetricField, start: GeodesicState, t_end: float,
             f"geodesic left the chart of {metric.label} at t={t_exit:.6g}, "
             f"position {tuple(float(c) for c in x_exit)}")
 
-    states = []
-    drift = 0.0
-    for k, t in enumerate(sol.t):
-        x = sol.y[0:3, k]
-        v = sol.y[3:6, k]
-        p = Point3(x[0], x[1], x[2])
-        if transport:
-            bundle = curvature_at(metric, p)
-            g, h = bundle.metric_matrix, float(v @ bundle.ricci @ v)
-        else:
-            g, h = metric.matrix(p), 0.0
-        drift = max(drift, abs(float(v @ g @ v) - 1.0))
-        fv, fp = (float(sol.y[6, k]), float(sol.y[7, k])) if transport else (0.0, 0.0)
-        states.append(GeodesicState(t=float(t), position=x.copy(), velocity=v.copy(),
-                                    f_value=fv, f_slope=fp, h_value=h))
+    xs, vs = sol.y[0:3].T.copy(), sol.y[3:6].T.copy()
+    p = Point3(xs[:, 0], xs[:, 1], xs[:, 2])
+    if transport:
+        bundle = curvature_at(metric, p)
+        g, hs = bundle.metric_matrix, _quad(vs, bundle.ricci, vs)
+        fvs, fps = sol.y[6], sol.y[7]
+    else:
+        g, hs = metric.matrix(p), np.zeros(len(sol.t))
+        fvs = fps = hs
+    drift = float(np.max(np.abs(_quad(vs, g, vs) - 1.0)))
+    states = [GeodesicState(t=t, position=x, velocity=v, f_value=fv, f_slope=fp, h_value=h)
+              for t, x, v, fv, fp, h in zip(sol.t.tolist(), xs, vs, fvs.tolist(),
+                                            fps.tolist(), hs.tolist())]
     if drift > 1e-6:
         raise StepFailureError(f"unit-speed drift {drift:.3e} exceeds 1e-6")
     return GeodesicTrajectory(states=states, max_speed_drift=drift)
@@ -179,32 +189,36 @@ def transport_potential(metric: MetricField, f0: float, f0_slope: float,
                               n_samples=len(trajectory.states) - 1, transport=True)
 
 
-def solve_curve_ode(h_fn: Callable, f0: float, f0_slope: float, t0: float, t1: float,
-                    t_eval=None, rtol: float = 1e-12, atol: float = 1e-14):
-    """Solve u'' = h(t) u with given initial data; returns (ts, us, slopes).
+def solve_curve_ode(h_fn: Callable, f0, f0_slope, t0: float, t1: float,
+                    t_eval=None, rtol: float = 1e-12, atol: float = 1e-14) -> list:
+    """Solve u'' = h(t) u on a batch of curves; one (ts, us, slopes) per curve.
 
-    The integration runs with floating-point overflow and invalid operations
-    raised: a solution too large to step on fails with StepFailureError
-    naming the last t of the right-hand side, not with inf or nan.
+    ``f0`` and ``f0_slope`` hold the initial data, one entry per curve (a
+    scalar is a batch of one). ``h_fn(t, lanes)`` returns the coefficients at
+    times ``t`` of the curves ``lanes`` (indices into ``f0``), as
+    ``zeroset.brentq`` takes its objective. All curves run in one lane-wise
+    solve.
+
+    A curve whose solution grows too large to step on fails with
+    StepFailureError naming the t where it stopped, not with inf or nan: the
+    overflowing steps are rejected until the step size falls below the
+    spacing of t. A failing batch raises the error of its lowest-index
+    failing curve.
     """
-    if t1 == t0:
-        raise ValueError(f"empty integration span: t1 = t0 = {t0:g}")
-    last_t = [t0]
+    f0, f0_slope = np.broadcast_arrays(np.asarray(f0, dtype=float),
+                                       np.asarray(f0_slope, dtype=float))
 
-    def rhs(t, y):
-        last_t[0] = t
-        return [y[1], h_fn(t) * y[0]]
+    def rhs(t, y, lanes):
+        return np.column_stack((y[:, 1], h_fn(t, lanes) * y[:, 0]))
 
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            sol = solve_ivp(rhs, (t0, t1), [f0, f0_slope], method="DOP853",
-                            rtol=rtol, atol=atol, t_eval=t_eval)
-    except FloatingPointError as exc:
-        raise StepFailureError(
-            f"transport equation failed at t = {last_t[0]:g}: {exc}") from None
-    if not sol.success:
-        raise StepFailureError(f"transport equation failed: {sol.message}")
-    return sol.t, sol.y[0], sol.y[1]
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow fails the curve below
+        sol = solve_ivp(rhs, (t0, t1), np.stack([f0.ravel(), f0_slope.ravel()], axis=1),
+                        rtol=rtol, atol=atol, t_eval=t_eval)
+    for lane in sol.lanes:
+        if not lane.success or not np.isfinite(lane.y).all():
+            reason = "the solution overflowed" if lane.success else lane.message
+            raise StepFailureError(f"transport equation failed at t = {lane.t_stop:g}: {reason}")
+    return [(lane.t, lane.y[0], lane.y[1]) for lane in sol.lanes]
 
 
 ### Growth envelope

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DegenerateConformalError, IllConditionedFitError, ResolutionError,
                      StepFailureError, UnboundedPotentialError)
-from .geodesics import solve_ivp
+from .geodesics import one_lane, solve_ivp
 from .geometry import MetricField, Point3, _first_flagged, curvature_at, generic_metric
 from .potentials import PotentialField, _norm_g, _pair, fit_linear_part, require_static
 from .quadrature import SphereRule, flux_integral, sphere_average, sphere_rule, volume_integral
@@ -357,24 +357,16 @@ def flow_classify(f: PotentialField, metric: MetricField, point,
     def ev_escape(t, y):
         return math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2) - budget.r_escape
 
-    ev_escape.terminal = True
-    ev_escape.direction = 1
-
     def ev_critical(t, y):
         return grad_norm_at(y) - budget.grad_floor
-
-    ev_critical.terminal = True
-    ev_critical.direction = -1
 
     def ev_boundary(t, y):
         return metric.boundary_margin(Point3(y[0], y[1], y[2]))
 
-    ev_boundary.terminal = True
-    ev_boundary.direction = -1
-
-    sol = solve_ivp(rhs, (0.0, budget.t_max), p0.as_array(), method="DOP853",
+    sol = solve_ivp(one_lane(rhs), (0.0, budget.t_max), p0.as_array()[None],
                     rtol=budget.rtol, atol=budget.atol,
-                    events=[ev_escape, ev_critical, ev_boundary])
+                    events=[(one_lane(ev_escape), 1), (one_lane(ev_critical), -1),
+                            (one_lane(ev_boundary), -1)]).lanes[0]
     if sol.status == -1:
         raise StepFailureError(f"flow integration failed: {sol.message}")
 

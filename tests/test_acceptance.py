@@ -117,18 +117,18 @@ def test_c05_growth_envelope():
     bound = GrowthBound.from_initial_data(eps, 1.0, r0)
     assert bound.alpha == (1.0 + math.sqrt(3.0)) / 2.0
     ts = np.geomspace(r0, t_end, 400)
+    scales = np.array([rng.uniform(-1.0, 1.0) for _ in range(20)])
+    h = lambda t, lanes: scales[lanes] * eps / (t * t)
     violations = 0
-    for _ in range(20):
-        scale = rng.uniform(-1.0, 1.0)
-        h = lambda t, s=scale: s * eps / (t * t)
-        sol_ts, fs, _ = solve_curve_ode(h, 1.0, 1.0, r0, t_end, t_eval=ts)
+    for k, (sol_ts, fs, _) in enumerate(solve_curve_ode(h, np.ones(20), np.ones(20), r0, t_end,
+                                                         t_eval=ts)):
         verdict = growth_bound_check(sol_ts, fs, bound, slope_at_start=1.0,
-                                     h_values=[h(t) for t in sol_ts])
+                                     h_values=h(sol_ts, k))
         violations += verdict.violations
     exact_bound = GrowthBound(epsilon=eps, r0=r0, amplitude=1.0, alpha=bound.alpha)
-    sol_ts, fs, _ = solve_curve_ode(lambda t: eps / (t * t),
-                                    exact_bound.w(r0), exact_bound.w_slope(r0),
-                                    r0, t_end, t_eval=ts)
+    [(sol_ts, fs, _)] = solve_curve_ode(lambda t, lanes: eps / (t * t),
+                                        exact_bound.w(r0), exact_bound.w_slope(r0),
+                                        r0, t_end, t_eval=ts)
     rel = float(np.max(np.abs(fs - exact_bound.w(sol_ts)) / exact_bound.w(sol_ts)))
     _criterion("growth_envelope",
                violations == 0 and rel < 1e-8,

@@ -236,9 +236,12 @@ def test_transported_geodesic_matches_reference(name, monkeypatch):
     for s in old.states:
         g = metric.matrix(Point3(*s.position))
         drift = max(drift, abs(float(s.velocity @ g @ s.velocity) - 1.0))
-    assert _same(new.h_values, [reference_ricci_quadratic(metric, s.position, s.velocity)
-                                for s in old.states])
-    assert new.max_speed_drift == drift
+    # the samples are evaluated in one batched curvature pass, which rounds its
+    # contractions differently from the per-point loop in the last bits
+    h_ref = np.array([reference_ricci_quadratic(metric, s.position, s.velocity)
+                      for s in old.states])
+    assert np.max(np.abs(new.h_values - h_ref)) <= 1e-14 * np.max(np.abs(h_ref))
+    assert abs(new.max_speed_drift - drift) <= 1e-14
 
 
 ### Evaluation counts

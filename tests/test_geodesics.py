@@ -48,6 +48,24 @@ class TestIntegration:
         order = math.log(errs[0] / errs[2]) / math.log(4.0)
         assert order > 3.5
 
+    @pytest.mark.parametrize("transport", [False, True])
+    def test_batched_samples_match_the_per_point_loop(self, transport):
+        # the samples are evaluated in one batched pass; the per-point loop is the reference
+        g = sp.perturbed_as(1.0, [sp.PerturbationTerm(0, 1, 0.3, (1, 0, 0)),
+                                  sp.PerturbationTerm(2, 2, -0.2, (0, 1, 1))])
+        start = sp.launch_state(g, Point3(4.0, 1.0, 0.5), (0.3, 1.0, 0.2))
+        traj = sp.integrate_geodesic(g, start, 10.0, n_samples=80, transport=transport)
+        h_ref, drift_ref = [], 0.0
+        for s in traj.states:
+            p = Point3(*s.position)
+            gm = sp.curvature_at(g, p).metric_matrix if transport else g.matrix(p)
+            h_ref.append(float(s.velocity @ sp.curvature_at(g, p).ricci @ s.velocity)
+                         if transport else 0.0)
+            drift_ref = max(drift_ref, abs(float(s.velocity @ gm @ s.velocity) - 1.0))
+        h_ref = np.array(h_ref)
+        assert np.max(np.abs(traj.h_values - h_ref)) <= 1e-14 * np.max(np.abs(h_ref))
+        assert abs(traj.max_speed_drift - drift_ref) <= 1e-14
+
     def test_radial_geodesic_stays_radial(self):
         g = sp.schwarzschild(1.0)
         start = sp.launch_state(g, Point3(2.0, 0.0, 0.0), (1.0, 0.0, 0.0))
@@ -71,15 +89,15 @@ class TestTransport:
         assert np.max(np.abs(np.array(carried.f_values) - exact)) < 1e-6
 
     def test_curve_ode_zero_coefficient_is_linear(self):
-        ts, us, slopes = sp.solve_curve_ode(lambda t: 0.0, 1.0, 2.0, 0.0, 5.0,
-                                            t_eval=np.linspace(0, 5, 11))
+        [(ts, us, slopes)] = sp.solve_curve_ode(lambda t, lanes: 0.0, 1.0, 2.0, 0.0, 5.0,
+                                                t_eval=np.linspace(0, 5, 11))
         assert np.allclose(us, 1.0 + 2.0 * ts, atol=1e-10)
         assert np.allclose(slopes, 2.0, atol=1e-10)
 
 
     def test_curve_ode_rejects_empty_span(self):
         with pytest.raises(ValueError, match="empty integration span"):
-            sp.solve_curve_ode(lambda t: 0.0, 1.0, 2.0, 1.0, 1.0)
+            sp.solve_curve_ode(lambda t, lanes: 0.0, 1.0, 2.0, 1.0, 1.0)
 
 
 class TestGrowthBound:
@@ -98,9 +116,9 @@ class TestGrowthBound:
         eps, r0 = 0.5, 1.0
         b = sp.GrowthBound.from_initial_data(eps, 1.0, r0)
         ts = np.geomspace(r0, 1e4, 300)
-        sol_t, sol_u, _ = sp.solve_curve_ode(lambda t: eps / (t * t),
-                                             0.99 * b.w(r0), 0.99 * b.w_slope(r0),
-                                             r0, 1e4, t_eval=ts)
+        [(sol_t, sol_u, _)] = sp.solve_curve_ode(lambda t, lanes: eps / (t * t),
+                                                 0.99 * b.w(r0), 0.99 * b.w_slope(r0),
+                                                 r0, 1e4, t_eval=ts)
         exact = 0.99 * b.w(sol_t)
         assert np.max(np.abs(sol_u - exact) / np.abs(exact)) < 1e-8
 
@@ -109,13 +127,13 @@ class TestGrowthBound:
         b = sp.GrowthBound.from_initial_data(eps, 1.0, r0)
         ts = np.geomspace(r0, t1, 250)
         rng = np.random.default_rng(12)
+        scales = np.array([rng.uniform(-1.0, 1.0) for _ in range(10)])
+        h = lambda t, lanes: scales[lanes] * eps / (t * t)
         total = 0
-        for _ in range(10):
-            s = rng.uniform(-1.0, 1.0)
-            h = lambda t, s=s: s * eps / (t * t)
-            sol_t, sol_u, _ = sp.solve_curve_ode(h, 1.0, 1.0, r0, t1, t_eval=ts)
+        for k, (sol_t, sol_u, _) in enumerate(sp.solve_curve_ode(h, np.ones(10), np.ones(10),
+                                                                 r0, t1, t_eval=ts)):
             verdict = sp.growth_bound_check(sol_t, sol_u, b, slope_at_start=1.0,
-                                            h_values=[h(t) for t in sol_t])
+                                            h_values=h(sol_t, k))
             assert verdict.ok
             total += verdict.violations
         assert total == 0
@@ -147,9 +165,9 @@ class TestGrowthBound:
 def test_envelope_property(eps, scale):
     r0, t1 = 1.0, 1e3
     b = sp.GrowthBound.from_initial_data(eps, 0.7, r0)
-    h = lambda t: scale * eps / (t * t)
+    h = lambda t, lanes: scale * eps / (t * t)
     ts = np.geomspace(r0, t1, 120)
-    sol_t, sol_u, _ = sp.solve_curve_ode(h, 0.7, 0.7, r0, t1, t_eval=ts)
+    [(sol_t, sol_u, _)] = sp.solve_curve_ode(h, 0.7, 0.7, r0, t1, t_eval=ts)
     verdict = sp.growth_bound_check(sol_t, sol_u, b, slope_at_start=0.7,
-                                    h_values=[h(t) for t in sol_t])
+                                    h_values=h(sol_t, 0))
     assert verdict.ok

@@ -1,9 +1,9 @@
-"""Start-up cost: importing staticpot loads no scipy.
+"""Start-up cost and run time without scipy: staticpot never loads it.
 
-scipy is needed only by the ODE drivers (``solve_ivp``), which import it at
-their first call; the zero-set root solver is a numpy port of Brent's method.
-Each check runs in a fresh interpreter, since the test process itself has scipy
-loaded.
+The ODE drivers run on ``ode.solve_ivp``, a numpy port of scipy's DOP853, and
+the zero-set root solver on ``zeroset.brentq``, a numpy port of Brent's method;
+scipy is a test-only dependency. Each check runs in a fresh interpreter, since
+the test process itself has scipy loaded.
 """
 
 import json
@@ -11,14 +11,12 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# suites that use no ODE driver
 SCIPY_FREE_SUITES = ["euclidean_affine", "schwarzschild_static", "tod_identities",
                      "conformal_double", "huisken_yau", "mass_fit",
-                     "zero_set_gauss_bonnet", "anisotropy_limit"]
+                     "zero_set_gauss_bonnet", "anisotropy_limit", "growth_bound",
+                     "integral_identities", "flow_classify"]
 
 
 def _run(code):
@@ -36,7 +34,7 @@ def test_import_loads_no_scipy():
     assert loaded == []
 
 
-def test_pointwise_suites_run_without_scipy(tmp_path):
+def test_suites_run_without_scipy(tmp_path):
     result = _run("import json, os, sys\n"
                   "from staticpot import cli\n"
                   f"passed = {{s: cli.run_suite(s, {{}}, os.path.join({str(tmp_path)!r}, s))['passed']\n"
@@ -47,13 +45,15 @@ def test_pointwise_suites_run_without_scipy(tmp_path):
     assert not scipy_loaded
 
 
-@pytest.mark.parametrize("call", [
-    "staticpot.solve_curve_ode(lambda t: 0.0, 1.0, 0.0, 0.0, 1.0)",
-], ids=["solve_ivp"])
-def test_solvers_load_scipy_at_first_call(call):
-    before, after = _run("import json, sys\n"
-                         "import staticpot, staticpot.zeroset\n"
-                         "before = 'scipy' in sys.modules\n"
-                         f"{call}\n"
-                         "print(json.dumps([before, 'scipy' in sys.modules]))")
-    assert (before, after) == (False, True)
+def test_ode_drivers_load_no_scipy():
+    loaded = _run("import json, sys\n"
+                  "import staticpot\n"
+                  "from staticpot import geometry, global_checks, potentials\n"
+                  "staticpot.solve_curve_ode(lambda t, lanes: 0.0, 1.0, 0.0, 0.0, 1.0)\n"
+                  "g = geometry.schwarzschild(1.0)\n"
+                  "start = staticpot.launch_state(g, (4.0, 0.0, 0.0), (0.0, 1.0, 0.0))\n"
+                  "staticpot.integrate_geodesic(g, start, 2.0, n_samples=10, transport=True)\n"
+                  "global_checks.flow_classify(potentials.schwarzschild_potential(1.0), g,\n"
+                  "                            (3.0, 0.0, 0.0), global_checks.FlowBudget(r_escape=20.0))\n"
+                  "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    assert loaded == []
