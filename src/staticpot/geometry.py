@@ -490,12 +490,12 @@ class CurvatureBundle:
 
 
 def curvature_at(metric: MetricField, point, backend: str = "dual",
-                 fd_step: float | None = None, check_domain: bool = True) -> CurvatureBundle:
+                 check_domain: bool = True) -> CurvatureBundle:
     """Curvature of a metric field at a chart point.
 
     ``backend="dual"`` differentiates the components exactly with nested jets;
     ``backend="fd"`` uses fourth-order central differences with step
-    ``fd_step`` (default 1e-3 * max(1, r)) and exists as an independent
+    1e-3 * max(1, r) and exists as an independent
     cross-check of the dual path. ``check_domain=False`` skips the membership
     test; ODE drivers need that while an integrator stage probes past a
     boundary it is about to stop at.
@@ -510,8 +510,7 @@ def curvature_at(metric: MetricField, point, backend: str = "dual",
     if backend == "dual":
         g, dg, d2g = _metric_taylor(metric, p.coords(), 2)
     elif backend == "fd":
-        h = fd_step if fd_step is not None else 1e-3 * np.maximum(1.0, p.r)
-        g, dg, d2g = _metric_fd(metric, p.coords(), h)
+        g, dg, d2g = _metric_fd(metric, p.coords(), 1e-3 * np.maximum(1.0, p.r))
     else:
         raise ValueError(f"unknown backend {backend!r}")
 

@@ -134,8 +134,8 @@ def anisotropy_limit(metric: MetricField, graph: SurfaceGraph, heights) -> Aniso
 
     At base points (0, y) of the graph the two chart tangents are normalized
     and the difference Ric(t_u, t_u) - Ric(t_v, t_v), scaled by |y|^3, is
-    extrapolated in 1/|y|. All heights take one batched chart call per
-    quantity and one curvature pass.
+    extrapolated in 1/|y|. All heights take one chart solve, which gives the
+    points and tangents, and one curvature pass.
     """
     region = graph.region
     heights = np.array(sorted(float(y) for y in heights))
@@ -143,12 +143,11 @@ def anisotropy_limit(metric: MetricField, graph: SurfaceGraph, heights) -> Aniso
         if heights[0] <= region.inner or heights[-1] >= region.outer:
             raise ResolutionError(
                 f"heights must lie inside the annulus ({region.inner:g}, {region.outer:g})")
-    base = np.zeros_like(heights)
-    bundle = curvature_at(metric, graph.point_at(base, heights))
+    lift = graph.chart._lift(np.zeros_like(heights), heights)
+    bundle = curvature_at(metric, lift.point)
     g, ric = bundle.metric_matrix, bundle.ricci
-    tu, tv = graph.chart.tangents(base, heights)
-    tu = tu / np.sqrt(_quad(tu, g, tu))[:, None]
-    tv = tv / np.sqrt(_quad(tv, g, tv))[:, None]
+    tu = lift.tu / np.sqrt(_quad(lift.tu, g, lift.tu))[:, None]
+    tv = lift.tv / np.sqrt(_quad(lift.tv, g, lift.tv))[:, None]
     vals = np.abs(heights) ** 3 * (_quad(tu, ric, tu) - _quad(tv, ric, tv))
     design = np.column_stack([np.ones_like(heights), 1.0 / heights, 1.0 / heights ** 2])
     coef, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)

@@ -31,8 +31,7 @@ class RicciEigenframe:
     simple_index: int | None  # index of the isolated eigenvalue when kind is two_equal
 
 
-def ricci_eigenframe(metric: MetricField, point, tau_eig: float = 1e-6,
-                     backend: str = "dual"):
+def ricci_eigenframe(metric: MetricField, point, tau_eig: float = 1e-6):
     """Diagonalize Ricci against the metric at a point.
 
     Coincidence of eigenvalues is decided by gaps relative to
@@ -42,7 +41,7 @@ def ricci_eigenframe(metric: MetricField, point, tau_eig: float = 1e-6,
     its nodes' frames in sample order.
     """
     p = Point3.of(point)
-    bundle = curvature_at(metric, p, backend=backend)
+    bundle = curvature_at(metric, p)
     lam, vecs = _eigenframes(bundle.ricci, bundle.metric_matrix, p, metric.label)
     classes = _classify(lam, tau_eig)
     if not isinstance(p.x1, np.ndarray):
@@ -99,7 +98,7 @@ def _classify(lam: np.ndarray, tau_eig: float) -> np.ndarray:
 
 
 def tod_identity_residuals(f: PotentialField, metric: MetricField, point,
-                           static_tol: float = 1e-6, tau_eig: float = 1e-6) -> np.ndarray:
+                           static_tol: float = 1e-6) -> np.ndarray:
     """Residuals of the three eigenframe identities for a static potential.
 
     In an eigenframe (e1, e2, e3) with eigenvalues (L1, L2, L3) the identities

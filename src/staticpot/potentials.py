@@ -241,14 +241,14 @@ def gradient_norm(f: PotentialField, metric: MetricField, point) -> float:
     return _norm_g(metric.matrix(p), f.gradient(p))
 
 
-def static_residual(f: PotentialField, metric: MetricField, point, backend: str = "dual") -> StaticResidual:
+def static_residual(f: PotentialField, metric: MetricField, point) -> StaticResidual:
     """Pointwise defect of the static system for (f, metric).
 
     A batched Point3 takes one curvature pass and one potential pass for all
     its nodes.
     """
     p = Point3.of(point)
-    bundle = curvature_at(metric, p, backend=backend)
+    bundle = curvature_at(metric, p)
     fval, grad, hess = _taylor(f.expr, p, 2)
     cov_hess = _hess_g(hess, grad, bundle.gamma)
     tensor = cov_hess - np.asarray(fval)[..., None, None] * bundle.ricci

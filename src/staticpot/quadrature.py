@@ -113,10 +113,10 @@ def flux_integral(metric: MetricField, vector_fn, radius: float, rule: SphereRul
 
 
 def radial_panels(r_inner: float, r_outer: float, n_panels: int, nodes_per_panel: int,
-                  log_spacing: bool = True, breakpoints=()) -> tuple:
+                  breakpoints=()) -> tuple:
     """Gauss-Legendre nodes and weights on [r_inner, r_outer], panel by panel.
 
-    Panel edges are geometric by default; explicit breakpoints are inserted so
+    Panel edges are geometric; explicit breakpoints are inserted so
     kinks of the integrand can sit on panel boundaries.
     """
     if not (0.0 < r_inner < r_outer):
@@ -131,10 +131,7 @@ def radial_panels(r_inner: float, r_outer: float, n_panels: int, nodes_per_panel
     xi, wxi = np.polynomial.legendre.leggauss(nodes_per_panel)
     rs, ws = [], []
     for (a, b), cnt in zip(zip(edges_all[:-1], edges_all[1:]), counts):
-        if log_spacing:
-            e = np.exp(np.linspace(math.log(a), math.log(b), cnt + 1))
-        else:
-            e = np.linspace(a, b, cnt + 1)
+        e = np.exp(np.linspace(math.log(a), math.log(b), cnt + 1))
         for lo, hi in zip(e[:-1], e[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             rs.append(mid + half * xi)

@@ -11,6 +11,9 @@ The chart is batched: it takes arrays of line coordinates and solves all their
 lines in one array pass, with Brent's method run lane by lane (``brentq``). So
 each stencil set (a circle, a grid, a sample set with its stencils) is one
 chart call, and a failing batch raises the error of its first failing line.
+An evaluation along the lines ignores floating-point flags; a nan or inf it
+returns (where a float would raise, say log outside its domain) is a
+DomainError naming its line.
 """
 
 from __future__ import annotations
@@ -166,9 +169,10 @@ class SurfaceChart:
       along the line must stay above ``slope_floor``.
 
     A batch with a failing line raises the error of its first failing line,
-    naming that line's (u, v). Where a floating-point flag is raised on the
-    arrays, the evaluation falls back to floats line by line, so a line fails
-    with the exception it raises there.
+    naming that line's (u, v). Each of these steps evaluates f or df/ds in one
+    array pass with floating-point flags ignored; a line that meets a nan or
+    inf fails with DomainError at its first such sample, and no later step
+    reads it.
     """
 
     def __init__(self, f: PotentialField, metric: MetricField, embed: Callable,
@@ -183,90 +187,40 @@ class SurfaceChart:
         self.label = label
         self.param_floor = param_floor  # widened brackets never go below this
 
-    # -- evaluation along lines
+    # -- evaluation along lines: one array pass each
 
-    def _value(self, u: float, v: float, s: float) -> float:
-        X = self.embed(u, v, s)
-        return float(jets.value(self.f.expr(X[0], X[1], X[2])))
+    def _finite(self, what: str, vals, u, v, s, lanes, errors) -> np.ndarray:
+        """``vals`` at the parameters ``s`` of the lines, non-finite entries read as 0.
 
-    def _slope(self, u: float, v: float, s: float) -> float:
-        S = jets.Jet(s, (1.0, 0.0, 0.0))
-        X = self.embed(u, v, S)
-        return float(jets.peel_grad(self.f.expr(X[0], X[1], X[2]), 0))
-
-    def _eval(self, on_arrays, on_floats, u, v, s, lanes, errors) -> np.ndarray:
-        """``on_arrays(u, v, s)`` in one evaluation, or ``on_floats`` line by line.
-
-        A floating-point flag on the arrays sends every line to float
-        evaluation; a line that raises there has its error recorded in
-        ``errors[lane]`` (the first one a lane meets is kept) and reads 0.
+        ``s`` holds one parameter per line, or a row of samples per line. A
+        line with a nan or inf there (numpy's answer where a float would raise:
+        log or sqrt outside its domain, a division by zero, an overflow) has
+        DomainError recorded in ``errors[lane]`` at its first such sample; the
+        first error a lane meets is kept.
         """
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                return np.broadcast_to(np.asarray(on_arrays(u, v, s), dtype=float), s.shape)
-        except FloatingPointError:
-            pass
-        out = np.zeros(s.shape)
-        for k, lane in enumerate(lanes.tolist()):
-            try:
-                out[k] = on_floats(float(u[k]), float(v[k]), float(s[k]))
-            except Exception as exc:  # the line's own failure, raised in lane order
-                errors.setdefault(lane, exc)
-        return out
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), s.shape)
+        bad = ~np.isfinite(vals)
+        rows, at = (bad, s) if s.ndim > 1 else (bad[:, None], s[:, None])
+        for k in np.flatnonzero(rows.any(axis=1)).tolist():
+            errors.setdefault(int(lanes[k]), DomainError(
+                f"{self.label}: {what} is not finite at s = {at[k, rows[k].argmax()]:g} "
+                f"on the line (u, v) = ({u[k]:g}, {v[k]:g})"))
+        return np.where(bad, 0.0, vals)
 
     def _values(self, u, v, s, lanes, errors) -> np.ndarray:
-        def on_arrays(u, v, s):
-            X = self.embed(u, v, s)
-            return jets.value(self.f.expr(X[0], X[1], X[2]))
-
-        return self._eval(on_arrays, self._value, u, v, s, lanes, errors)
+        """f at ``s``: one parameter per line, or a ``(lines, 25)`` scan."""
+        rows = (u[:, None], v[:, None]) if s.ndim > 1 else (u, v)
+        with np.errstate(all="ignore"):
+            X = self.embed(*rows, s)
+            vals = jets.value(self.f.expr(X[0], X[1], X[2]))
+        return self._finite("f", vals, u, v, s, lanes, errors)
 
     def _slopes(self, u, v, s, lanes, errors) -> np.ndarray:
-        def on_arrays(u, v, s):
+        """df/ds at one parameter ``s`` per line."""
+        with np.errstate(all="ignore"):
             X = self.embed(u, v, jets.Jet(s, (1.0, 0.0, 0.0)))
-            return jets.peel_grad(self.f.expr(X[0], X[1], X[2]), 0)
-
-        return self._eval(on_arrays, self._slope, u, v, s, lanes, errors)
-
-    def _scan(self, u: float, v: float, ss: np.ndarray) -> np.ndarray:
-        """f at the samples ``ss`` of one line, from one array evaluation.
-
-        On arrays numpy turns what raises on a float (log or sqrt outside its
-        domain, division by zero) into nan or inf. So a floating-point flag
-        sends the scan to pointwise evaluation in sample order, which raises as
-        the pointwise scan does at its first such sample.
-        """
-        X = self.embed(u, v, ss)
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                return np.broadcast_to(jets.value(self.f.expr(X[0], X[1], X[2])), ss.shape)
-        except FloatingPointError:
-            return np.array([self._value(u, v, s) for s in ss])
-
-    def _scan_lines(self, u, v, ss, lanes, errors) -> np.ndarray:
-        """f at the samples ``ss[k]`` of each line: one ``(lines, 25)`` evaluation.
-
-        A floating-point flag sends each line to its own scan. A sample that is
-        still nan or inf (numpy scalar division or power on the line
-        parameter) has no sign, and its line fails with DomainError.
-        """
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                X = self.embed(u[:, None], v[:, None], ss)
-                vals = np.broadcast_to(jets.value(self.f.expr(X[0], X[1], X[2])), ss.shape)
-        except FloatingPointError:
-            vals = np.zeros(ss.shape)
-            for k, lane in enumerate(lanes.tolist()):
-                try:
-                    vals[k] = self._scan(float(u[k]), float(v[k]), ss[k])
-                except Exception as exc:
-                    errors.setdefault(lane, exc)
-        bad = ~np.isfinite(vals)
-        for k in np.flatnonzero(bad.any(axis=1)).tolist():
-            errors.setdefault(int(lanes[k]), DomainError(
-                f"{self.label}: f is not finite at s = {ss[k, np.argmax(bad[k])]:g} "
-                f"on the line (u, v) = ({u[k]:g}, {v[k]:g})"))
-        return vals
+            vals = jets.peel_grad(self.f.expr(X[0], X[1], X[2]), 0)
+        return self._finite("df/ds", vals, u, v, s, lanes, errors)
 
     # -- certified roots
 
@@ -286,7 +240,7 @@ class SurfaceChart:
             if not scan.size:
                 break
             ss = np.linspace(lo[scan], hi[scan], 25, axis=-1)
-            vals = self._scan_lines(u[scan], v[scan], ss, scan, errors)
+            vals = self._values(u[scan], v[scan], ss, scan, errors)
             # a sample landing exactly on the root counts once, not as two
             # sign flips around it
             zero = vals == 0.0
@@ -581,12 +535,6 @@ class SurfaceGraph:
     sigmas: np.ndarray       # (N, 2, 2) induced metric samples
     sigma_deviation: np.ndarray  # (N,) max |sigma - identity|
 
-    def sigma_at(self, u: float, v: float) -> np.ndarray:
-        return self.chart.sigma_at(u, v)
-
-    def point_at(self, u: float, v: float) -> Point3:
-        return self.chart.point_at(u, v)
-
 
 def _default_graph_bracket(u: float, v: float):
     rho = math.hypot(u, v)
@@ -623,7 +571,6 @@ def extract_zero_graph(f: PotentialField, metric: MetricField, region,
 
 
 ### Boundary circles: geodesic curvature and the turning-number limit
-### Boundary circles: geodesic curvature and the turning-number limit
 
 
 @dataclass(frozen=True)
@@ -639,8 +586,7 @@ def _running_sum(terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
-def circle_turning(graph: SurfaceGraph, radius: float, n_angles: int = 256,
-                   delta: float | None = None) -> CircleTurning:
+def circle_turning(graph: SurfaceGraph, radius: float, n_angles: int = 256) -> CircleTurning:
     """Total geodesic curvature of the coordinate circle |(u, v)| = radius.
 
     The stencils of all angles take one chart call.
@@ -648,7 +594,7 @@ def circle_turning(graph: SurfaceGraph, radius: float, n_angles: int = 256,
     region = graph.region
     if not isinstance(region, AnnulusRegion):
         raise ResolutionError("turning integrals need an annulus graph")
-    d = region.stencil_delta(radius, 0.0, target=delta)
+    d = region.stencil_delta(radius, 0.0)
     # the stencil reaches 2*delta in each chart direction from circle points
     if radius + 2.0 * d * 1.5 >= region.outer or radius - 2.0 * d * 1.5 <= region.inner:
         raise ResolutionError(
@@ -681,11 +627,10 @@ class GaussBonnetReport:
     deviation_decay_exponent: float
 
 
-def gauss_bonnet_limit(graph: SurfaceGraph, radii, n_angles: int = 256,
-                       delta: float | None = None) -> GaussBonnetReport:
+def gauss_bonnet_limit(graph: SurfaceGraph, radii, n_angles: int = 256) -> GaussBonnetReport:
     """Turning integrals over growing circles and their extrapolated limit."""
     radii = np.array(sorted(float(r) for r in radii))
-    rows = [circle_turning(graph, r, n_angles=n_angles, delta=delta) for r in radii]
+    rows = [circle_turning(graph, r, n_angles=n_angles) for r in radii]
     integrals = np.array([c.turning_integral for c in rows])
     lengths = np.array([c.length for c in rows])
     devs = np.array([c.mean_kappa_deviation for c in rows])

@@ -413,13 +413,25 @@ def reference_fit_linear_part(f: PotentialField, metric: MetricField, radii: Seq
 ### Per-line surface chart: one certified root, scanned one sample at a time
 
 
+def _line_value(chart, u: float, v: float, s: float) -> float:
+    """f at the parameter s of one line, one scalar evaluation."""
+    X = chart.embed(u, v, s)
+    return float(jets.value(chart.f.expr(X[0], X[1], X[2])))
+
+
+def _line_slope(chart, u: float, v: float, s: float) -> float:
+    """df/ds at the parameter s of one line, one scalar evaluation."""
+    X = chart.embed(u, v, jets.Jet(s, (1.0, 0.0, 0.0)))
+    return float(peel_grad(chart.f.expr(X[0], X[1], X[2]), 0))
+
+
 def reference_root(chart, u: float, v: float) -> float:
     """``SurfaceChart.root`` with its pointwise sign scan and no root cache."""
     lo, hi = chart.bracket(u, v)
     pair = None
     for _ in range(7):
         ss = np.linspace(lo, hi, 25)
-        vals = [chart._value(u, v, s) for s in ss]
+        vals = [_line_value(chart, u, v, s) for s in ss]
         # a sample landing exactly on the root must count once, not as
         # two sign flips around it
         brackets = []
@@ -447,26 +459,26 @@ def reference_root(chart, u: float, v: float) -> float:
     if pair is None:
         raise NoRootError(f"{chart.label}: no sign change found near (u, v) = ({u:g}, {v:g})")
 
-    if chart._value(u, v, pair[0]) == 0.0:
+    if _line_value(chart, u, v, pair[0]) == 0.0:
         s = pair[0]
-    elif chart._value(u, v, pair[1]) == 0.0:
+    elif _line_value(chart, u, v, pair[1]) == 0.0:
         s = pair[1]
     else:
-        s = brentq(lambda t: chart._value(u, v, t), pair[0], pair[1],
+        s = brentq(lambda t: _line_value(chart, u, v, t), pair[0], pair[1],
                    xtol=1e-13, rtol=8.9e-16, maxiter=200)
     for _ in range(3):
-        fv = chart._value(u, v, s)
-        sl = chart._slope(u, v, s)
+        fv = _line_value(chart, u, v, s)
+        sl = _line_slope(chart, u, v, s)
         if fv == 0.0 or abs(sl) < 1e-14:
             break
         s -= fv / sl
 
-    fv = chart._value(u, v, s)
+    fv = _line_value(chart, u, v, s)
     if abs(fv) > chart.root_tol:
         raise NoRootError(
             f"{chart.label}: root certification failed, |f| = {abs(fv):.3e} "
             f"> {chart.root_tol:g} at (u, v) = ({u:g}, {v:g})")
-    sl = chart._slope(u, v, s)
+    sl = _line_slope(chart, u, v, s)
     if sl < chart.slope_floor:
         raise MonotonicityError(
             f"{chart.label}: line slope {sl:.3e} below floor {chart.slope_floor:g} "
@@ -476,7 +488,7 @@ def reference_root(chart, u: float, v: float) -> float:
 
 def reference_root_jet(chart, u: float, v: float, depth: int):
     s0 = reference_root(chart, u, v)
-    d = chart._slope(u, v, s0)
+    d = _line_slope(chart, u, v, s0)
     U, V = u, v
     for _ in range(depth):
         U = jets.Jet(U, (1.0, 0.0, 0.0))
@@ -579,10 +591,10 @@ def reference_circle_turning(chart, radius: float, n_angles: int, d: float):
 
 
 def reference_tod_identity_residuals(f: PotentialField, metric: MetricField, point,
-                                     static_tol: float = 1e-6, tau_eig: float = 1e-6) -> np.ndarray:
+                                     static_tol: float = 1e-6) -> np.ndarray:
     p = Point3.of(point)
     require_static(f, metric, p, tol=static_tol)
-    ef = ricci_eigenframe(metric, p, tau_eig=tau_eig)
+    ef = ricci_eigenframe(metric, p)
     ric, dric, gamma = ricci_with_derivative(metric, p)
 
     # covariant derivative of Ricci: (grad Ric)[c, a, b] = d_c R_ab - corrections

@@ -5,7 +5,9 @@ walker, the node-by-node sphere average and linear-part fit, and the
 sample-by-sample root scan. The compiled expressions must reproduce the tree
 walker bit for bit, including which exception is raised; the batched sphere
 drivers must reproduce the node loops bit for bit; the batched root scan must
-give the same roots and fail with the same exception class and message.
+give the same roots and fail with the same exception class and message, except
+where the pointwise scan raises a float exception (a math domain error, a
+division by zero): there the chart meets nan or inf and raises DomainError.
 
 Bit-identity of a batched evaluation with the pointwise one holds for
 ``+ - * /``, ``sqrt`` and squares, which numpy and Python both round
@@ -203,26 +205,38 @@ class TestRootScan:
     def test_roots_match_pointwise_scan(self, text, bracket):
         chart = _graph_chart(text, bracket, slope_floor=1e-8)
         for u, v in [(0.3, 1.7), (2.0, -0.4), (-5.0, 3.0), (0.0, 9.5)]:
-            with np.errstate(all="ignore"):
-                _assert_bits(_outcome(chart.root, u, v), _outcome(reference_root, chart, u, v))
+            _assert_bits(_outcome(chart.root, u, v), _outcome(reference_root, chart, u, v))
 
     @pytest.mark.parametrize("text,bracket,u", [
         ("x1*x1 + 1", (-2.0, 2.0), 1.0),        # NoRootError after every widening
         ("x1*x1 - 0.25", (-2.0, 2.0), 1.0),     # MultiRootError
         ("0.001*x1", (-2.0, 2.0), 1.0),         # MonotonicityError
-        ("ln(x1)", (-8.0, 8.0), 1.0),           # math domain error at the first sample
-        ("ln(x1*x1 - 1)", (-8.0, 8.0), 1.0),    # ... at a sample inside the scan
-        ("sqrt(x1) - 1", (-8.0, 8.0), 1.0),
-        ("1/x1", (-8.0, 7.0), 1.0),             # the pole is bracketed like a root
-        ("x1 + 1/x2", (-8.0, 8.0), 0.0),        # ZeroDivisionError on the line itself
     ])
     def test_failures_match_pointwise_scan(self, text, bracket, u):
         chart = _graph_chart(text, bracket)
-        with np.errstate(all="ignore"):
-            got = _outcome(chart.root, u, 0.5)
-            want = _outcome(reference_root, chart, u, 0.5)
+        got = _outcome(chart.root, u, 0.5)
+        want = _outcome(reference_root, chart, u, 0.5)
         assert isinstance(got, tuple), "a failing line must not produce a root"
         assert got == want
+
+    @pytest.mark.parametrize("text,bracket,u,what,s", [
+        ("ln(x1)", (-8.0, 8.0), 1.0, "f", "-8"),               # the first scan sample
+        ("ln(x1*x1 - 1)", (-8.0, 8.0), 1.0, "f", "-0.666667"),  # a sample inside the scan
+        ("sqrt(x1) - 1", (-8.0, 8.0), 1.0, "f", "-8"),
+        ("1/x1", (-8.0, 7.0), 1.0, "f", "0"),    # the pole is bracketed; Brent lands on it
+        ("x1 + 1/x2", (-8.0, 8.0), 0.0, "f", "-8"),             # a pole on the line itself
+        ("x1^(1/3)", (0.0, 1.0), 1.0, "df/ds", "0"),  # a root at the first sample, slope inf
+    ])
+    def test_float_failures_raise_domain_error(self, text, bracket, u, what, s):
+        # where the pointwise scan raises a float exception, the array pass
+        # meets nan or inf, and the line fails with DomainError at that sample
+        chart = _graph_chart(text, bracket)
+        want = _outcome(reference_root, chart, u, 0.5)
+        assert isinstance(want, tuple) and issubclass(want[0], (ValueError, ZeroDivisionError))
+        with pytest.raises(sp.DomainError) as err:
+            chart.root(u, 0.5)
+        assert str(err.value) == (f"graph[{text}]: {what} is not finite at s = {s} "
+                                  f"on the line (u, v) = ({u:g}, 0.5)")
 
     @pytest.mark.parametrize("text,s", [
         ("(x1)^0.5 - 1", -8.0),         # nan below x1 = 0
@@ -233,7 +247,7 @@ class TestRootScan:
         # numpy scalars give nan or inf where floats raise; such a sample has
         # no sign, so the scan stops instead of counting it
         chart = _graph_chart(text, (-8.0, 8.0))
-        with np.errstate(all="ignore"), pytest.raises(sp.DomainError) as err:
+        with pytest.raises(sp.DomainError) as err:
             chart.root(1.0, 0.5)
         assert str(err.value) == (f"graph[{text}]: f is not finite at s = {s:g} "
                                   "on the line (u, v) = (1, 0.5)")

@@ -205,11 +205,10 @@ def test_batch_raises_the_first_failing_line(text, lines, error):
     bracket = (-8.0, 8.0) if error is sp.DomainError else (-1.0, 1.0)
     chart = _graph_chart(text, bracket)
     u, v = np.array(lines).T
-    with np.errstate(all="ignore"):
-        alone = [_outcome(chart.root, a, b) for a, b in lines]  # batches of one
-        got = _outcome(chart.roots, u, v)
-        if error is not sp.DomainError:  # the float scan reads nan as a sign
-            assert alone == [_outcome(reference_root, chart, a, b) for a, b in lines]
+    alone = [_outcome(chart.root, a, b) for a, b in lines]  # batches of one
+    got = _outcome(chart.roots, u, v)
+    if error is not sp.DomainError:  # the float scan reads nan as a sign
+        assert alone == [_outcome(reference_root, chart, a, b) for a, b in lines]
     failed = [k for k, out in enumerate(alone) if isinstance(out, tuple)]
     assert len(failed) == 2 and alone[failed[0]][0] is error
     assert got == alone[failed[0]]
