@@ -478,15 +478,44 @@ def _metric_fd(metric: MetricField, coords, h):
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Curvature data of a metric at one point or at a batch of nodes."""
+    """Curvature data of a metric at one point or at a batch of nodes, with the
+    metric's Taylor data it was assembled from; ``dricci`` is None except in
+    the depth-3 pass of ``ricci_with_derivative``."""
 
     point: Point3
     backend: str
     metric_matrix: np.ndarray
+    dg: np.ndarray         # dg[..., k, i, j] = d_k g_ij
+    d2g: np.ndarray        # d2g[..., k, l, i, j] = d_k d_l g_ij
     gamma: np.ndarray      # gamma[..., k, i, j] = Gamma^k_{ij}
     riemann: np.ndarray    # riemann[..., d, a, b, c] = R^d_{abc}
     ricci: np.ndarray
     scalar: float          # an array for a batch of nodes
+    dricci: np.ndarray | None = None  # dricci[..., c, a, b] = d_c Ric_ab
+
+
+def _curvature(metric: MetricField, p: Point3, backend: str, depth: int,
+               check_domain: bool = True) -> CurvatureBundle:
+    """The curvature pass of ``curvature_at`` (depth 2, float arrays) and of
+    ``ricci_with_derivative`` (depth 3, the same assembly on _Tangent pairs)."""
+    if check_domain:
+        _require_inside(metric, p)
+    if backend == "dual":
+        taylor = _metric_taylor(metric, p.coords(), depth)
+    elif backend == "fd":
+        taylor = _metric_fd(metric, p.coords(), 1e-3 * np.maximum(1.0, p.r))
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    g, dg, d2g = taylor[:3]
+    _check_positive(g, metric.label, p)
+    if depth == 3:
+        parts = _assemble_curvature(*map(_Tangent, taylor[:3], taylor[1:]))
+        (gamma, riem, ric, scal), dric = (t.v for t in parts), parts[2].t
+    else:
+        (gamma, riem, ric, scal), dric = _assemble_curvature(g, dg, d2g), None
+    return CurvatureBundle(point=p, backend=backend, metric_matrix=g, dg=dg, d2g=d2g,
+                           gamma=gamma, riemann=riem, ricci=ric,
+                           scalar=scal if np.ndim(scal) else float(scal), dricci=dric)
 
 
 def curvature_at(metric: MetricField, point, backend: str = "dual",
@@ -504,27 +533,7 @@ def curvature_at(metric: MetricField, point, backend: str = "dual",
     batched pass; every array of the bundle then carries the batch shape in
     front. A single point is the shape-() case of the same path.
     """
-    p = Point3.of(point)
-    if check_domain:
-        _require_inside(metric, p)
-    if backend == "dual":
-        g, dg, d2g = _metric_taylor(metric, p.coords(), 2)
-    elif backend == "fd":
-        g, dg, d2g = _metric_fd(metric, p.coords(), 1e-3 * np.maximum(1.0, p.r))
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    _check_positive(g, metric.label, p)
-    gamma, riem, ric, scal = _assemble_curvature(g, dg, d2g)
-    return CurvatureBundle(
-        point=p,
-        backend=backend,
-        metric_matrix=g,
-        gamma=gamma,
-        riemann=riem,
-        ricci=ric,
-        scalar=scal if np.ndim(scal) else float(scal),
-    )
+    return _curvature(metric, Point3.of(point), backend, 2, check_domain)
 
 
 def christoffel_at(metric: MetricField, point, check_domain: bool = True) -> np.ndarray:
@@ -537,22 +546,15 @@ def christoffel_at(metric: MetricField, point, check_domain: bool = True) -> np.
     return _connection(g, dg)[2]
 
 
-def ricci_with_derivative(metric: MetricField, point):
-    """Ricci tensor, its coordinate derivative and the Christoffels.
+def ricci_with_derivative(metric: MetricField, point) -> CurvatureBundle:
+    """``curvature_at``'s bundle, bit for bit, plus ``dricci[..., c, a, b] = d_c Ric_ab``.
 
-    Returns ``(ric, dric, gamma)`` with ``dric[..., c, a, b] = d_c Ric_ab``.
     One depth-3 jet evaluation gives the metric to third order; the curvature
     assembly then carries every array with its coordinate derivative as a
     _Tangent pair, so the derivative is exact up to roundoff. A batched Point3
     is evaluated in one pass, with the batch shape in front.
     """
-    p = Point3.of(point)
-    _require_inside(metric, p)
-    g, dg, d2g, d3g = _metric_taylor(metric, p.coords(), 3)
-    _check_positive(g, metric.label, p)
-    gamma, _riem, ric, _scal = _assemble_curvature(_Tangent(g, dg), _Tangent(dg, d2g),
-                                                   _Tangent(d2g, d3g))
-    return ric.v, ric.t, gamma.v
+    return _curvature(metric, Point3.of(point), "dual", 3)
 
 
 def reconstruct_riemann_from_ricci(ricci, scalar: float, g) -> np.ndarray:

@@ -158,18 +158,13 @@ def anisotropy_limit(metric: MetricField, graph: SurfaceGraph, heights) -> Aniso
 ### Divergence-identity bookkeeping
 
 
-def _ricci_density(f: PotentialField, metric: MetricField, weight):
-    """Volume integrand weight(f) |Ric|_g^2 on coordinate arrays.
+def _ricci_density(f: PotentialField, weight):
+    """Volume integrand weight(f) |Ric|_g^2 on the curvature bundle of a radial panel."""
 
-    One batched curvature evaluation covers every node of a radial panel.
-    """
-
-    def density(x1, x2, x3) -> np.ndarray:
-        p = Point3(x1, x2, x3)
-        b = curvature_at(metric, p)
+    def density(b) -> np.ndarray:
         ginv = np.linalg.inv(b.metric_matrix)
         ric_up = ginv @ b.ricci @ ginv
-        return weight(f.value(p)) * (b.ricci * ric_up).sum(axis=(-2, -1))
+        return weight(f.value(b.point)) * (b.ricci * ric_up).sum(axis=(-2, -1))
 
     return density
 
@@ -198,22 +193,22 @@ def integral_identity_check(f: PotentialField, metric: MetricField, r_inner: flo
 
     For a static potential the divergence theorem turns the bulk integral of
     f |Ric|^2 into the difference of Ric(grad f, nu) fluxes through the two
-    boundary spheres; the report carries all three numbers.
+    boundary spheres; the report carries all three numbers. The static gate
+    probes three points of the shell as one batch.
     """
     if rule is None:
         rule = sphere_rule()
-    for k in range(3):
-        rr = r_inner * (r_outer / r_inner) ** ((k + 0.5) / 3.0)
-        d = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0) if k % 2 else np.array([1.0, -0.5, 0.25]) / np.linalg.norm([1.0, -0.5, 0.25])
-        require_static(f, metric, Point3.of(rr * d), tol=static_tol)
+    diagonal = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+    skew = np.array([1.0, -0.5, 0.25]) / np.linalg.norm([1.0, -0.5, 0.25])
+    require_static(f, metric, Point3.stack(r_inner * (r_outer / r_inner) ** ((k + 0.5) / 3.0)
+                                           * (diagonal if k % 2 else skew) for k in range(3)),
+                   tol=static_tol)
 
-    def flux_vector(x1, x2, x3) -> np.ndarray:
-        p = Point3(x1, x2, x3)
-        b = curvature_at(metric, p)
+    def flux_vector(b) -> np.ndarray:
         ginv = np.linalg.inv(b.metric_matrix)
-        return (ginv @ b.ricci @ (ginv @ f.gradient(p)[..., None]))[..., 0]
+        return (ginv @ b.ricci @ (ginv @ f.gradient(b.point)[..., None]))[..., 0]
 
-    bulk = volume_integral(metric, _ricci_density(f, metric, lambda v: v), r_inner, r_outer,
+    bulk = volume_integral(metric, _ricci_density(f, lambda v: v), r_inner, r_outer,
                            rule, n_panels=n_panels, nodes_per_panel=nodes_per_panel,
                            max_nodes=max_nodes)
     flux_in = flux_integral(metric, flux_vector, r_inner, rule)
@@ -255,7 +250,7 @@ def capacity_balance_instance(mass: float, f: PotentialField, metric: MetricFiel
     c_val = float(comp.grad_norms.mean())
     spread = float((comp.grad_norms.max() - comp.grad_norms.min()) / c_val)
 
-    bulk = volume_integral(metric, _ricci_density(f, metric, np.abs), r_inner, r_outer, rule,
+    bulk = volume_integral(metric, _ricci_density(f, np.abs), r_inner, r_outer, rule,
                            n_panels=n_panels, nodes_per_panel=nodes_per_panel,
                            breakpoints=(0.5 * m,))
     predicted = 4.0 * math.pi * c_val * comp.euler_characteristic

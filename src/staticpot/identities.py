@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError, ZeroPotentialError
 from .geometry import MetricField, Point3, _first_flagged, curvature_at, ricci_with_derivative
-from .potentials import PotentialField, _hess_g, _taylor, require_static
+from .potentials import PotentialField, _gate, _hess_g, _static_from, _taylor
 
 ALL_DISTINCT = "all_distinct"
 TWO_EQUAL = "two_equal"
@@ -107,18 +107,17 @@ def tod_identity_residuals(f: PotentialField, metric: MetricField, point,
         f (R33;1 - R31;3) = (L2 - L3) e1(f)
 
     and the function returns the three left-minus-right defects, as
-    ``(..., 3)`` over the nodes of a batched Point3. The frame, f and grad f
-    come from the static gate's pass; the gate, the Ricci derivative and the
-    eigensolve each take one pass for the whole batch.
+    ``(..., 3)`` over the nodes of a batched Point3. One depth-3 curvature pass
+    feeds the static gate, the Ricci derivative and one eigensolve for the
+    whole batch; f and grad f come from the gate.
     """
     p = Point3.of(point)
-    gate = require_static(f, metric, p, tol=static_tol)
-    ric, dric, gamma = ricci_with_derivative(metric, p)
+    bundle = ricci_with_derivative(metric, p)
+    gate = _gate(_static_from(f, p, bundle), f, metric, static_tol)
 
     # covariant derivative of Ricci: (grad Ric)[..., c, a, b] = d_c R_ab - corrections
-    covd = (dric - np.einsum("...kca,...kb->...cab", gamma, ric)
-            - np.einsum("...kcb,...ak->...cab", gamma, ric))
-    bundle = gate.curvature
+    covd = (bundle.dricci - np.einsum("...kca,...kb->...cab", bundle.gamma, bundle.ricci)
+            - np.einsum("...kcb,...ak->...cab", bundle.gamma, bundle.ricci))
     lam, E = _eigenframes(bundle.ricci, bundle.metric_matrix, p, metric.label)
     P = np.einsum("...ai,...bj,...ck,...cab->...ijk", E, E, E, covd)  # R_ij;k in the frame
     fp = (gate.gradient[..., None, :] @ E)[..., 0, :]  # e_i(f)
@@ -135,19 +134,21 @@ def quotient_residual(f: PotentialField, N: PotentialField, metric: MetricField,
 
     For Z = f/N on the region where N > 0 the law is
     N Hess Z + dN (x) dZ + dZ (x) dN = 0; the returned matrix is its left side.
+    Both static gates read one curvature pass.
     """
     p = Point3.of(point)
     n_val = N.value(p)
     if n_val <= 1e-10:
         raise ZeroPotentialError(f"{N.label}: denominator potential is not positive at {p.coords()}")
-    require_static(f, metric, p, tol=static_tol)
-    gate = require_static(N, metric, p, tol=static_tol)
+    bundle = curvature_at(metric, p)
+    _gate(_static_from(f, p, bundle), f, metric, static_tol)
+    gate = _gate(_static_from(N, p, bundle), N, metric, static_tol)
 
     def zexpr(X1, X2, X3):
         return f.expr(X1, X2, X3) / N.expr(X1, X2, X3)
 
     _, dZ, hess_z = _taylor(zexpr, p, 2)
-    Hz = _hess_g(hess_z, dZ, gate.curvature.gamma)
+    Hz = _hess_g(hess_z, dZ, bundle.gamma)
     dN = gate.gradient
     return n_val * Hz + np.outer(dN, dZ) + np.outer(dZ, dN)
 

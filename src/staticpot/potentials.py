@@ -23,8 +23,8 @@ import numpy as np
 
 from . import jets
 from .errors import ConfigError, NonConvergentError, NotStaticError, ZeroPotentialError
-from .geometry import (CurvatureBundle, MetricField, Point3, _first_flagged, _metric_taylor,
-                       christoffel_at, curvature_at)
+from .geometry import (CurvatureBundle, MetricField, Point3, _first_flagged, christoffel_at,
+                       curvature_at)
 from .quadrature import SphereRule, aitken_limit, sphere_rule
 
 
@@ -52,7 +52,7 @@ class PotentialField:
 def _taylor(expr: Callable, p: Point3, depth: int) -> tuple:
     """A scalar expression and its first ``depth`` (at most 3) partials at p.
 
-    The potential counterpart of ``geometry._metric_taylor``: seeds the
+    The potential counterpart of the metric's Taylor data: seeds the
     coordinates, evaluates ``expr`` once and returns ``(value,)``,
     ``(value, grad)``, ``(value, grad, hess)`` or ``(value, grad, hess, d3)``
     as floats, with ``grad[..., i]``, ``hess[..., i, j]`` and
@@ -248,7 +248,11 @@ def static_residual(f: PotentialField, metric: MetricField, point) -> StaticResi
     its nodes.
     """
     p = Point3.of(point)
-    bundle = curvature_at(metric, p)
+    return _static_from(f, p, curvature_at(metric, p))
+
+
+def _static_from(f: PotentialField, p: Point3, bundle: CurvatureBundle) -> StaticResidual:
+    """The static system's defect at p, from a curvature pass already taken there."""
     fval, grad, hess = _taylor(f.expr, p, 2)
     cov_hess = _hess_g(hess, grad, bundle.gamma)
     tensor = cov_hess - np.asarray(fval)[..., None, None] * bundle.ricci
@@ -279,10 +283,10 @@ def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: 
     """Defect of the gradient-norm identity satisfied by static potentials.
 
     Checks (1/2) Laplace |grad f|^2 = |Hess f|^2 + (1/2f) <grad f, grad |grad f|^2>
-    at a point where f does not vanish. The connection, the metric and f's
-    derivatives come from the static gate; the first two partials of
-    phi = g^ij f_i f_j come from f's third-order Taylor data and the metric's
-    second-order data by the product rule, with d(g^-1) = -g^-1 (dg) g^-1.
+    at a point where f does not vanish. The connection, the metric with its
+    partials and f's derivatives come from the static gate; the first two
+    partials of phi = g^ij f_i f_j follow from them by the product rule, with
+    d(g^-1) = -g^-1 (dg) g^-1.
     """
     p = Point3.of(point)
     # a vanishing f is reported before the gate runs, even where f has no
@@ -292,14 +296,14 @@ def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: 
         raise ZeroPotentialError(f"{f.label}: potential vanishes at {p.coords()}")
     gate = require_static(f, metric, p, tol=static_tol)
 
-    _, dg, d2g = _metric_taylor(metric, p.coords(), 2)
+    bundle = gate.curvature
     _, df, d2f, d3f = _taylor(f.expr, p, 3)
-    ginv = np.linalg.inv(gate.curvature.metric_matrix)
-    a = np.einsum("ik,ckj->cij", ginv, dg)          # g^-1 d_c g
+    ginv = np.linalg.inv(bundle.metric_matrix)
+    a = np.einsum("ik,ckj->cij", ginv, bundle.dg)   # g^-1 d_c g
     dginv = -np.einsum("cik,kj->cij", a, ginv)      # d_c g^-1
     d2ginv = (np.einsum("dik,ckl,lj->cdij", a, a, ginv)
               + np.einsum("cik,dkl,lj->cdij", a, a, ginv)
-              - np.einsum("ik,cdkl,lj->cdij", ginv, d2g, ginv))
+              - np.einsum("ik,cdkl,lj->cdij", ginv, bundle.d2g, ginv))
     gf = ginv @ df                                  # g^ij f_j
     phi_grad = np.einsum("cij,i,j->c", dginv, df, df) + 2.0 * d2f @ gf
     phi_hess = (np.einsum("cdij,i,j->cd", d2ginv, df, df)
@@ -307,7 +311,7 @@ def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: 
                 + 2.0 * np.einsum("dij,ic,j->cd", dginv, d2f, df)
                 + 2.0 * d3f @ gf
                 + 2.0 * np.einsum("ic,ij,jd->cd", d2f, ginv, d2f))
-    lap_phi = float(np.tensordot(ginv, _hess_g(phi_hess, phi_grad, gate.curvature.gamma)))
+    lap_phi = float(np.tensordot(ginv, _hess_g(phi_hess, phi_grad, bundle.gamma)))
 
     H = gate.covariant_hessian
     hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, H, H))

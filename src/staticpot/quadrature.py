@@ -6,11 +6,11 @@ the asymptotic expansions handled elsewhere and spectrally accurate for smooth
 integrands. Flux and volume integrals take the metric into account through the
 induced area element and the outward unit normal.
 
-Flux and volume integrands take coordinate arrays: the drivers call
-``scalar_fn(x1, x2, x3)`` or ``vector_fn(x1, x2, x3)`` once per sphere or
-radial panel, and the integrand returns values of shape ``x1.shape`` or
-``x1.shape + (3,)``. ``sphere_average`` calls ``fn`` once per sphere on a
-batched Point3, and ``fn`` returns values of shape ``x1.shape`` or one scalar.
+Flux and volume integrands take the curvature bundle of a sphere or radial
+panel, whose metric also gives the area or volume element, and return values
+of shape ``bundle.point.x1.shape``, plus ``(3,)`` for a vector.
+``sphere_average`` calls ``fn`` once per sphere on a batched Point3, and ``fn``
+returns values of shape ``x1.shape`` or one scalar.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureBudgetError, SingularMetricError
-from .geometry import MetricField, Point3, _first_flagged
+from .geometry import MetricField, Point3, _first_flagged, curvature_at
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,12 @@ def flux_integral(metric: MetricField, vector_fn, radius: float, rule: SphereRul
 
     Integrates g(V, nu) over the sphere of the given coordinate radius, with nu
     the outward unit normal and the area element both taken in the metric. All
-    nodes of the sphere go through one metric evaluation and one call of
-    ``vector_fn(x1, x2, x3)``, which returns the field as an ``(n, 3)`` array.
+    nodes of the sphere go through one curvature pass and one call of
+    ``vector_fn(bundle)``, which returns the field as an ``(n, 3)`` array.
     """
     x = radius * rule.directions
-    p = Point3(x[:, 0], x[:, 1], x[:, 2])
-    g = metric.matrix(p)
+    bundle = curvature_at(metric, Point3(x[:, 0], x[:, 1], x[:, 2]))
+    p, g = bundle.point, bundle.metric_matrix
     Tu = radius * rule.tangent_u
     Tp = radius * rule.tangent_phi
     h00 = np.einsum("ni,nij,nj->n", Tu, g, Tu)
@@ -107,7 +107,7 @@ def flux_integral(metric: MetricField, vector_fn, radius: float, rule: SphereRul
             f"degenerate induced area element at {_first_flagged(p, det_h <= 0)}")
     n = np.cross(Tp, Tu)  # outward co-normal up to scale
     nn = np.einsum("ni,nij,nj->n", n, np.linalg.inv(g), n)
-    V = np.asarray(vector_fn(p.x1, p.x2, p.x3), dtype=float)
+    V = np.asarray(vector_fn(bundle), dtype=float)
     return float(np.sum(rule.weights * np.einsum("ni,ni->n", V, n) / np.sqrt(nn)
                         * np.sqrt(det_h)))
 
@@ -145,8 +145,8 @@ def volume_integral(metric: MetricField, scalar_fn, r_inner: float, r_outer: flo
     """Integral of a scalar over a coordinate shell with the metric volume element.
 
     Each radial panel (``nodes_per_panel`` radii times the sphere rule) goes
-    through one metric evaluation and one call of ``scalar_fn(x1, x2, x3)`` on
-    ``(nodes_per_panel, rule.count)`` coordinate arrays.
+    through one curvature pass and one call of ``scalar_fn(bundle)`` on its
+    ``(nodes_per_panel, rule.count)`` nodes.
     """
     rs, ws = radial_panels(r_inner, r_outer, n_panels, nodes_per_panel, breakpoints=breakpoints)
     n_total = len(rs) * rule.count
@@ -157,12 +157,12 @@ def volume_integral(metric: MetricField, scalar_fn, r_inner: float, r_outer: flo
     for start in range(0, len(rs), nodes_per_panel):
         r = rs[start:start + nodes_per_panel]
         x = r[:, None, None] * rule.directions
-        p = Point3(x[..., 0], x[..., 1], x[..., 2])
-        det_g = np.linalg.det(metric.matrix(p))
+        bundle = curvature_at(metric, Point3(x[..., 0], x[..., 1], x[..., 2]))
+        det_g = np.linalg.det(bundle.metric_matrix)
         if (det_g <= 0).any():
             raise SingularMetricError(
-                f"non-positive volume element at {_first_flagged(p, det_g <= 0)}")
-        shells = (rule.weights * np.asarray(scalar_fn(p.x1, p.x2, p.x3), dtype=float)
+                f"non-positive volume element at {_first_flagged(bundle.point, det_g <= 0)}")
+        shells = (rule.weights * np.asarray(scalar_fn(bundle), dtype=float)
                   * np.sqrt(det_g)).sum(axis=1)
         total += float(np.sum(ws[start:start + nodes_per_panel] * shells * r * r))
     return total

@@ -659,10 +659,6 @@ class ClosedComponent:
     euler_characteristic: int
     grad_norms: np.ndarray    # |grad f|_g at the vertices
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
     @staticmethod
     def _nodes(n_polar: int, n_azimuth: int):
         """Gauss-Legendre polar times uniform azimuthal nodes, polar-major, and weights."""

@@ -203,6 +203,8 @@ def reference_curvature_at(metric: MetricField, point, check_domain: bool = True
         point=p,
         backend=backend,
         metric_matrix=g_np,
+        dg=np.array(dg, dtype=float),
+        d2g=np.array(d2g, dtype=float),
         gamma=np.array(gamma, dtype=float),
         riemann=np.array(riem, dtype=float),
         ricci=np.array(ric, dtype=float),
@@ -430,7 +432,7 @@ def reference_root(chart, u: float, v: float) -> float:
     lo, hi = chart.bracket(u, v)
     pair = None
     for _ in range(7):
-        ss = np.linspace(lo, hi, 25)
+        ss = np.linspace(lo, hi, 25).tolist()  # Python floats, as the old float scan
         vals = [_line_value(chart, u, v, s) for s in ss]
         # a sample landing exactly on the root must count once, not as
         # two sign flips around it
@@ -595,7 +597,8 @@ def reference_tod_identity_residuals(f: PotentialField, metric: MetricField, poi
     p = Point3.of(point)
     require_static(f, metric, p, tol=static_tol)
     ef = ricci_eigenframe(metric, p)
-    ric, dric, gamma = ricci_with_derivative(metric, p)
+    b = ricci_with_derivative(metric, p)
+    ric, dric, gamma = b.ricci, b.dricci, b.gamma
 
     # covariant derivative of Ricci: (grad Ric)[c, a, b] = d_c R_ab - corrections
     covd = dric - np.einsum("kca,kb->cab", gamma, ric) - np.einsum("kcb,ak->cab", gamma, ric)

@@ -83,11 +83,36 @@ def test_batch_matches_single_points_and_reference(chart):
 def test_ricci_derivative_matches_reference(chart):
     metric, seed = chart
     for p in _nodes(metric, seed, n=2):
-        ric, dric, gamma = sp.ricci_with_derivative(metric, p)
+        b = sp.ricci_with_derivative(metric, p)
+        ric, dric, gamma = b.ricci, b.dricci, b.gamma
         ref_ric, ref_dric, ref_gamma = reference_ricci_with_derivative(metric, p)
         assert _rel(ric, ref_ric) <= ROUNDOFF
         assert _rel(dric, ref_dric) <= ROUNDOFF
         assert _rel(gamma, ref_gamma) <= ROUNDOFF
+
+
+_TWO_TERMS = sp.perturbed_as(1.0, [PerturbationTerm(0, 0, 0.4, (1, 0, 0)),
+                                    PerturbationTerm(1, 2, -0.3, (0, 1, 1))])
+_DEPTH_METRICS = {
+    "schwarzschild": sp.schwarzschild(1.0),
+    "perturbed_as": _TWO_TERMS,
+    "rotate_chart": sp.rotate_chart(_TWO_TERMS, [[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0],
+                                                 [0.48, 0.64, 0.6]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEPTH_METRICS))
+def test_depth_three_pass_is_bit_identical_to_curvature_at(name):
+    # the depth-3 tangent pass and the depth-2 float pass share every value
+    metric = _DEPTH_METRICS[name]
+    points = sp.sample_shell(np.random.default_rng(17), 150, 2.0, 12.0)
+    for where in (_batch(points), points[0], points[-1]):
+        deep = sp.ricci_with_derivative(metric, where)
+        flat = sp.curvature_at(metric, where)
+        for field in ("metric_matrix", "dg", "d2g", "gamma", "riemann", "ricci", "scalar"):
+            assert np.array_equal(getattr(deep, field), getattr(flat, field)), field
+        assert flat.dricci is None and deep.dricci.shape == np.shape(flat.ricci)[:-2] + (3, 3, 3)
+        assert type(deep.scalar) is type(flat.scalar)
 
 
 @settings(max_examples=15, deadline=None)
@@ -114,17 +139,14 @@ def test_quadrature_drivers_match_node_sums(chart):
     rule = sp.sphere_rule(3, 6)
     f = sp.schwarzschild_potential(1.0)
 
-    def density(x1, x2, x3):
-        p = Point3(x1, x2, x3)
-        return f.value(p) * _ricci_norm_sq(sp.curvature_at(metric, p))
+    def density(b):
+        return f.value(b.point) * _ricci_norm_sq(b)
 
     def density_at(p):
         return f.value(p) * float(_ricci_norm_sq(reference_curvature_at(metric, p)))
 
-    def flux(x1, x2, x3):
-        p = Point3(x1, x2, x3)
-        b = sp.curvature_at(metric, p)
-        return (b.ricci @ f.gradient(p)[..., None])[..., 0]
+    def flux(b):
+        return (b.ricci @ f.gradient(b.point)[..., None])[..., 0]
 
     def flux_at(p):
         return reference_curvature_at(metric, p).ricci @ f.gradient(p)
@@ -162,7 +184,7 @@ def test_node_outside_chart_raises_same_error(chart):
     assert type(got) is type(expected) and str(got) == str(expected)
     rule = sp.sphere_rule(3, 6)
     inner = 0.5 * _r_min(metric)
-    got = _raised(sp.volume_integral, metric, lambda x1, x2, x3: x1, inner, 2.0 * inner, rule)
+    got = _raised(sp.volume_integral, metric, lambda b: b.point.x1, inner, 2.0 * inner, rule)
     expected = _raised(reference_volume_integral, metric, lambda p: p.x1, inner, 2.0 * inner, rule)
     assert type(got) is type(expected) and str(got) == str(expected)
 
@@ -182,6 +204,6 @@ def test_degenerate_metric_raises_same_error():
     assert type(got) is type(expected) and str(got) == str(expected)
     assert type(_raised(sp.ricci_with_derivative, bad, points[1])) is type(expected)
     rule = sp.sphere_rule(3, 6)
-    got = _raised(sp.flux_integral, bad, lambda x1, x2, x3: np.zeros(x1.shape + (3,)), 0.7, rule)
+    got = _raised(sp.flux_integral, bad, lambda b: np.zeros(b.point.x1.shape + (3,)), 0.7, rule)
     expected = _raised(reference_flux_integral, bad, lambda p: np.zeros(3), 0.7, rule)
     assert type(got) is type(expected) and str(got) == str(expected)

@@ -68,11 +68,13 @@ def _rel(a, b):
 def test_ricci_derivative_batch_and_single_match_reference(drawn):
     metric, r_min, seed = drawn
     points = sp.sample_shell(np.random.default_rng(seed), 6, 1.5 * r_min, 8.0 * r_min)
-    ric, dric, gamma = sp.ricci_with_derivative(metric, _batch(points))
+    batch = sp.ricci_with_derivative(metric, _batch(points))
+    ric, dric, gamma = batch.ricci, batch.dricci, batch.gamma
     assert ric.shape == (6, 3, 3) and dric.shape == (6, 3, 3, 3) and gamma.shape == (6, 3, 3, 3)
     for k, p in enumerate(points):
         ref = reference_ricci_with_derivative(metric, p)
-        one = sp.ricci_with_derivative(metric, p)
+        b = sp.ricci_with_derivative(metric, p)
+        one = (b.ricci, b.dricci, b.gamma)
         for batched, single, expected in zip((ric[k], dric[k], gamma[k]), one, ref):
             assert _rel(batched, expected) <= ROUNDOFF
             assert _rel(single, expected) <= ROUNDOFF
@@ -120,7 +122,7 @@ def test_tod_residuals_batch_matches_single_points(name):
             assert one.shape == (3,)
             # the identities balance f grad Ric against (eigenvalue gap) grad f
             gate = sp.static_residual(f, metric, p)
-            _, dric, _ = sp.ricci_with_derivative(metric, p)
+            dric = sp.ricci_with_derivative(metric, p).dricci
             scale = (abs(gate.f_value) * float(np.max(np.abs(dric)))
                      + float(np.max(np.abs(gate.curvature.ricci))) * float(np.max(np.abs(gate.gradient))))
             assert float(np.max(np.abs(batch[k] - one))) <= ROUNDOFF * scale

@@ -238,6 +238,13 @@ class TestRootScan:
         assert str(err.value) == (f"graph[{text}]: {what} is not finite at s = {s} "
                                   f"on the line (u, v) = ({u:g}, 0.5)")
 
+    def test_reference_scan_raises_on_a_flagged_sample(self):
+        # the oracle scans Python floats, so the sample s = 0 divides by zero
+        # in 1/x1 even though 1/(1/x1) would be finite there in numpy
+        chart = _graph_chart("1/(1/x1) - 0.3", (-8.0, 8.0))
+        with pytest.raises(ZeroDivisionError):
+            reference_root(chart, 1.0, 0.5)
+
     @pytest.mark.parametrize("text,s", [
         ("(x1)^0.5 - 1", -8.0),         # nan below x1 = 0
         ("1/x1", 0.0),                  # inf at the sample x1 = 0

@@ -284,14 +284,66 @@ def counts(monkeypatch):
 
 
 def test_tod_evaluates_each_point_once(counts):
+    # the gate reads the depth-3 pass that also gives the Ricci derivative
     sp.tod_identity_residuals(F, METRICS["schwarzschild"], Point3(3.0, 1.0, -2.0))
-    assert counts == {"curvature_at": 1, "ricci_with_derivative": 1}
+    assert counts == {"ricci_with_derivative": 1}
+
+
+def test_tod_batch_takes_one_curvature_pass(counts):
+    sp.tod_identity_residuals(F, METRICS["perturbed_as"], Point3.stack(_points(6)),
+                              static_tol=LOOSE)
+    assert counts == {"ricci_with_derivative": 1}
+
+
+def test_quotient_gates_both_potentials_from_one_pass(counts):
+    sp.quotient_residual(F, N, METRICS["schwarzschild"], Point3(3.0, 1.0, -2.0),
+                         static_tol=LOOSE)
+    assert counts.get("curvature_at", 0) == 1
+    assert counts.get("ricci_with_derivative", 0) == counts.get("matrix", 0) == 0
 
 
 def test_bochner_reads_connection_and_metric_from_gate(counts):
     sp.bochner_residual(F, METRICS["schwarzschild"], Point3(3.0, 1.0, -2.0))
     assert counts.get("christoffel_at", 0) == 0 and counts.get("matrix", 0) == 0
     assert counts["curvature_at"] == 1
+
+
+def test_bochner_evaluates_the_metric_once(monkeypatch):
+    # dg and d2g come from the gate's curvature bundle, not a second jet pass
+    taylor = {}
+    _count(monkeypatch, geometry._metric_taylor, taylor, "_metric_taylor")
+    sp.bochner_residual(F, METRICS["perturbed_as"], Point3(3.0, 1.0, -2.0), static_tol=LOOSE)
+    assert taylor == {"_metric_taylor": 1}
+
+
+def test_quadrature_drivers_take_one_curvature_pass_per_panel(counts):
+    g, rule = METRICS["perturbed_as"], sp.sphere_rule(3, 6)
+    rs, _ = sp.radial_panels(3.0, 9.0, 4, 3)
+    sp.volume_integral(g, lambda b: b.scalar, 3.0, 9.0, rule, n_panels=4, nodes_per_panel=3)
+    assert len(rs) == 4 * 3
+    assert counts == {"curvature_at": 4}
+    counts.clear()
+    sp.flux_integral(g, lambda b: b.ricci[..., 0], 3.0, rule)
+    assert counts == {"curvature_at": 1}
+
+
+def test_integral_identity_gate_error_matches_probe_loop():
+    # the three static-gate probes run as one batch; a non-static f must fail
+    # with the error the first failing probe gives on its own
+    g, f = sp.schwarzschild(1.0), sp.schwarzschild_potential(2.0)
+    r_inner, r_outer = 2.0, 10.0
+    want = None
+    for k in range(3):
+        rr = r_inner * (r_outer / r_inner) ** ((k + 0.5) / 3.0)
+        d = (np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0) if k % 2
+             else np.array([1.0, -0.5, 0.25]) / np.linalg.norm([1.0, -0.5, 0.25]))
+        want = _outcome(sp.require_static, f, g, Point3.of(rr * d))
+        if isinstance(want, tuple):
+            break
+    assert isinstance(want, tuple) and want[0] is sp.NotStaticError
+    got = _outcome(sp.integral_identity_check, f, g, r_inner, r_outer,
+                   rule=sp.sphere_rule(3, 6), n_panels=2, nodes_per_panel=2)
+    assert got == want
 
 
 def test_zero_set_laws_one_curvature_per_sample(counts):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import staticpot as sp
-from staticpot.geometry import Point3
 from staticpot import quadrature
 
 
@@ -35,8 +34,8 @@ class TestFlux:
         g = sp.euclidean()
         rule = sp.sphere_rule(12, 24)
 
-        def field(x1, x2, x3):
-            x = np.stack([x1, x2, x3], axis=-1)
+        def field(b):
+            x = np.stack(b.point.coords(), axis=-1)
             return x / np.linalg.norm(x, axis=-1, keepdims=True) ** 3
 
         for radius in (1.0, 3.0, 7.5):
@@ -50,10 +49,8 @@ class TestFlux:
         f = sp.schwarzschild_potential(m)
         rule = sp.sphere_rule(12, 24)
 
-        def grad_field(x1, x2, x3):
-            p = Point3(x1, x2, x3)
-            gmat = g.matrix(p)
-            return (np.linalg.inv(gmat) @ f.gradient(p)[..., None])[..., 0]
+        def grad_field(b):
+            return (np.linalg.inv(b.metric_matrix) @ f.gradient(b.point)[..., None])[..., 0]
 
         # the capacity flux of the static potential equals 4 pi m at every radius
         for radius in (2.0, 5.0, 20.0):
@@ -65,14 +62,14 @@ class TestVolume:
     def test_ball_shell_volume_flat(self):
         g = sp.euclidean()
         rule = sp.sphere_rule(8, 16)
-        vol = sp.volume_integral(g, lambda x1, x2, x3: np.ones_like(x1), 1.0, 2.0, rule,
+        vol = sp.volume_integral(g, lambda b: np.ones_like(b.point.x1), 1.0, 2.0, rule,
                                  n_panels=8, nodes_per_panel=8)
         assert vol == pytest.approx(4.0 / 3.0 * math.pi * 7.0, rel=1e-12)
 
     def test_radial_density(self):
         g = sp.euclidean()
         rule = sp.sphere_rule(6, 12)
-        vol = sp.volume_integral(g, lambda x1, x2, x3: 1.0 / (x1 ** 2 + x2 ** 2 + x3 ** 2),
+        vol = sp.volume_integral(g, lambda b: 1.0 / b.point.r ** 2,
                                  1.0, 4.0, rule,
                                  n_panels=8, nodes_per_panel=8)
         assert vol == pytest.approx(4.0 * math.pi * 3.0, rel=1e-12)
@@ -81,7 +78,7 @@ class TestVolume:
         g = sp.euclidean()
         rule = sp.sphere_rule(8, 16)
         with pytest.raises(sp.QuadratureBudgetError):
-            sp.volume_integral(g, lambda x1, x2, x3: np.ones_like(x1), 1.0, 2.0, rule,
+            sp.volume_integral(g, lambda b: np.ones_like(b.point.x1), 1.0, 2.0, rule,
                                n_panels=64, nodes_per_panel=16, max_nodes=100)
 
 
