@@ -57,7 +57,6 @@ from .potentials import (
     expression_potential,
     fit_linear_part,
     from_callable,
-    gradient_norm,
     require_static,
     schwarzschild_potential,
     static_residual,

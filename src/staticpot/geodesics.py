@@ -240,14 +240,13 @@ class GrowthBound:
         return self.amplitude * self.alpha * np.asarray(t, dtype=float) ** (self.alpha - 1.0)
 
     @classmethod
-    def from_initial_data(cls, epsilon: float, sup_data: float, r0: float,
-                          pad: float = 1e-6) -> "GrowthBound":
-        """Smallest padded amplitude with w(r0) and w'(r0) above the sup data."""
+    def from_initial_data(cls, epsilon: float, sup_data: float, r0: float) -> "GrowthBound":
+        """Smallest amplitude with w(r0), w'(r0) above the sup data, padded by 1e-6."""
         if epsilon < 0 or r0 <= 0 or sup_data <= 0:
             raise ValueError("need epsilon >= 0, r0 > 0 and positive sup data")
         alpha = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * epsilon))
         amplitude = max(sup_data / r0 ** alpha,
-                        sup_data / (alpha * r0 ** (alpha - 1.0))) * (1.0 + pad)
+                        sup_data / (alpha * r0 ** (alpha - 1.0))) * (1.0 + 1e-6)
         return cls(epsilon=epsilon, r0=r0, amplitude=amplitude, alpha=alpha)
 
 

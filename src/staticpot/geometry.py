@@ -419,28 +419,9 @@ def _metric_taylor(metric: MetricField, coords, depth: int):
     arrays over the batch shape of the coordinates.
     """
     comps = metric.components(*jets.seed(coords, depth))
-    # per order n, the entries by (i, j) and then by derivative slots
-    flat = jets.taylor([e for row in comps for e in row], depth)
     batch = getattr(coords[0], "shape", ())  # floats and numpy scalars have shape ()
-    out = []
-    for n, vals in enumerate(flat):
-        a = _stack(vals, batch).reshape((3,) * (n + 2) + batch)
-        if a.ndim > 2:
-            # batch axes first, then the derivative slots, then (i, j)
-            nt = n + 2
-            a = a.transpose(tuple(range(nt, a.ndim)) + tuple(range(2, nt)) + (0, 1))
-        out.append(a)
-    return tuple(out)
-
-
-def _stack(vals, batch: tuple) -> np.ndarray:
-    """Float array of shape ``(len(vals),) + batch`` from scalars and batch-shaped arrays."""
-    if not batch:
-        return np.array(vals, float)
-    out = np.empty((len(vals),) + batch)
-    for k, v in enumerate(vals):
-        out[k] = v
-    return out
+    parts = jets.taylor([e for row in comps for e in row], depth, batch)
+    return tuple(a.reshape(a.shape[:-1] + (3, 3)) for a in parts)
 
 
 # fourth-order central stencils at offsets (-2, -1, 1, 2) * h

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (DegenerateConformalError, IllConditionedFitError, ResolutionError,
                      StepFailureError, UnboundedPotentialError)
 from .geodesics import one_lane, solve_ivp
-from .geometry import MetricField, Point3, _first_flagged, curvature_at, generic_metric
+from .geometry import (MetricField, Point3, _first_flagged, _metric_taylor, curvature_at,
+                       generic_metric)
 from .potentials import PotentialField, _norm_g, _pair, fit_linear_part, require_static
 from .quadrature import SphereRule, flux_integral, sphere_average, sphere_rule, volume_integral
 from .zeroset import AnnulusRegion, SurfaceGraph, _quad, extract_closed_component
@@ -47,13 +48,15 @@ class MassFit:
         return self.limit + self.inverse_coefficient / r + self.quadratic_coefficient / r ** 2
 
 
+_LINEAR_GATE = 1e-2  # largest linear part a bounded potential may show
+
+
 def fit_mass_expansion(f: PotentialField, metric: MetricField, window=(50.0, 400.0),
-                       n_spheres: int = 8, rule: SphereRule | None = None,
-                       linear_gate: float = 1e-2) -> MassFit:
+                       n_spheres: int = 8, rule: SphereRule | None = None) -> MassFit:
     """Fit sphere averages of a bounded potential to a + A/r + B/r^2.
 
     The mass is -A/a (so a potential with limit 1 reports -A directly). A
-    nonzero linear part trips UnboundedPotentialError, a degenerate fit
+    linear part above 1e-2 trips UnboundedPotentialError, a degenerate fit
     IllConditionedFitError.
     """
     if rule is None:
@@ -62,9 +65,9 @@ def fit_mass_expansion(f: PotentialField, metric: MetricField, window=(50.0, 400
     radii = np.geomspace(lo, hi, n_spheres)
 
     lp = fit_linear_part(f, metric, radii[:: max(1, n_spheres // 4)], rule=rule)
-    if np.linalg.norm(lp.coefficients) > linear_gate:
+    if np.linalg.norm(lp.coefficients) > _LINEAR_GATE:
         raise UnboundedPotentialError(
-            f"{f.label}: linear part {lp.coefficients} exceeds gate {linear_gate:g}; "
+            f"{f.label}: linear part {lp.coefficients} exceeds gate {_LINEAR_GATE:g}; "
             "mass expansion needs a bounded potential")
 
     avgs = np.array([sphere_average(f.value, r, rule) for r in radii])
@@ -187,14 +190,13 @@ class IntegralReport:
 
 def integral_identity_check(f: PotentialField, metric: MetricField, r_inner: float,
                             r_outer: float, rule: SphereRule | None = None,
-                            n_panels: int = 16, nodes_per_panel: int = 8,
-                            static_tol: float = 1e-6, max_nodes: int | None = None) -> IntegralReport:
+                            n_panels: int = 16, nodes_per_panel: int = 8) -> IntegralReport:
     """Balance f |Ric|^2 over a shell against Ricci-contracted gradient flux.
 
     For a static potential the divergence theorem turns the bulk integral of
     f |Ric|^2 into the difference of Ric(grad f, nu) fluxes through the two
-    boundary spheres; the report carries all three numbers. The static gate
-    probes three points of the shell as one batch.
+    boundary spheres; the report carries all three numbers. The static gate, at
+    tolerance 1e-6, probes three points of the shell as one batch.
     """
     if rule is None:
         rule = sphere_rule()
@@ -202,15 +204,14 @@ def integral_identity_check(f: PotentialField, metric: MetricField, r_inner: flo
     skew = np.array([1.0, -0.5, 0.25]) / np.linalg.norm([1.0, -0.5, 0.25])
     require_static(f, metric, Point3.stack(r_inner * (r_outer / r_inner) ** ((k + 0.5) / 3.0)
                                            * (diagonal if k % 2 else skew) for k in range(3)),
-                   tol=static_tol)
+                   tol=1e-6)
 
     def flux_vector(b) -> np.ndarray:
         ginv = np.linalg.inv(b.metric_matrix)
         return (ginv @ b.ricci @ (ginv @ f.gradient(b.point)[..., None]))[..., 0]
 
     bulk = volume_integral(metric, _ricci_density(f, lambda v: v), r_inner, r_outer,
-                           rule, n_panels=n_panels, nodes_per_panel=nodes_per_panel,
-                           max_nodes=max_nodes)
+                           rule, n_panels=n_panels, nodes_per_panel=nodes_per_panel)
     flux_in = flux_integral(metric, flux_vector, r_inner, rule)
     flux_out = flux_integral(metric, flux_vector, r_outer, rule)
     return IntegralReport(bulk=bulk, flux_inner=flux_in, flux_outer=flux_out)
@@ -300,14 +301,15 @@ def conformal_double_scalar(f: PotentialField, metric: MetricField, sign: int, p
 ### Gradient flow classification
 
 
+_FLOW_GRAD_FLOOR = 1e-7  # |grad f|_g below which a flow line counts as critical
+_FLOW_RTOL, _FLOW_ATOL = 1e-10, 1e-12
+_FLOW_MAX_SAMPLES = 400  # trace samples kept, evenly strided over the solver steps
+
+
 @dataclass(frozen=True)
 class FlowBudget:
     t_max: float = 1e10
     r_escape: float = 1000.0
-    grad_floor: float = 1e-7
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    max_samples: int = 400
 
 
 @dataclass(frozen=True)
@@ -333,32 +335,29 @@ def flow_classify(f: PotentialField, metric: MetricField, point,
 
     Outcomes: escape_to_end (reached the escape radius; limit_estimate carries
     the extrapolated value of f, infinite when the 1/r model does not fit),
-    exit_boundary, converge_critical (|grad f| fell below the floor), or
-    unresolved at the time budget.
+    exit_boundary, converge_critical (|grad f|_g fell below 1e-7), or
+    unresolved at the time budget. The trace keeps every k-th solver step,
+    k = max(1, steps // 400), and the last, and evaluates f and |grad f|_g on
+    all of them in one pass.
     """
     p0 = Point3.of(point)
-    g0 = metric.matrix(p0)  # also validates the start point
+    metric.matrix(p0)  # validates the start point
 
     def rhs(t, y):
-        p = Point3(y[0], y[1], y[2])
-        g = np.array(metric.components(y[0], y[1], y[2]), dtype=float)
-        return np.linalg.inv(g) @ f.gradient(p)
-
-    def grad_norm_at(y) -> float:
-        g = np.array(metric.components(y[0], y[1], y[2]), dtype=float)
-        return _norm_g(g, f.gradient(Point3(y[0], y[1], y[2])))
+        return np.linalg.inv(_metric_taylor(metric, y, 0)[0]) @ f.gradient(Point3(*y))
 
     def ev_escape(t, y):
         return math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2) - budget.r_escape
 
     def ev_critical(t, y):
-        return grad_norm_at(y) - budget.grad_floor
+        g = _metric_taylor(metric, y, 0)[0]
+        return _norm_g(g, f.gradient(Point3(*y))) - _FLOW_GRAD_FLOOR
 
     def ev_boundary(t, y):
         return metric.boundary_margin(Point3(y[0], y[1], y[2]))
 
     sol = solve_ivp(one_lane(rhs), (0.0, budget.t_max), p0.as_array()[None],
-                    rtol=budget.rtol, atol=budget.atol,
+                    rtol=_FLOW_RTOL, atol=_FLOW_ATOL,
                     events=[(one_lane(ev_escape), 1), (one_lane(ev_critical), -1),
                             (one_lane(ev_boundary), -1)]).lanes[0]
     if sol.status == -1:
@@ -366,16 +365,17 @@ def flow_classify(f: PotentialField, metric: MetricField, point,
 
     ts = sol.t
     ys = sol.y
-    stride = max(1, len(ts) // budget.max_samples)
+    stride = max(1, len(ts) // _FLOW_MAX_SAMPLES)
     idx = list(range(0, len(ts), stride))
     if idx[-1] != len(ts) - 1:
         idx.append(len(ts) - 1)
-    samples = []
-    for k in idx:
-        y = ys[:, k]
-        samples.append(FlowSample(t=float(ts[k]), position=y.copy(),
-                                  f_value=f.value(Point3(y[0], y[1], y[2])),
-                                  grad_norm=grad_norm_at(y)))
+    states = ys[:, idx]
+    p = Point3(*states)
+    fvals = f.value(p)
+    norms = _norm_g(_metric_taylor(metric, p.coords(), 0)[0], f.gradient(p))
+    samples = [FlowSample(t=float(ts[k]), position=states[:, n].copy(),
+                          f_value=float(fvals[n]), grad_norm=float(norms[n]))
+               for n, k in enumerate(idx)]
 
     fs = np.array([s.f_value for s in samples])
     drops = np.diff(fs) < -1e-12 * (1.0 + np.abs(fs[:-1]))

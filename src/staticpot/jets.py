@@ -200,20 +200,33 @@ def peel_grad(x, i):
 _ZERO_SLOTS = (0.0, 0.0, 0.0)
 
 
-def taylor(entries, depth):
+def taylor(entries, depth, batch=()):
     """Values and partials up to order ``depth`` of depth-``depth`` evaluations.
 
-    Returns ``depth + 1`` lists; list n holds, entry after entry, the 3^n
-    partials of order n, the slot of the outermost jet level first, so that at
-    n = 2 the entry's block of nine holds at ``3 * i + j`` the partial taken
-    with respect to coordinate ``i`` then ``j``. Order n takes n derivative
-    slots from the outer levels and then the value of what is left. Constants
-    differentiate to 0.
+    Returns ``depth + 1`` float arrays; array n has shape
+    ``batch + (3,) * n + (len(entries),)`` and holds at ``[..., i, j, e]``
+    (for n = 2) the partial of entry e taken with respect to coordinate i, the
+    slot of the outermost jet level, then j. Order n takes n derivative slots
+    from the outer levels and then the value of what is left. ``batch`` is the
+    shape of the seeded coordinates; constants differentiate to 0 and are
+    broadcast over it. The arrays are views of one buffer per order laid out
+    entry-major with the batch axes fastest.
     """
     level = list(entries)
-    out = [[_raw(x) for x in level] if depth else level]
-    for n in range(depth - 1, -1, -1):  # n jet levels are left below the slots taken
-        level = [d for x in level for d in (x.grad if isinstance(x, Jet) else _ZERO_SLOTS)]
-        out.append([_raw(x) for x in level] if n else level)
+    n_entries, n_batch = len(level), len(batch)
+    out = []
+    for n in range(depth + 1):
+        if n:  # depth - n jet levels are left below the slots taken
+            level = [d for x in level for d in (x.grad if isinstance(x, Jet) else _ZERO_SLOTS)]
+        vals = [_raw(x) for x in level] if n < depth else level
+        if batch:
+            a = np.empty((len(vals),) + batch)
+            for k, v in enumerate(vals):
+                a[k] = v
+        else:
+            a = np.array(vals, float)
+        # entries, slots, batch in memory; batch, slots, entries as axes
+        a = a.reshape((n_entries,) + (3,) * n + batch)
+        out.append(a.transpose(tuple(range(n + 1, n + 1 + n_batch)) + tuple(range(1, n + 1))
+                               + (0,)))
     return out
-

@@ -55,20 +55,14 @@ def _taylor(expr: Callable, p: Point3, depth: int) -> tuple:
     The potential counterpart of the metric's Taylor data: seeds the
     coordinates, evaluates ``expr`` once and returns ``(value,)``,
     ``(value, grad)``, ``(value, grad, hess)`` or ``(value, grad, hess, d3)``
-    as floats, with ``grad[..., i]``, ``hess[..., i, j]`` and
-    ``d3[..., i, j, k]`` over the batch shape of p. The value is a Python
-    float for a single point.
+    as C-ordered float arrays ``jets.taylor`` reads out, with ``grad[..., i]``,
+    ``hess[..., i, j]`` and ``d3[..., i, j, k]`` over the batch shape of p.
+    The value is a Python float for a single point.
     """
-    parts = jets.taylor([expr(*jets.seed(p.coords(), depth))], depth)
-    if not isinstance(p.x1, np.ndarray):
-        return (float(parts[0][0]),) + tuple(np.array(part, dtype=float).reshape((3,) * n)
-                                             for n, part in enumerate(parts[1:], 1))
-    shape = p.x1.shape
-
-    def on_nodes(vals):  # constants or node arrays, stacked as (..., len(vals))
-        return np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in vals], axis=-1)
-
-    return tuple(on_nodes(part).reshape(shape + (3,) * n) for n, part in enumerate(parts))
+    batch = getattr(p.x1, "shape", ())  # floats and numpy scalars have shape ()
+    parts = jets.taylor([expr(*jets.seed(p.coords(), depth))], depth, batch)
+    value, *rest = [a[..., 0].copy() for a in parts]
+    return (value if batch else float(value), *rest)
 
 
 def affine(a0: float, a1: float, a2: float, a3: float) -> PotentialField:
@@ -233,12 +227,6 @@ def covariant_hessian(f: PotentialField, metric: MetricField, point) -> np.ndarr
     gamma = christoffel_at(metric, p)
     _, grad, hess = _taylor(f.expr, p, 2)
     return _hess_g(hess, grad, gamma)
-
-
-def gradient_norm(f: PotentialField, metric: MetricField, point) -> float:
-    """|grad f|_g at a point."""
-    p = Point3.of(point)
-    return _norm_g(metric.matrix(p), f.gradient(p))
 
 
 def static_residual(f: PotentialField, metric: MetricField, point) -> StaticResidual:

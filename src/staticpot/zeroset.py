@@ -117,11 +117,6 @@ def _lines(u, v):
     return u.shape, u.ravel(), v.ravel()
 
 
-def _on_lanes(x, n: int) -> np.ndarray:
-    """A jet slot or value over n lanes; constants are broadcast."""
-    return np.broadcast_to(np.asarray(x, dtype=float), (n,))
-
-
 def _shaped(x, shape):
     """Jet slots or values over flat lanes, reshaped to ``shape`` (floats for a single line)."""
     if isinstance(x, jets.Jet):
@@ -324,16 +319,17 @@ class SurfaceChart:
         return S
 
     def _points(self, u, v, s) -> Point3:
-        return Point3(*(_on_lanes(x, u.size) for x in self.embed(u, v, s)))
+        (x,) = jets.taylor(self.embed(u, v, s), 0, u.shape)
+        return Point3(*x.T)
 
     def _lift(self, u, v) -> _Lift:
         """Roots, root jets, surface points and chart tangents of flat lanes: one solve."""
         s, slope = self._solve(u, v)
         S = self._root_jet(u, v, s, slope, 1)
         X = self.embed(jets.Jet(u, (1.0, 0.0, 0.0)), jets.Jet(v, (0.0, 1.0, 0.0)), S)
-        tu = np.stack([_on_lanes(jets.peel_grad(x, 0), u.size) for x in X], axis=-1)
-        tv = np.stack([_on_lanes(jets.peel_grad(x, 1), u.size) for x in X], axis=-1)
-        return _Lift(s=s, jet=S, point=self._points(u, v, s), tu=tu, tv=tv)
+        _, dx = jets.taylor(X, 1, u.shape)  # dx[:, i, k] = d_i X_k, i = u, v
+        return _Lift(s=s, jet=S, point=self._points(u, v, s), tu=dx[:, 0].copy(),
+                     tv=dx[:, 1].copy())
 
     def _sigma(self, lift: _Lift) -> np.ndarray:
         """(n, 2, 2) induced two-metric of lifted lanes, from one metric evaluation."""
@@ -368,9 +364,8 @@ class SurfaceChart:
         """(ds/du, ds/dv) of the roots, ``(..., 2)``."""
         shape, u, v = _lines(u, v)
         s, slope = self._solve(u, v)
-        S = self._root_jet(u, v, s, slope, 1)
-        return np.stack([_on_lanes(jets.peel_grad(S, i), u.size) for i in (0, 1)],
-                        axis=-1).reshape(shape + (2,))
+        _, ds = jets.taylor([self._root_jet(u, v, s, slope, 1)], 1, u.shape)
+        return ds[:, :2, 0].reshape(shape + (2,)).copy()
 
     def tangents(self, u, v):
         """Chart tangents (d/du, d/dv) of the surface, each ``(..., 3)``."""
@@ -562,8 +557,8 @@ def extract_zero_graph(f: PotentialField, metric: MetricField, region,
                          label=f"graph[{f.label}]")
     nodes = np.array(region.grid(n_u, n_v))
     lift = chart._lift(nodes[:, 0], nodes[:, 1])
-    slopes = np.stack([_on_lanes(jets.peel_grad(lift.jet, i), len(nodes)) for i in (0, 1)],
-                      axis=-1)
+    _, ds = jets.taylor([lift.jet], 1, lift.s.shape)
+    slopes = ds[:, :2, 0].copy()
     sigmas = chart._sigma(lift)
     return SurfaceGraph(chart=chart, region=region, nodes=nodes, heights=lift.s,
                         slopes=slopes, sigmas=sigmas,

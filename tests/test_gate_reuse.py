@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 import staticpot as sp
-from staticpot import geodesics, geometry, potentials, zeroset
+from staticpot import geodesics, geometry, global_checks, potentials, zeroset
 from staticpot.geometry import PerturbationTerm, Point3
+from staticpot.potentials import _norm_g
 
 from .reference_pointwise import (reference_bochner_residual, reference_geodesic_rhs,
                                   reference_quotient_residual, reference_ricci_quadratic,
@@ -244,6 +245,19 @@ def test_transported_geodesic_matches_reference(name, monkeypatch):
     assert abs(new.max_speed_drift - drift) <= 1e-14
 
 
+@pytest.mark.parametrize("metric, f", [("schwarzschild", F), ("perturbed_as", N)])
+def test_flow_trace_samples_match_per_sample_loop(metric, f):
+    # the trace reads all its samples in one batched potential and metric pass
+    metric = METRICS[metric]
+    trace = sp.flow_classify(f, metric, Point3(3.0, 1.0, -2.0),
+                             global_checks.FlowBudget(r_escape=20.0))
+    assert trace.classification == global_checks.ESCAPE_TO_END and len(trace.samples) > 10
+    for s in trace.samples:
+        p = Point3(*s.position)
+        assert s.f_value == f.value(p)
+        assert s.grad_norm == _norm_g(metric.matrix(p), f.gradient(p))
+
+
 ### Evaluation counts
 
 
@@ -314,6 +328,13 @@ def test_bochner_evaluates_the_metric_once(monkeypatch):
     _count(monkeypatch, geometry._metric_taylor, taylor, "_metric_taylor")
     sp.bochner_residual(F, METRICS["perturbed_as"], Point3(3.0, 1.0, -2.0), static_tol=LOOSE)
     assert taylor == {"_metric_taylor": 1}
+
+
+def test_flow_trace_evaluates_the_potential_once(counts):
+    # the solver reads gradients only; the samples take one batched value pass
+    sp.flow_classify(F, METRICS["schwarzschild"], Point3(3.0, 1.0, -2.0),
+                     global_checks.FlowBudget(r_escape=20.0))
+    assert counts["value"] == 1
 
 
 def test_quadrature_drivers_take_one_curvature_pass_per_panel(counts):

@@ -44,7 +44,7 @@ class TestFirstOrder:
     def test_polynomial_gradient_exact(self):
         x = (1.3, -0.7, 2.1)
         Xs = jets.seed(x, 1)
-        (val,), grad = jets.taylor([poly(*Xs)], 1)
+        val, grad = (t[..., 0] for t in jets.taylor([poly(*Xs)], 1))
         assert val == pytest.approx(poly(*x), abs=0.0)
         expected = fd_gradient(poly, x)
         for a, b in zip(grad, expected):
@@ -58,7 +58,7 @@ class TestFirstOrder:
                     + math.log(a + 3.0) * c - math.sin(b) * math.cos(a))
 
         Xs = jets.seed(x, 1)
-        _, grad = jets.taylor([transcendental(*Xs)], 1)
+        _, grad = (t[..., 0] for t in jets.taylor([transcendental(*Xs)], 1))
         expected = fd_gradient(plain, x)
         for a, b in zip(grad, expected):
             assert a == pytest.approx(b, rel=1e-8)
@@ -81,16 +81,14 @@ class TestSecondOrder:
     def test_polynomial_hessian(self):
         x = (1.3, -0.7, 2.1)
         Xs = jets.seed(x, 2)
-        _, grad, flat = jets.taylor([poly(*Xs)], 2)
-        hess = np.reshape(flat, (3, 3))
+        _, grad, hess = (t[..., 0] for t in jets.taylor([poly(*Xs)], 2))
         expected = fd_hessian(poly, x)
         assert np.allclose(hess, expected, atol=1e-5)
         assert np.allclose(hess, hess.T, atol=0.0)
 
     def test_transcendental_hessian_symmetry(self):
         Xs = jets.seed((0.4, 1.1, -0.9), 2)
-        _, _, flat = jets.taylor([transcendental(*Xs)], 2)
-        h = np.reshape(flat, (3, 3))
+        _, _, h = (t[..., 0] for t in jets.taylor([transcendental(*Xs)], 2))
         assert np.allclose(h, h.T, atol=1e-14)
 
     def test_nested_tower_mixed_order(self):
@@ -98,12 +96,40 @@ class TestSecondOrder:
         x = (1.5, 2.5, -0.5)
         Xs = jets.seed(x, 2)
         e = Xs[0] * Xs[1] + Xs[2] ** 2
-        (val,), grad, flat = jets.taylor([e], 2)
-        hess = np.reshape(flat, (3, 3))
+        val, grad, hess = (t[..., 0] for t in jets.taylor([e], 2))
         assert val == pytest.approx(1.5 * 2.5 + 0.25)
         assert grad == pytest.approx([2.5, 1.5, -1.0])
         assert hess[0, 1] == pytest.approx(1.0)
         assert hess[2, 2] == pytest.approx(2.0)
+
+
+def _bits(x, batch) -> bytes:
+    return np.broadcast_to(np.asarray(x, dtype=float), batch).tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+def test_taylor_layout(batch):
+    # order n is batch + (3,) * n + (entries,): entry e's slot (i, j) holds
+    # peel_grad(peel_grad(x, i), j) bit for bit, constants broadcast over batch
+    rng = np.random.default_rng(5)
+    coords = [0.5 + (rng.random(batch) if batch else rng.random()) for _ in range(3)]
+    Xs = jets.seed(coords, 2)
+    # a hand-built tower holding 10 i + j in slot (i, j), so the slot order shows
+    tower = jets.Jet(jets.Jet(coords[0], (1.0, 2.0, 3.0)),
+                     tuple(jets.Jet(0.5 * i, tuple(10.0 * i + j for j in range(3)))
+                           for i in range(3)))
+    entries = [poly(*Xs), 2.5, transcendental(*Xs), Xs[1], tower]
+    val, grad, hess = jets.taylor(entries, 2, batch)
+    for n, a in enumerate((val, grad, hess)):
+        assert a.shape == batch + (3,) * n + (len(entries),) and a.dtype == float
+    for e, x in enumerate(entries):
+        assert _bits(val[..., e], batch) == _bits(jets.value(x), batch)
+        for i in range(3):
+            assert _bits(grad[..., i, e], batch) == _bits(jets.value(jets.peel_grad(x, i)), batch)
+            for j in range(3):
+                want = jets.peel_grad(jets.peel_grad(x, i), j)
+                assert _bits(hess[..., i, j, e], batch) == _bits(want, batch)
+    assert not hess[..., 1].any() and np.all(val[..., 1] == 2.5)
 
 
 class TestPeeling:
@@ -147,7 +173,7 @@ def test_chain_rule_against_fd(a, b, c):
         return math.sqrt(x + y * y + z * z + 0.5) * math.log(x + 1.0)
 
     Xs = jets.seed((a, b, c), 1)
-    _, grad = jets.taylor([fn(*Xs)], 1)
+    _, grad = (t[..., 0] for t in jets.taylor([fn(*Xs)], 1))
     expected = fd_gradient(plain, (a, b, c))
     for u, v in zip(grad, expected):
         assert u == pytest.approx(v, rel=1e-5, abs=1e-7)
