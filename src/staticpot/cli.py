@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -196,12 +197,24 @@ def _suite_growth_bound(c, rng):
     ts = np.geomspace(r0, t_end, 400)
     rows = []
 
-    def envelope_trials():
-        scales = np.array([rng.uniform(-1.0, 1.0) for _ in range(n_trials)])
+    @functools.cache
+    def transported():
+        """The trial curves and, as curve n_trials, the scaled extremal solution
+        (coefficient scale 1, data 0.99 w(r0), 0.99 w'(r0)) in one solve. It
+        runs in the first check that reads it, so a failure stays a check's;
+        each check reads only its own curves."""
+        scales = np.array([rng.uniform(-1.0, 1.0) for _ in range(n_trials)] + [1.0])
         h = lambda t, lanes: scales[lanes] * epsilon / (t * t)
-        curves = solve_curve_ode(h, np.ones(n_trials), np.ones(n_trials), r0, t_end, t_eval=ts)
+        f0 = np.append(np.ones(n_trials), 0.99 * bound.w(r0))
+        f0_slope = np.append(np.ones(n_trials), 0.99 * bound.w_slope(r0))
+        return h, solve_curve_ode(h, f0, f0_slope, r0, t_end, t_eval=ts)
+
+    def envelope_trials():
+        h, curves = transported()
+        # read every trial first: a failed curve raises before any row is kept
+        trials = [curves[k] for k in range(n_trials)]
         violations = 0
-        for k, (sol_ts, fs, _) in enumerate(curves):
+        for k, (sol_ts, fs, _) in enumerate(trials):
             verdict = growth_bound_check(sol_ts, fs, bound, slope_at_start=1.0,
                                          h_values=h(sol_ts, k))
             violations += verdict.violations
@@ -211,9 +224,7 @@ def _suite_growth_bound(c, rng):
         return _ok(violations, 0.0, 0.0, f"{n_trials} admissible coefficient trials")
 
     def extremal_match():
-        w0, dw0 = 0.99 * bound.w(r0), 0.99 * bound.w_slope(r0)
-        h = lambda t, lanes: epsilon / (t * t)
-        [(sol_ts, fs, _)] = solve_curve_ode(h, w0, dw0, r0, t_end, t_eval=ts)
+        sol_ts, fs, _ = transported()[1][n_trials]
         exact = 0.99 * bound.w(sol_ts)
         worst = float(np.max(np.abs(fs - exact) / np.abs(exact)))
         return _ok(worst, 0.0, 1e-8, "scaled extremal solution against the closed form")
@@ -730,8 +741,9 @@ def _cmd_dump_curvature(args):
     for p in pts:
         try:
             bundle = geometry.curvature_at(metric, p, backend=args.backend)
-        except StaticPotError as exc:
-            # a point outside the chart or where the metric degenerates
+        except (StaticPotError, OverflowError) as exc:
+            # a point outside the chart, where the metric degenerates, or so
+            # far out that its squared radius overflows
             raise ConfigError(f"{type(exc).__name__}: {exc}") from None
         ric = bundle.ricci
         rows.append((p.x1, p.x2, p.x3, bundle.scalar,

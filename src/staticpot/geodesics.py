@@ -16,8 +16,9 @@ in one call.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -190,35 +191,55 @@ def transport_potential(metric: MetricField, f0: float, f0_slope: float,
 
 
 def solve_curve_ode(h_fn: Callable, f0, f0_slope, t0: float, t1: float,
-                    t_eval=None, rtol: float = 1e-12, atol: float = 1e-14) -> list:
+                    t_eval=None, rtol: float = 1e-12, atol: float = 1e-14) -> CurveBatch:
     """Solve u'' = h(t) u on a batch of curves; one (ts, us, slopes) per curve.
 
     ``f0`` and ``f0_slope`` hold the initial data, one entry per curve (a
     scalar is a batch of one). ``h_fn(t, lanes)`` returns the coefficients at
     times ``t`` of the curves ``lanes`` (indices into ``f0``), as
     ``zeroset.brentq`` takes its objective. All curves run in one lane-wise
-    solve.
+    solve, and each takes the steps it would take alone.
 
     A curve whose solution grows too large to step on fails with
     StepFailureError naming the t where it stopped, not with inf or nan: the
     overflowing steps are rejected until the step size falls below the
-    spacing of t. A failing batch raises the error of its lowest-index
-    failing curve.
+    spacing of t. The error is raised when that curve is read from the
+    returned batch, so the other curves stay readable. A bad span or start
+    raises ValueError at the call.
     """
     f0, f0_slope = np.broadcast_arrays(np.asarray(f0, dtype=float),
                                        np.asarray(f0_slope, dtype=float))
 
     def rhs(t, y, lanes):
-        return np.column_stack((y[:, 1], h_fn(t, lanes) * y[:, 0]))
+        dy = np.empty_like(y)
+        dy[:, 0] = y[:, 1]
+        dy[:, 1] = h_fn(t, lanes) * y[:, 0]
+        return dy
 
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow fails the curve below
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow fails the curve on reading
         sol = solve_ivp(rhs, (t0, t1), np.stack([f0.ravel(), f0_slope.ravel()], axis=1),
                         rtol=rtol, atol=atol, t_eval=t_eval)
-    for lane in sol.lanes:
+    return CurveBatch(sol.lanes)
+
+
+class CurveBatch(Sequence):
+    """``solve_curve_ode``'s curves: item k is curve k's (ts, us, slopes).
+
+    Reading a curve that failed raises its StepFailureError.
+    """
+
+    def __init__(self, lanes):
+        self._lanes = lanes
+
+    def __len__(self):
+        return len(self._lanes)
+
+    def __getitem__(self, k):
+        lane = self._lanes[k]
         if not lane.success or not np.isfinite(lane.y).all():
             reason = "the solution overflowed" if lane.success else lane.message
             raise StepFailureError(f"transport equation failed at t = {lane.t_stop:g}: {reason}")
-    return [(lane.t, lane.y[0], lane.y[1]) for lane in sol.lanes]
+        return lane.t, lane.y[0], lane.y[1]
 
 
 ### Growth envelope

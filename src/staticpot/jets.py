@@ -156,8 +156,16 @@ def cos(x):
 
 
 def power(x, p):
-    """``x ** p`` for floats or (nested) jets; exponent must be a constant."""
-    return x ** p
+    """``x ** p`` for floats or (nested) jets; exponent must be a constant.
+
+    A negative float to a non-integer power raises ValueError (math domain
+    error), as ``sqrt`` and ``log`` do for floats, where Python's ``**`` would
+    return a complex number.
+    """
+    y = x ** p
+    if isinstance(y, complex):
+        raise ValueError("math domain error")
+    return y
 
 
 def seed(coords, depth):
@@ -165,9 +173,12 @@ def seed(coords, depth):
 
     Each level adds one-hot derivative slots, so after evaluation the outermost
     level exposes first partials, the next one second partials, and so on.
-    ``depth=0`` returns the inputs unchanged.
+    Numpy scalars, such as the entries of an ODE state row, become Python
+    floats: jet arithmetic on them runs at float speed, with the same bits.
+    Other inputs (floats, arrays) are kept as they are; ``depth=0`` returns
+    them with no jet levels.
     """
-    xs = list(coords)
+    xs = [float(x) if isinstance(x, np.generic) else x for x in coords]
     for _ in range(depth):
         xs = [Jet(xs[0], (1.0, 0.0, 0.0)),
               Jet(xs[1], (0.0, 1.0, 0.0)),

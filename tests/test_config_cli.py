@@ -198,6 +198,40 @@ class TestCommandLine:
         details = {c["name"]: c["detail"] for c in report["checks"]}
         assert details["envelope_violations"].startswith(
             "StepFailureError: transport equation failed at t = ")
+        # the extremal curve shares the trials' solve but fails with its own error,
+        # and the separately solved tail curve still passes
+        assert details["extremal_reproduction"] == (
+            "StepFailureError: transport equation failed at t = 1: "
+            "Required step size is less than spacing between numbers.")
+        passed = {c["name"]: c["passed"] for c in report["checks"]}
+        assert passed["tail_slope_bounded"]
+
+    def test_partly_overflowing_trials_write_no_rows(self, tmp_path):
+        # at epsilon = 1e4 trial 0 solves but a trial with a larger coefficient
+        # overflows: the check fails before any of trial 0's rows is kept
+        cfg = tmp_path / "partial.cfg"
+        cfg.write_text("epsilon = 1e4\n")
+        rc = cli.main(["verify", "growth_bound",
+                       "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        details = {c["name"]: c["detail"] for c in report["checks"]}
+        assert details["envelope_violations"].startswith(
+            "StepFailureError: transport equation failed at t = 7474.37")
+        lines = (tmp_path / "out" / "envelope.csv").read_text().splitlines()
+        assert lines == ["t,solution,envelope"]
+
+    def test_growth_suite_solves_twice(self, tmp_path, monkeypatch):
+        # the trial curves and the extremal curve are one DOP853 solve, the
+        # tail curve (its own span, no t_eval) the other
+        from staticpot import geodesics
+
+        calls = []
+        solve_ivp = geodesics.solve_ivp
+        monkeypatch.setattr(geodesics, "solve_ivp",
+                            lambda *a, **k: calls.append(1) or solve_ivp(*a, **k))
+        report = cli.run_suite("growth_bound", {}, str(tmp_path))
+        assert report["passed"] and len(calls) == 2
 
     def test_unknown_suite_exit_two(self, tmp_path, capsys):
         rc = cli.main(["verify", "bogus", "--out", str(tmp_path)])
@@ -357,6 +391,10 @@ class TestCommandLine:
         ["--points", "1,a,0"],
         ["--points", "nan,0,0"],
         ["--metric", "schwarzschild:mass=2", "--points", "0.1,0,0"],  # inside the horizon
+        # the squared radius overflows
+        ["--metric", "schwarzschild", "--points", "1e155,0,0"],
+        ["--metric", "schwarzschild", "--backend", "fd", "--points", "1e155,0,0"],
+        ["--metric", "euclidean", "--backend", "fd", "--points", "1e155,0,0"],
     ])
     def test_rejected_dump_input_exit_two(self, tmp_path, capsys, args):
         rc = cli.main(["dump-curvature", *args, "--out", str(tmp_path)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staticpot import jets
+from staticpot import geometry, jets, potentials
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -196,3 +196,81 @@ def test_array_op_jet_defers_to_the_jet(op):
     h = 1e-7
     fd = (want(J.val + h * J.grad[0]) - want(J.val - h * J.grad[0])) / (2 * h)
     assert np.allclose(out.grad[0], fd, rtol=1e-6)
+
+
+### Numpy-scalar seeds
+
+
+def _numpy_leaf_seed(coords, depth):
+    """``jets.seed`` without the float conversion: numpy scalars stay leaves."""
+    xs = list(coords)
+    for _ in range(depth):
+        xs = [jets.Jet(xs[0], (1.0, 0.0, 0.0)),
+              jets.Jet(xs[1], (0.0, 1.0, 0.0)),
+              jets.Jet(xs[2], (0.0, 0.0, 1.0))]
+    return xs
+
+
+def _leaves(x):
+    if isinstance(x, jets.Jet):
+        yield from _leaves(x.val)
+        for slot in x.grad:
+            yield from _leaves(slot)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_numpy_scalar_seed_gives_float_leaves(depth):
+    coords = np.array([1.3, -0.7, 2.1])
+    for x in jets.seed(list(coords), depth):
+        assert all(type(leaf) is float for leaf in _leaves(x))
+    # arrays are a batch and stay arrays
+    batch = [np.array([1.0, 2.0]), np.array([0.5, 0.1]), np.array([0.2, 0.3])]
+    for x, c in zip(jets.seed(batch, depth), batch):
+        assert jets.value(x) is c
+
+
+def _fields():
+    bumpy = geometry.perturbed_as(1.0, [geometry.PerturbationTerm(0, 1, 0.3, (1, 0, 0)),
+                                        geometry.PerturbationTerm(2, 2, -0.2, (0, 2, 0))])
+    c, s = math.cos(0.4), math.sin(0.4)
+    metrics = [geometry.euclidean(), geometry.schwarzschild(1.0), bumpy,
+               geometry.rotate_chart(bumpy, [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])]
+    f = potentials.expression_potential("x1^2.5 - sqrt(x2^2 + r) * ln(r + x3^2) + x2^-1.5")
+    return metrics, f
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_float_leaves_read_out_bit_for_bit(monkeypatch, depth):
+    # a numpy-scalar point (an ODE state row) read off float leaves gives the
+    # arrays numpy-scalar leaves give: the same bits and the same strides
+    metrics, f = _fields()
+    coords = tuple(np.array([2.3, 1.1, 0.7]))
+    p = geometry.Point3(*coords)
+
+    def read():
+        return ([geometry._metric_taylor(g, coords, depth) for g in metrics]
+                + [potentials._taylor(f.expr, p, depth)])
+
+    floats = read()
+    monkeypatch.setattr(jets, "seed", _numpy_leaf_seed)
+    scalars = read()
+    for got, want in zip(floats, scalars):
+        for a, b in zip(got, want):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.strides == b.strides and a.tobytes() == b.tobytes()
+
+
+def test_power_of_negative_float_is_a_domain_error():
+    with pytest.raises(ValueError, match="math domain error"):
+        jets.power(-1.0, 0.5)
+    with pytest.raises(ValueError, match="math domain error"):
+        potentials.expression_potential("x1^0.5").value((-1.0, 0.5, 0.2))
+    # integer exponents of negative bases, and every valid base, keep the bits
+    # of the float and numpy-scalar powers
+    for x, p in [(-1.5, 3.0), (-2.0, -2.0), (0.7, 0.5), (3.1, -1.5), (2.9, 2.5),
+                 (1e-3, 7.25), (0.0, 0.5), (5.0, 2.0)]:
+        got = jets.power(x, p)
+        assert type(got) is float
+        assert got == x ** p and np.float64(got).tobytes() == (np.float64(x) ** p).tobytes()

@@ -251,16 +251,41 @@ def test_transported_geodesic_matches_scipy(monkeypatch):
 
 
 def test_failing_batch_raises_its_lowest_failing_lane():
-    # lanes 1 and 3 overflow; the batch raises lane 1's error, as a lone solve of it does
+    # lanes 1 and 3 overflow; reading the curves in order raises lane 1's error,
+    # as a lone solve of it does
     coeffs = np.array([0.1, 1e300, 0.2, 1e299])
     ts = np.geomspace(1.0, 1e4, 50)
+    curves = sp.solve_curve_ode(lambda t, lanes: coeffs[lanes] / (t * t), np.ones(4),
+                                np.ones(4), 1.0, 1e4, t_eval=ts)
     with pytest.raises(sp.StepFailureError) as batch:
-        sp.solve_curve_ode(lambda t, lanes: coeffs[lanes] / (t * t), np.ones(4), np.ones(4),
-                           1.0, 1e4, t_eval=ts)
+        list(curves)
     with pytest.raises(sp.StepFailureError) as alone:
-        sp.solve_curve_ode(lambda t, lanes: coeffs[1] / (t * t), 1.0, 1.0, 1.0, 1e4, t_eval=ts)
+        [_] = sp.solve_curve_ode(lambda t, lanes: coeffs[1] / (t * t), 1.0, 1.0, 1.0, 1e4,
+                                 t_eval=ts)
     assert str(batch.value) == str(alone.value)
     assert str(batch.value).startswith("transport equation failed at t = ")
+
+
+def test_each_curve_reads_back_its_own_solve():
+    # one overflowing curve fails only its own read: the others are bit for bit
+    # their lone solves, and reading the failed one again raises the same error
+    coeffs = np.array([0.1, -0.2, 1e300, 0.15])
+    f0, f0_slope = np.array([1.0, 0.5, 1.0, 2.0]), np.array([1.0, -1.0, 1.0, 0.3])
+    ts = np.geomspace(1.0, 1e4, 50)
+    curves = sp.solve_curve_ode(lambda t, lanes: coeffs[lanes] / (t * t), f0, f0_slope,
+                                1.0, 1e4, t_eval=ts)
+    assert len(curves) == 4
+    for k in (0, 1, 3):
+        [alone] = sp.solve_curve_ode(lambda t, lanes: coeffs[k] / (t * t), f0[k],
+                                     f0_slope[k], 1.0, 1e4, t_eval=ts)
+        for a, b in zip(curves[k], alone):
+            assert a.tobytes() == b.tobytes()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(sp.StepFailureError) as failed:
+            curves[2]
+        errors.append(str(failed.value))
+    assert errors[0] == errors[1] and errors[0].startswith("transport equation failed at t = ")
 
 
 @pytest.mark.parametrize("t0, t1, y0", [(0.0, math.nan, 1.0), (math.inf, 1.0, 1.0),
