@@ -23,7 +23,6 @@ from .errors import (
     NotOrthogonalError,
     NotStaticError,
     PreconditionError,
-    QuadratureBudgetError,
     ResolutionError,
     SingularMetricError,
     StaticPotError,
@@ -96,7 +95,7 @@ from .zeroset import (
     AnnulusRegion,
     ClosedComponent,
     GaussBonnetReport,
-    RectRegion,
+    Lift,
     SurfaceChart,
     SurfaceGraph,
     circle_turning,

@@ -257,8 +257,7 @@ def _suite_zero_set_gauss_bonnet(c, rng):
     metric = geometry.schwarzschild(c.mass)
     f = potentials.expression_potential(_GRAPH_EXPR, label="log graph")
     region = zeroset.AnnulusRegion(c.inner, c.outer)
-    graph = zeroset.extract_zero_graph(f, metric, region, n_u=4, n_v=8,
-                                       bracket=lambda u, v: (lo, hi))
+    graph = zeroset.extract_zero_graph(f, metric, region, (lo, hi), n_u=4, n_v=8)
     report = zeroset.gauss_bonnet_limit(graph, c.radii, n_angles=c.n_angles)
     rows = list(zip(report.radii, report.turning_integrals,
                     report.kappa_deviations))
@@ -271,7 +270,7 @@ def _suite_zero_set_gauss_bonnet(c, rng):
         return _ok(report.deviation_decay_exponent, -metric.tau, 0.3)
 
     def graph_flattens():
-        du, dv = graph.chart.height_slopes(0.0, c.outer / 2.0)
+        du, dv = graph.chart.lift(0.0, c.outer / 2.0).slopes
         return _ok(math.hypot(du, dv), 0.0, 0.2)
 
     checks = [("turning_limit", limit_check),
@@ -389,9 +388,8 @@ def _suite_anisotropy_limit(c, rng):
     for m in c.masses:
         def one(mass=m):
             metric = geometry.schwarzschild(mass)
-            graph = zeroset.extract_zero_graph(
-                f, metric, region, n_u=4, n_v=8,
-                bracket=lambda u, v: (-10.0, 2.0))
+            graph = zeroset.extract_zero_graph(f, metric, region, (-10.0, 2.0),
+                                               n_u=4, n_v=8)
             report = global_checks.anisotropy_limit(metric, graph, c.heights)
             for y, v in zip(report.heights, report.scaled_differences):
                 rows.append((mass, y, v))

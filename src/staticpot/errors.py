@@ -77,10 +77,6 @@ class IllConditionedFitError(StaticPotError):
     """Least-squares system for an asymptotic fit is numerically unusable."""
 
 
-class QuadratureBudgetError(StaticPotError):
-    """Requested integration exceeds the configured node budget."""
-
-
 class DegenerateConformalError(StaticPotError):
     """Conformal factor vanishes (or changes sign) at the evaluation point."""
 

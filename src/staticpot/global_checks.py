@@ -21,7 +21,7 @@ from .geometry import (MetricField, Point3, _first_flagged, _metric_taylor, curv
                        generic_metric)
 from .potentials import PotentialField, _norm_g, _pair, fit_linear_part, require_static
 from .quadrature import SphereRule, flux_integral, sphere_average, sphere_rule, volume_integral
-from .zeroset import AnnulusRegion, SurfaceGraph, _quad, extract_closed_component
+from .zeroset import SurfaceGraph, _quad, extract_closed_component
 
 ESCAPE_TO_END = "escape_to_end"
 EXIT_BOUNDARY = "exit_boundary"
@@ -142,11 +142,10 @@ def anisotropy_limit(metric: MetricField, graph: SurfaceGraph, heights) -> Aniso
     """
     region = graph.region
     heights = np.array(sorted(float(y) for y in heights))
-    if isinstance(region, AnnulusRegion):
-        if heights[0] <= region.inner or heights[-1] >= region.outer:
-            raise ResolutionError(
-                f"heights must lie inside the annulus ({region.inner:g}, {region.outer:g})")
-    lift = graph.chart._lift(np.zeros_like(heights), heights)
+    if heights[0] <= region.inner or heights[-1] >= region.outer:
+        raise ResolutionError(
+            f"heights must lie inside the annulus ({region.inner:g}, {region.outer:g})")
+    lift = graph.chart.lift(np.zeros_like(heights), heights)
     bundle = curvature_at(metric, lift.point)
     g, ric = bundle.metric_matrix, bundle.ricci
     tu = lift.tu / np.sqrt(_quad(lift.tu, g, lift.tu))[:, None]

@@ -20,6 +20,9 @@ ALL_DISTINCT = "all_distinct"
 TWO_EQUAL = "two_equal"
 ALL_EQUAL = "all_equal"
 
+# eigenvalues closer than this times 1 + max |eigenvalue| coincide
+_TAU_EIG = 1e-6
+
 
 @dataclass(frozen=True)
 class RicciEigenframe:
@@ -31,11 +34,11 @@ class RicciEigenframe:
     simple_index: int | None  # index of the isolated eigenvalue when kind is two_equal
 
 
-def ricci_eigenframe(metric: MetricField, point, tau_eig: float = 1e-6):
+def ricci_eigenframe(metric: MetricField, point):
     """Diagonalize Ricci against the metric at a point.
 
     Coincidence of eigenvalues is decided by gaps relative to
-    ``tau_eig * (1 + max |eigenvalue|)``; the frame is made deterministic by
+    ``1e-6 * (1 + max |eigenvalue|)``; the frame is made deterministic by
     forcing the first sizable component of each column positive. A batched
     Point3 takes one curvature pass and one eigensolve, and returns the list of
     its nodes' frames in sample order.
@@ -43,7 +46,7 @@ def ricci_eigenframe(metric: MetricField, point, tau_eig: float = 1e-6):
     p = Point3.of(point)
     bundle = curvature_at(metric, p)
     lam, vecs = _eigenframes(bundle.ricci, bundle.metric_matrix, p, metric.label)
-    classes = _classify(lam, tau_eig)
+    classes = _classify(lam)
     if not isinstance(p.x1, np.ndarray):
         return RicciEigenframe(p, lam, vecs, *_CLASSES[classes])
     xs = np.broadcast_arrays(*p.coords())
@@ -90,9 +93,9 @@ _CLASSES = ((ALL_DISTINCT, None, None), (TWO_EQUAL, (1, 2), 0),
             (TWO_EQUAL, (0, 1), 2), (ALL_EQUAL, None, None))
 
 
-def _classify(lam: np.ndarray, tau_eig: float) -> np.ndarray:
+def _classify(lam: np.ndarray) -> np.ndarray:
     """Class codes into ``_CLASSES`` of ascending eigenvalue triples ``(..., 3)``."""
-    thr = tau_eig * (1.0 + np.abs(lam).max(axis=-1))
+    thr = _TAU_EIG * (1.0 + np.abs(lam).max(axis=-1))
     gaps = np.diff(lam, axis=-1)
     return 2 * (gaps[..., 0] < thr) + (gaps[..., 1] < thr)
 
@@ -202,13 +205,13 @@ class GapScanReport:
         return rows
 
 
-def eigenvalue_gap_scan(metric: MetricField, points, tau_eig: float = 1e-6) -> GapScanReport:
+def eigenvalue_gap_scan(metric: MetricField, points) -> GapScanReport:
     """Classify Ricci eigenvalue coincidence pointwise over a sample set.
 
     The sample set takes one batched curvature pass.
     """
     points = [Point3.of(q) for q in points]
-    frames = ricci_eigenframe(metric, Point3.stack(points), tau_eig=tau_eig) if points else []
+    frames = ricci_eigenframe(metric, Point3.stack(points)) if points else []
     records = []
     for point, ef in zip(points, frames):
         direction = None
@@ -216,4 +219,4 @@ def eigenvalue_gap_scan(metric: MetricField, points, tau_eig: float = 1e-6) -> G
             direction = ef.frame[:, ef.simple_index].copy()
         records.append(GapRecord(point=point, eigenvalues=ef.eigenvalues,
                                  kind=ef.kind, pair=ef.pair, simple_direction=direction))
-    return GapScanReport(tau_eig=tau_eig, records=records)
+    return GapScanReport(tau_eig=_TAU_EIG, records=records)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureBudgetError, SingularMetricError
+from .errors import SingularMetricError
 from .geometry import MetricField, Point3, _first_flagged, curvature_at
 
 
@@ -141,7 +141,7 @@ def radial_panels(r_inner: float, r_outer: float, n_panels: int, nodes_per_panel
 
 def volume_integral(metric: MetricField, scalar_fn, r_inner: float, r_outer: float,
                     rule: SphereRule, n_panels: int = 16, nodes_per_panel: int = 8,
-                    breakpoints=(), max_nodes: int | None = None) -> float:
+                    breakpoints=()) -> float:
     """Integral of a scalar over a coordinate shell with the metric volume element.
 
     Each radial panel (``nodes_per_panel`` radii times the sphere rule) goes
@@ -149,10 +149,6 @@ def volume_integral(metric: MetricField, scalar_fn, r_inner: float, r_outer: flo
     ``(nodes_per_panel, rule.count)`` nodes.
     """
     rs, ws = radial_panels(r_inner, r_outer, n_panels, nodes_per_panel, breakpoints=breakpoints)
-    n_total = len(rs) * rule.count
-    if max_nodes is not None and n_total > max_nodes:
-        raise QuadratureBudgetError(
-            f"volume integral needs {n_total} nodes, budget is {max_nodes}")
     total = 0.0
     for start in range(0, len(rs), nodes_per_panel):
         r = rs[start:start + nodes_per_panel]

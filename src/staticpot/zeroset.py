@@ -2,10 +2,12 @@
 
 A zero set is located as a certified root along a one-parameter line family: a
 vertical line over a base plane for asymptotic graphs, a ray from a center for
-closed components. The same chart object then provides tangents and the induced
-two-metric by implicit differentiation in jet arithmetic, which is exact; only
-the intrinsic curvature quantities use finite-difference stencils on top of the
-exact surface evaluations.
+closed components. The same chart object then lifts the lines to the surface:
+roots, their slopes, surface points and tangents come from one solve
+(``SurfaceChart.lift``), and the induced two-metric by implicit
+differentiation in jet arithmetic, which is exact; only the intrinsic curvature
+quantities use finite-difference stencils on top of the exact surface
+evaluations.
 
 The chart is batched: it takes arrays of line coordinates and solves all their
 lines in one array pass, with Brent's method run lane by lane (``brentq``). So
@@ -117,15 +119,6 @@ def _lines(u, v):
     return u.shape, u.ravel(), v.ravel()
 
 
-def _shaped(x, shape):
-    """Jet slots or values over flat lanes, reshaped to ``shape`` (floats for a single line)."""
-    if isinstance(x, jets.Jet):
-        return jets.Jet(_shaped(x.val, shape), tuple(_shaped(g, shape) for g in x.grad))
-    if not isinstance(x, np.ndarray):
-        return x
-    return x.reshape(shape) if shape else float(x[0])
-
-
 def _dot(x, y):
     """x @ y over stacked vectors, as the 1-D product computes it."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
@@ -136,15 +129,19 @@ def _quad(x, a, y):
     return _dot((x[..., None, :] @ a)[..., 0, :], y)
 
 
-@dataclass(frozen=True)
-class _Lift:
-    """Flat lanes of lines lifted to the surface by one solve."""
+# |f| at a certified root; every chart certifies to it
+_ROOT_TOL = 1e-10
 
-    s: np.ndarray        # roots of the lines
-    jet: object          # root as a depth-1 jet in (u, v)
-    point: Point3        # surface points
-    tu: np.ndarray       # (n, 3) chart tangents d/du
-    tv: np.ndarray       # (n, 3) chart tangents d/dv
+
+@dataclass(frozen=True)
+class Lift:
+    """Lines lifted to the surface by one solve; arrays carry the lines' shape in front."""
+
+    s: np.ndarray        # (...) roots of the lines
+    slopes: np.ndarray   # (..., 2) ds/du, ds/dv of the roots
+    point: Point3        # (...) surface points
+    tu: np.ndarray       # (..., 3) chart tangents d/du
+    tv: np.ndarray       # (..., 3) chart tangents d/dv
 
 
 class SurfaceChart:
@@ -152,16 +149,20 @@ class SurfaceChart:
 
     ``embed(u, v, s)`` maps chart coordinates and the line parameter to the
     ambient chart and must be generic over the scalar type: arrays of lines and
-    of line parameters, and jets with array slots. ``bracket(u, v)`` gives one
-    line's starting bracket. Every method takes (u, v) as scalars or arrays and
-    solves all lines in one array pass:
+    of line parameters, and jets with array slots. ``bracket`` is the
+    ``(lo, hi)`` pair every line starts from. Every method takes (u, v) as
+    scalars or arrays and solves all lines in one array pass:
 
     - a sign scan over 25 samples per line, one ``(lines, 25)`` evaluation;
-      a bracket without a sign change is widened about its midpoint, up to
-      seven scans, never below ``param_floor``;
+      a bracket without a sign change is widened about its midpoint, line by
+      line, up to seven scans, never below ``param_floor``;
     - Brent's method lane by lane (``brentq``), three Newton polish steps,
-      certification to ``root_tol`` and the slope floor: the directional slope
-      along the line must stay above ``slope_floor``.
+      certification to |f| <= 1e-10 and the slope floor: the directional
+      slope along the line must stay above ``slope_floor``.
+
+    ``lift`` reads everything a solve gives (roots, their slopes, surface
+    points, chart tangents); ``roots``, ``root`` and ``sigma_at`` are the
+    other readers.
 
     A batch with a failing line raises the error of its first failing line,
     naming that line's (u, v). Each of these steps evaluates f or df/ds in one
@@ -171,14 +172,13 @@ class SurfaceChart:
     """
 
     def __init__(self, f: PotentialField, metric: MetricField, embed: Callable,
-                 bracket: Callable, slope_floor: float = 0.5, root_tol: float = 1e-10,
-                 label: str = "surface", param_floor: float | None = None):
+                 bracket: tuple, slope_floor: float = 0.5, label: str = "surface",
+                 param_floor: float | None = None):
         self.f = f
         self.metric = metric
         self.embed = embed
         self.bracket = bracket
         self.slope_floor = slope_floor
-        self.root_tol = root_tol
         self.label = label
         self.param_floor = param_floor  # widened brackets never go below this
 
@@ -224,9 +224,7 @@ class SurfaceChart:
         n = u.size
         errors = {}  # lane -> the first error the lane met
         lanes = np.arange(n)
-        ends = np.array([self.bracket(a, b) for a, b in zip(u.tolist(), v.tolist())],
-                        dtype=float).reshape(n, 2)
-        lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
+        lo, hi = (np.full(n, float(end)) for end in self.bracket)
         s_lo, s_hi = np.zeros(n), np.zeros(n)
         ok = np.ones(n, dtype=bool)  # lanes with no error yet
 
@@ -285,11 +283,11 @@ class SurfaceChart:
 
         check = lanes[ok]
         fv = np.abs(self._values(u[check], v[check], s[check], check, errors))
-        for k in np.flatnonzero(fv > self.root_tol).tolist():
+        for k in np.flatnonzero(fv > _ROOT_TOL).tolist():
             lane = int(check[k])
             errors.setdefault(lane, NoRootError(
                 f"{self.label}: root certification failed, |f| = {fv[k]:.3e} "
-                f"> {self.root_tol:g} at (u, v) = ({u[lane]:g}, {v[lane]:g})"))
+                f"> {_ROOT_TOL:g} at (u, v) = ({u[lane]:g}, {v[lane]:g})"))
         ok[list(errors)] = False
         check = lanes[ok]
         slope = np.zeros(n)
@@ -318,20 +316,18 @@ class SurfaceChart:
             S = S - self.f.expr(X[0], X[1], X[2]) / slope
         return S
 
-    def _points(self, u, v, s) -> Point3:
-        (x,) = jets.taylor(self.embed(u, v, s), 0, u.shape)
-        return Point3(*x.T)
-
-    def _lift(self, u, v) -> _Lift:
-        """Roots, root jets, surface points and chart tangents of flat lanes: one solve."""
+    def _lift(self, u, v) -> Lift:
+        """Flat lanes of lines lifted to the surface: one solve."""
         s, slope = self._solve(u, v)
         S = self._root_jet(u, v, s, slope, 1)
         X = self.embed(jets.Jet(u, (1.0, 0.0, 0.0)), jets.Jet(v, (0.0, 1.0, 0.0)), S)
-        _, dx = jets.taylor(X, 1, u.shape)  # dx[:, i, k] = d_i X_k, i = u, v
-        return _Lift(s=s, jet=S, point=self._points(u, v, s), tu=dx[:, 0].copy(),
-                     tv=dx[:, 1].copy())
+        # dx[:, i, k] = d_i X_k for the embedding, k = 3 the root; i = u, v
+        _, dx = jets.taylor([*X, S], 1, u.shape)
+        (x,) = jets.taylor(self.embed(u, v, s), 0, u.shape)
+        return Lift(s=s, slopes=dx[:, :2, 3].copy(), point=Point3(*x.T),
+                    tu=dx[:, 0, :3].copy(), tv=dx[:, 1, :3].copy())
 
-    def _sigma(self, lift: _Lift) -> np.ndarray:
+    def _sigma(self, lift: Lift) -> np.ndarray:
         """(n, 2, 2) induced two-metric of lifted lanes, from one metric evaluation."""
         g = self.metric.matrix(lift.point)
         e, fm = _quad(lift.tu, g, lift.tu), _quad(lift.tu, g, lift.tv)
@@ -348,30 +344,13 @@ class SurfaceChart:
         """Certified root of one line: a batch of one."""
         return float(self.roots(u, v))
 
-    def root_jet(self, u, v, depth: int):
-        """Root as a jet in (u, v), exact to the seeded depth; slots shaped like (u, v)."""
-        shape, u, v = _lines(u, v)
-        s, slope = self._solve(u, v)
-        return _shaped(self._root_jet(u, v, s, slope, depth), shape)
-
-    def point_at(self, u, v) -> Point3:
-        """Surface points; float coordinates for a single line."""
-        shape, u, v = _lines(u, v)
-        p = self._points(u, v, self._solve(u, v)[0])
-        return Point3(*(_shaped(x, shape) for x in p.coords()))
-
-    def height_slopes(self, u, v) -> np.ndarray:
-        """(ds/du, ds/dv) of the roots, ``(..., 2)``."""
-        shape, u, v = _lines(u, v)
-        s, slope = self._solve(u, v)
-        _, ds = jets.taylor([self._root_jet(u, v, s, slope, 1)], 1, u.shape)
-        return ds[:, :2, 0].reshape(shape + (2,)).copy()
-
-    def tangents(self, u, v):
-        """Chart tangents (d/du, d/dv) of the surface, each ``(..., 3)``."""
+    def lift(self, u, v) -> Lift:
+        """The lines (u, v) lifted to the surface by one solve, shaped like their broadcast."""
         shape, u, v = _lines(u, v)
         lift = self._lift(u, v)
-        return lift.tu.reshape(shape + (3,)), lift.tv.reshape(shape + (3,))
+        return Lift(s=lift.s.reshape(shape), slopes=lift.slopes.reshape(shape + (2,)),
+                    point=Point3(*(x.reshape(shape) for x in lift.point.coords())),
+                    tu=lift.tu.reshape(shape + (3,)), tv=lift.tv.reshape(shape + (3,)))
 
     def sigma_at(self, u, v) -> np.ndarray:
         """Induced two-metric in the chart coordinates, ``(..., 2, 2)``."""
@@ -485,36 +464,12 @@ class AnnulusRegion:
         return [(float(rho * math.cos(a)), float(rho * math.sin(a)))
                 for rho in rhos for a in angs]
 
-    def stencil_delta(self, u: float, v: float, target: float | None = None) -> float:
+    def stencil_delta(self, u: float, v: float) -> float:
         rho = math.hypot(u, v)
-        cap = 0.02 * max(1.0, rho) if target is None else target
-        delta = min(cap, (self.outer - rho) / 3.0, (rho - self.inner) / 3.0)
+        delta = min(0.02 * max(1.0, rho), (self.outer - rho) / 3.0, (rho - self.inner) / 3.0)
         if delta <= 0:
             raise ResolutionError(
                 f"stencil does not fit at rho = {rho:g} inside ({self.inner:g}, {self.outer:g})")
-        return delta
-
-
-@dataclass(frozen=True)
-class RectRegion:
-    """Axis-aligned base rectangle for graph patches."""
-
-    u_min: float
-    u_max: float
-    v_min: float
-    v_max: float
-
-    def grid(self, n_u: int, n_v: int):
-        us = np.linspace(self.u_min, self.u_max, n_u + 2)[1:-1]
-        vs = np.linspace(self.v_min, self.v_max, n_v + 2)[1:-1]
-        return [(float(u), float(v)) for u in us for v in vs]
-
-    def stencil_delta(self, u: float, v: float, target: float | None = None) -> float:
-        cap = 0.02 * max(1.0, math.hypot(u, v)) if target is None else target
-        delta = min(cap, (self.u_max - u) / 3.0, (u - self.u_min) / 3.0,
-                    (self.v_max - v) / 3.0, (v - self.v_min) / 3.0)
-        if delta <= 0:
-            raise ResolutionError(f"stencil does not fit at (u, v) = ({u:g}, {v:g})")
         return delta
 
 
@@ -523,46 +478,33 @@ class SurfaceGraph:
     """Zero set written as x1 = q(u, v) over the (x2, x3) base plane."""
 
     chart: SurfaceChart
-    region: object
+    region: AnnulusRegion
     nodes: np.ndarray        # (N, 2) base-plane sample points
     heights: np.ndarray      # (N,) q values
     slopes: np.ndarray       # (N, 2) dq
     sigmas: np.ndarray       # (N, 2, 2) induced metric samples
-    sigma_deviation: np.ndarray  # (N,) max |sigma - identity|
 
 
-def _default_graph_bracket(u: float, v: float):
-    rho = math.hypot(u, v)
-    b = max(8.0, 6.0 * math.log(2.0 + rho))
-    return (-b, b)
-
-
-def extract_zero_graph(f: PotentialField, metric: MetricField, region,
-                       n_u: int = 10, n_v: int = 24, bracket: Callable | None = None,
-                       slope_floor: float = 0.5, root_tol: float = 1e-10) -> SurfaceGraph:
+def extract_zero_graph(f: PotentialField, metric: MetricField, region: AnnulusRegion,
+                       bracket: tuple, n_u: int, n_v: int) -> SurfaceGraph:
     """Extract the zero set of f as a graph along the x1 direction.
 
-    Every grid node gets a certified root, all from one chart call; the
-    graph-direction derivative must stay above ``slope_floor``
+    Every node of the ``n_u`` by ``n_v`` grid of ``region`` gets a certified
+    root, all from one chart call, each line starting from the ``(lo, hi)``
+    pair ``bracket``; the graph-direction derivative must stay above 0.5
     (MonotonicityError otherwise), and missing or multiple crossings raise
-    NoRootError / MultiRootError.
+    NoRootError / MultiRootError. The induced metric is evaluated at every
+    node, so a node outside the metric's chart fails here.
     """
 
     def embed(U, V, S):
         return (S, U, V)
 
-    chart = SurfaceChart(f, metric, embed,
-                         bracket if bracket is not None else _default_graph_bracket,
-                         slope_floor=slope_floor, root_tol=root_tol,
-                         label=f"graph[{f.label}]")
+    chart = SurfaceChart(f, metric, embed, bracket, label=f"graph[{f.label}]")
     nodes = np.array(region.grid(n_u, n_v))
-    lift = chart._lift(nodes[:, 0], nodes[:, 1])
-    _, ds = jets.taylor([lift.jet], 1, lift.s.shape)
-    slopes = ds[:, :2, 0].copy()
-    sigmas = chart._sigma(lift)
+    lift = chart.lift(nodes[:, 0], nodes[:, 1])
     return SurfaceGraph(chart=chart, region=region, nodes=nodes, heights=lift.s,
-                        slopes=slopes, sigmas=sigmas,
-                        sigma_deviation=np.abs(sigmas - np.eye(2)).max(axis=(1, 2)))
+                        slopes=lift.slopes, sigmas=chart._sigma(lift))
 
 
 ### Boundary circles: geodesic curvature and the turning-number limit
@@ -587,8 +529,6 @@ def circle_turning(graph: SurfaceGraph, radius: float, n_angles: int = 256) -> C
     The stencils of all angles take one chart call.
     """
     region = graph.region
-    if not isinstance(region, AnnulusRegion):
-        raise ResolutionError("turning integrals need an annulus graph")
     d = region.stencil_delta(radius, 0.0)
     # the stencil reaches 2*delta in each chart direction from circle points
     if radius + 2.0 * d * 1.5 >= region.outer or radius - 2.0 * d * 1.5 <= region.inner:
@@ -648,9 +588,6 @@ class ClosedComponent:
 
     chart: SurfaceChart
     center: np.ndarray
-    vertex_params: list       # (theta, phi) per vertex, poles included
-    vertices: list            # Point3 per vertex
-    triangles: list           # index triples
     euler_characteristic: int
     grad_norms: np.ndarray    # |grad f|_g at the vertices
 
@@ -678,14 +615,14 @@ class ClosedComponent:
 
 
 def extract_closed_component(f: PotentialField, metric: MetricField, center,
-                             s_bracket, n_theta: int = 16, n_phi: int = 32,
-                             root_tol: float = 1e-10) -> ClosedComponent:
+                             s_bracket, n_theta: int = 16, n_phi: int = 32) -> ClosedComponent:
     """Mesh a closed zero-set component star-shaped around a center.
 
-    Rays are solved like graph lines, all vertices in one chart call; the Euler
-    characteristic comes from the actual vertex/edge/face counts of the
-    triangulation. Vanishing |grad f| on the component raises
-    CriticalOnZeroSetError.
+    Rays are solved like graph lines, all vertices in one chart call, each ray
+    starting from the ``(lo, hi)`` pair ``s_bracket`` of radii, with slope
+    floor 1e-8; the Euler characteristic comes from the actual
+    vertex/edge/face counts of the triangulation. Vanishing |grad f| on the
+    component raises CriticalOnZeroSetError.
     """
     if hasattr(center, "as_array"):
         center = center.as_array()
@@ -699,8 +636,7 @@ def extract_closed_component(f: PotentialField, metric: MetricField, center,
                 c[1] + S * sin_t * sin_p,
                 c[2] + S * cos_t)
 
-    chart = SurfaceChart(f, metric, embed, lambda u, v: (lo, hi),
-                         slope_floor=1e-8, root_tol=root_tol,
+    chart = SurfaceChart(f, metric, embed, (lo, hi), slope_floor=1e-8,
                          label=f"closed[{f.label}]", param_floor=1e-6 * hi)
 
     thetas = [math.pi * (i + 1) / (n_theta + 1) for i in range(n_theta)]
@@ -713,8 +649,7 @@ def extract_closed_component(f: PotentialField, metric: MetricField, center,
     params.append((math.pi, 0.0))
 
     us, vs = np.array(params).T
-    p = chart.point_at(us, vs)
-    vertices = [Point3(*xyz) for xyz in zip(*(x.tolist() for x in p.coords()))]
+    p = chart.lift(us, vs).point
 
     def ring_index(i: int, j: int) -> int:
         return 1 + i * n_phi + (j % n_phi)
@@ -737,19 +672,18 @@ def extract_closed_component(f: PotentialField, metric: MetricField, center,
         edges.add(tuple(sorted((a, b))))
         edges.add(tuple(sorted((b, cc))))
         edges.add(tuple(sorted((a, cc))))
-    euler = len(vertices) - len(edges) + len(triangles)
+    euler = len(params) - len(edges) + len(triangles)
 
     grad_norms = _norm_g(metric.matrix(p), f.gradient(p))
     low = grad_norms < 1e-8
     if low.any():
         k = int(np.argmax(low))
         raise CriticalOnZeroSetError(
-            f"{f.label}: |grad f| = {grad_norms[k]:.3e} at {vertices[k].coords()}; "
+            f"{f.label}: |grad f| = {grad_norms[k]:.3e} at {_first_flagged(p, low)}; "
             "component degenerate")
 
-    return ClosedComponent(chart=chart, center=c, vertex_params=params,
-                           vertices=vertices, triangles=triangles,
-                           euler_characteristic=euler, grad_norms=grad_norms)
+    return ClosedComponent(chart=chart, center=c, euler_characteristic=euler,
+                           grad_norms=grad_norms)
 
 
 ### Adapted-frame curvature laws on zero sets
@@ -767,7 +701,7 @@ class ZeroSetLawReport:
     k_plus_r33: np.ndarray
 
 
-def _adapted_frame(f: PotentialField, res: StaticResidual, lift: _Lift):
+def _adapted_frame(f: PotentialField, res: StaticResidual, lift: Lift):
     """Unit normals, |grad f|_g and g-orthonormal tangent pairs, from the static pass."""
     g, grad = res.curvature.metric_matrix, res.gradient
     gn = _norm_g(g, grad)
@@ -798,7 +732,7 @@ def zero_set_laws(f: PotentialField, metric: MetricField, chart: SurfaceChart,
     """
     us, vs = np.array(samples, dtype=float).reshape(-1, 2).T
     ds = np.asarray(deltas, dtype=float)
-    lift = chart._lift(us, vs)
+    lift = chart.lift(us, vs)
     res = static_residual(f, metric, lift.point)
     g, nu, gn, t1, t2 = _adapted_frame(f, res, lift)
     ric = _gate(res, f, metric, static_tol).curvature.ricci
@@ -837,7 +771,7 @@ def second_potential_laws(f_second: PotentialField, chart: SurfaceChart,
     us, vs = np.array(samples, dtype=float).reshape(-1, 2).T
     d = np.asarray(deltas, dtype=float)
     grid_u, grid_v = _grid_lines(us, vs, d)
-    lift = chart._lift(grid_u.ravel(), grid_v.ravel())
+    lift = chart.lift(grid_u.ravel(), grid_v.ravel())
     S = chart._sigma(lift).reshape(grid_u.shape + (2, 2))
     grid = f_second.value(lift.point).reshape(grid_u.shape)
 

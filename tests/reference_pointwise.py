@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from staticpot import geometry, jets
+from staticpot import geometry, jets, zeroset
 from staticpot.errors import (ConfigError, CriticalOnZeroSetError, DomainError, MultiRootError,
                               NoRootError, MonotonicityError, NonConvergentError,
                               SingularMetricError, ZeroPotentialError)
@@ -429,7 +429,7 @@ def _line_slope(chart, u: float, v: float, s: float) -> float:
 
 def reference_root(chart, u: float, v: float) -> float:
     """``SurfaceChart.root`` with its pointwise sign scan and no root cache."""
-    lo, hi = chart.bracket(u, v)
+    lo, hi = chart.bracket
     pair = None
     for _ in range(7):
         ss = np.linspace(lo, hi, 25).tolist()  # Python floats, as the old float scan
@@ -476,10 +476,10 @@ def reference_root(chart, u: float, v: float) -> float:
         s -= fv / sl
 
     fv = _line_value(chart, u, v, s)
-    if abs(fv) > chart.root_tol:
+    if abs(fv) > zeroset._ROOT_TOL:
         raise NoRootError(
             f"{chart.label}: root certification failed, |f| = {abs(fv):.3e} "
-            f"> {chart.root_tol:g} at (u, v) = ({u:g}, {v:g})")
+            f"> {zeroset._ROOT_TOL:g} at (u, v) = ({u:g}, {v:g})")
     sl = _line_slope(chart, u, v, s)
     if sl < chart.slope_floor:
         raise MonotonicityError(
@@ -668,7 +668,7 @@ def reference_quotient_residual(f: PotentialField, N: PotentialField, metric: Me
 
 
 def _adapted_frame(f: PotentialField, metric: MetricField, chart, u: float, v: float):
-    p = chart.point_at(u, v)
+    p = reference_point_at(chart, u, v)
     g = metric.matrix(p)
     ginv = np.linalg.inv(g)
     grad = f.gradient(p)
@@ -677,7 +677,7 @@ def _adapted_frame(f: PotentialField, metric: MetricField, chart, u: float, v: f
     if gn < 1e-8:
         raise CriticalOnZeroSetError(f"{f.label}: |grad f| degenerate at {p.coords()}")
     nu = nu / gn
-    Tu, Tv = chart.tangents(u, v)
+    Tu, Tv = reference_tangents(chart, u, v)
     t1 = Tu / math.sqrt(float(Tu @ g @ Tu))
     t2 = Tv - float(Tv @ g @ t1) * t1
     t2 = t2 / math.sqrt(float(t2 @ g @ t2))

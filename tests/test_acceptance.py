@@ -163,7 +163,7 @@ def test_c07_turning_limit():
     g = sp.schwarzschild(2.0)
     f = sp.expression_potential("x1 + 0.5*ln(x2^2 + x3^2)", label="log graph")
     graph = sp.extract_zero_graph(f, g, sp.AnnulusRegion(30.0, 500.0),
-                                  n_u=4, n_v=8, bracket=lambda u, v: (-8.0, 0.0))
+                                  n_u=4, n_v=8, bracket=(-8.0, 0.0))
     report = sp.gauss_bonnet_limit(graph, [50.0, 100.0, 200.0], n_angles=128)
     limit_err = abs(report.extrapolated / (2.0 * math.pi) - 1.0)
     exp_err = abs(report.deviation_decay_exponent - (-g.tau))
@@ -215,7 +215,7 @@ def test_c10_anisotropy_limit():
         g = sp.schwarzschild(m)
         graph = sp.extract_zero_graph(f, g, sp.AnnulusRegion(50.0, 1000.0),
                                       n_u=4, n_v=8,
-                                      bracket=lambda u, v: (-10.0, 2.0))
+                                      bracket=(-10.0, 2.0))
         report = sp.anisotropy_limit(g, graph, heights)
         errs[m] = abs(report.extrapolated / (3.0 * m) - 1.0)
     _criterion("anisotropy_limit", all(e < 0.05 for e in errs.values()),

@@ -191,7 +191,7 @@ class TestSphereDrivers:
 def _graph_chart(text, bracket, slope_floor=0.5):
     return zeroset.SurfaceChart(sp.expression_potential(text), sp.euclidean(),
                                 embed=lambda U, V, S: (S, U, V),
-                                bracket=lambda u, v: bracket, slope_floor=slope_floor,
+                                bracket=bracket, slope_floor=slope_floor,
                                 label=f"graph[{text}]")
 
 

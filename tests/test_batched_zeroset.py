@@ -28,7 +28,7 @@ def _suite_graph():
     # the zero_set_gauss_bonnet suite's graph at its default config
     f = sp.expression_potential("x1 + 0.5*ln(x2^2 + x3^2)", label="log graph")
     return sp.extract_zero_graph(f, sp.schwarzschild(2.0), sp.AnnulusRegion(30.0, 500.0),
-                                 n_u=4, n_v=8, bracket=lambda u, v: (-8.0, 0.0))
+                                 n_u=4, n_v=8, bracket=(-8.0, 0.0))
 
 
 def _log_graph():
@@ -122,19 +122,46 @@ def test_brentq_rejects_a_bracket_without_sign_change():
 def test_chart_matches_per_line_reference(build):
     chart, uv, _ = build()
     u, v = uv[:, 0], uv[:, 1]
-    assert _close(chart.roots(u, v), [reference_root(chart, a, b) for a, b in uv])
-    p = chart.point_at(u, v)
+    roots = [reference_root(chart, a, b) for a, b in uv]
+    assert _close(chart.roots(u, v), roots)
+    lift = chart.lift(u, v)
+    assert _close(lift.s, roots)
     want = [reference_point_at(chart, a, b).coords() for a, b in uv]
-    assert _close(np.stack(p.coords(), axis=-1), want)
-    tu, tv = chart.tangents(u, v)
+    assert _close(np.stack(lift.point.coords(), axis=-1), want)
     want = [reference_tangents(chart, a, b) for a, b in uv]
-    assert _close(tu, [w[0] for w in want]) and _close(tv, [w[1] for w in want])
-    assert _close(chart.height_slopes(u, v), [reference_height_slopes(chart, a, b) for a, b in uv])
+    assert _close(lift.tu, [w[0] for w in want]) and _close(lift.tv, [w[1] for w in want])
+    assert _close(lift.slopes, [reference_height_slopes(chart, a, b) for a, b in uv])
     assert _close(chart.sigma_at(u, v), [reference_sigma_at(chart, a, b) for a, b in uv])
     # a batch of one gives the scalar forms
     assert isinstance(chart.root(u[0], v[0]), float)
     assert chart.sigma_at(u[0], v[0]).shape == (2, 2)
-    assert isinstance(chart.point_at(u[0], v[0]).x1, float)
+
+
+def _lift_arrays(lift):
+    return [lift.s, lift.slopes, *lift.point.coords(), lift.tu, lift.tv]
+
+
+@pytest.mark.parametrize("build", CHARTS)
+def test_lift_contract(build, monkeypatch):
+    # every array of a lift carries the lines' broadcast shape in front, a
+    # grid of lines lifts bit for bit as the same lines flat, and a lift
+    # solves its lines once
+    chart, uv, _ = build()
+    for shape in [(), (4,), (2, 3)]:
+        n = math.prod(shape)
+        lift = chart.lift(uv[:n, 0].reshape(shape), uv[:n, 1].reshape(shape))
+        assert [a.shape for a in _lift_arrays(lift)] == [shape, shape + (2,), shape, shape,
+                                                         shape, shape + (3,), shape + (3,)]
+    grid = chart.lift(uv[:6, 0].reshape(2, 3), uv[:6, 1].reshape(2, 3))
+    flat = chart.lift(uv[:6, 0], uv[:6, 1])
+    for a, b in zip(_lift_arrays(grid), _lift_arrays(flat)):
+        assert a.tobytes() == b.reshape(a.shape).tobytes()
+
+    solves = []
+    solve = chart._solve
+    monkeypatch.setattr(chart, "_solve", lambda u, v: solves.append(u.size) or solve(u, v))
+    chart.lift(uv[:6, 0].reshape(2, 3), uv[:6, 1].reshape(2, 3))
+    assert solves == [6]
 
 
 @pytest.mark.parametrize("build", [_log_graph, _horizon])
@@ -191,7 +218,7 @@ def test_closed_component_area_and_curvature_match_per_point_loops():
 
 def _graph_chart(text, bracket=(-1.0, 1.0), param_floor=None):
     return zeroset.SurfaceChart(sp.expression_potential(text), sp.euclidean(),
-                                embed=lambda U, V, S: (S, U, V), bracket=lambda u, v: bracket,
+                                embed=lambda U, V, S: (S, U, V), bracket=bracket,
                                 label=f"graph[{text}]", param_floor=param_floor)
 
 

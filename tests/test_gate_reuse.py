@@ -160,7 +160,7 @@ def test_errors_match_reference(fn, ref, args):
 def _warped_strip():
     g, _, f = _warped()
     chart = zeroset.SurfaceChart(f, g, embed=lambda u, v, s: (s, u, v),
-                                 bracket=lambda u, v: (-1.0, 1.0), label="strip")
+                                 bracket=(-1.0, 1.0), label="strip")
     return f, g, chart, [(1.0, 0.0), (2.0, 1.0), (3.0, -2.0)], [0.02, 0.05, 0.08]
 
 
@@ -193,7 +193,7 @@ def test_zero_set_laws_errors_match_reference():
     bent = sp.from_callable(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0) + 1e-3 * x1 * x1,
                             label="bent f")
     bent_chart = zeroset.SurfaceChart(bent, g, embed=lambda u, v, s: (s, u, v),
-                                      bracket=lambda u, v: (-1.0, 1.0), label="bent")
+                                      bracket=(-1.0, 1.0), label="bent")
     a = _outcome(sp.zero_set_laws, bent, g, bent_chart, samples, deltas, static_tol=1e-12)
     b = _outcome(reference_zero_set_laws, bent, g, bent_chart, samples, deltas,
                  static_tol=1e-12)

@@ -98,7 +98,7 @@ class TestAnisotropyLimit:
         g = sp.schwarzschild(mass)
         region = sp.AnnulusRegion(50.0, 1000.0)
         graph = sp.extract_zero_graph(f, g, region, n_u=4, n_v=8,
-                                      bracket=lambda u, v: (-10.0, 2.0))
+                                      bracket=(-10.0, 2.0))
         heights = [100.0, 140.0, 200.0, 280.0, 400.0, 560.0, 800.0]
         report = sp.anisotropy_limit(g, graph, heights)
         assert report.extrapolated == pytest.approx(3.0 * mass, rel=0.05)
@@ -110,7 +110,7 @@ class TestAnisotropyLimit:
         g = sp.schwarzschild(1.0)
         region = sp.AnnulusRegion(50.0, 300.0)
         graph = sp.extract_zero_graph(f, g, region, n_u=3, n_v=6,
-                                      bracket=lambda u, v: (-10.0, 2.0))
+                                      bracket=(-10.0, 2.0))
         with pytest.raises(sp.ResolutionError):
             sp.anisotropy_limit(g, graph, [100.0, 400.0])
 

@@ -74,13 +74,6 @@ class TestVolume:
                                  n_panels=8, nodes_per_panel=8)
         assert vol == pytest.approx(4.0 * math.pi * 3.0, rel=1e-12)
 
-    def test_budget_error(self):
-        g = sp.euclidean()
-        rule = sp.sphere_rule(8, 16)
-        with pytest.raises(sp.QuadratureBudgetError):
-            sp.volume_integral(g, lambda b: np.ones_like(b.point.x1), 1.0, 2.0, rule,
-                               n_panels=64, nodes_per_panel=16, max_nodes=100)
-
 
 class TestPanels:
     def test_breakpoints_are_panel_edges(self):

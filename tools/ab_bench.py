@@ -9,6 +9,9 @@ perfbench/run.py --workload W --seed S --seconds N``, N being the benchmark's
 each from its own tree. The order alternates over the pairs: at an
 even pair index the parent runs first, at an odd one the change. Each run's
 end-to-end metrics are read off the JSON line that ``run.py`` prints last.
+Before the first pair, each checkout makes one short run (the first workload
+at the first seed, 1 s) that is discarded, so that no measured run compiles a
+fresh checkout's bytecode; the output file does not record it.
 
 The output file holds, per workload and side, the median and inclusive
 quartiles of every end-to-end metric that ``BENCHMARK.json`` declares, the
@@ -154,6 +157,8 @@ def main(argv=None):
         "parent": _revision(args.parent),
         "workloads": {},
     }
+    for tree in (args.parent, args.change):  # warm-up, discarded
+        _run(tree, workloads[0], seeds[0], 1)
     for workload in workloads:
         out["workloads"][workload] = _workload(args.parent, args.change, workload, seeds,
                                                seconds, directions)
