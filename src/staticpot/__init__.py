@@ -64,9 +64,7 @@ from .identities import (
     ALL_DISTINCT,
     ALL_EQUAL,
     TWO_EQUAL,
-    GapScanReport,
     RicciEigenframe,
-    eigenvalue_gap_scan,
     quotient_residual,
     ricci_eigenframe,
     tod_identity_residuals,
@@ -77,10 +75,8 @@ from .geodesics import (
     GrowthVerdict,
     growth_bound_check,
     integrate_geodesic,
-    integrate_geodesic_rk4,
     launch_state,
     solve_curve_ode,
-    transport_potential,
 )
 from .quadrature import (
     SphereRule,

@@ -119,6 +119,12 @@ def _suite_schwarzschild_static(c, rng):
     nodes, head = Point3.stack(pts), Point3.stack(pts[:20])
     rows = []
 
+    @functools.cache
+    def frames():
+        """The eigenframes at the first 20 points, from one pass shared by the
+        two frame checks; it runs in the first check that reads it."""
+        return identities.ricci_eigenframe(metric, head)
+
     def static_residual():
         res = potentials.static_residual(f, metric, nodes).combined_norm
         rows.extend(sorted(zip(nodes.r.tolist(), res.tolist())))
@@ -136,7 +142,7 @@ def _suite_schwarzschild_static(c, rng):
     def frame_structure():
         worst_kind = 0
         angles = [0.0]
-        for p, frame in zip(pts, identities.ricci_eigenframe(metric, head)):
+        for p, frame in zip(pts, frames()):
             if frame.kind != identities.TWO_EQUAL:
                 worst_kind += 1
                 continue
@@ -150,7 +156,7 @@ def _suite_schwarzschild_static(c, rng):
 
     def eigenvalue_ratio():
         ratios = [0.0]
-        for frame in identities.ricci_eigenframe(metric, head):
+        for frame in frames():
             lam = frame.eigenvalues
             simple = lam[frame.simple_index]
             pair = [lam[i] for i in range(3) if i != frame.simple_index]
@@ -170,7 +176,7 @@ def _suite_tod_identities(c, rng):
     metric = geometry.schwarzschild(c.mass)
     f = potentials.schwarzschild_potential(c.mass)
     pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
-    nodes = Point3.stack(pts)
+    nodes, head = Point3.stack(pts), Point3.stack(pts[:20])
     rows = []
 
     def residual_max():
@@ -178,13 +184,13 @@ def _suite_tod_identities(c, rng):
         rows.extend(sorted(zip(nodes.r.tolist(), res.tolist())))
         return _ok(_worst(res), 0.0, c.tol)
 
-    def gap_scan():
-        report = identities.eigenvalue_gap_scan(metric, pts[:20])
-        bad = report.counts().get(identities.ALL_EQUAL, 0)
+    def all_equal_count():
+        bad = sum(1 for frame in identities.ricci_eigenframe(metric, head)
+                  if frame.kind == identities.ALL_EQUAL)
         return _flag(bad == 0, f"{bad} points reported all eigenvalues equal")
 
     checks = [("cyclic_identity_max", residual_max),
-              ("no_spurious_full_degeneracy", gap_scan)]
+              ("no_spurious_full_degeneracy", all_equal_count)]
     plots = [("residuals.csv", ("r", "max_identity_residual"), rows)]
     return checks, plots
 

@@ -2,15 +2,18 @@
 
 Geodesics are integrated in unit speed; the optional transport carries a scalar
 along the curve by the second-order equation u'' = Ric(c', c') u, which is the
-restriction of the static system to the curve. The growth side packages the
-comparison envelope w(t) = A t^alpha built from a curvature smallness constant
-and sup data on the launch sphere.
+restriction of the static system to the curve. To carry a potential f, start
+``integrate_geodesic(..., transport=True)`` from a state whose ``f_value`` and
+``f_slope`` hold f and its derivative along the launch velocity. The growth
+side packages the comparison envelope w(t) = A t^alpha built from a curvature
+smallness constant and sup data on the launch sphere.
 
 Every ODE here, and the gradient flow of ``global_checks``, is solved by
 ``solve_ivp``: the lane-wise numpy port of scipy's DOP853 in ``ode``, which
 takes scipy's steps bit for bit. A geodesic is a batch of one lane
 (``one_lane``); ``solve_curve_ode`` solves a whole batch of transport equations
-in one call.
+in one call. The tolerances are pinned below: 1e-10/1e-12 for geodesics,
+1e-12/1e-14 for the transport equations.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ import numpy as np
 from .errors import DomainExitError, PreconditionError, StepFailureError
 from .geometry import MetricField, Point3, christoffel_at, curvature_at
 from .zeroset import _quad
+
+_GEODESIC_RTOL, _GEODESIC_ATOL = 1e-10, 1e-12
+_CURVE_RTOL, _CURVE_ATOL = 1e-12, 1e-14
 
 
 def solve_ivp(*args, **kwargs):
@@ -56,10 +62,6 @@ class GeodesicState:
 class GeodesicTrajectory:
     states: list
     max_speed_drift: float
-
-    @property
-    def ts(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
 
     @property
     def positions(self) -> np.ndarray:
@@ -102,8 +104,7 @@ def _rhs(metric: MetricField, with_transport: bool) -> Callable:
 
 
 def integrate_geodesic(metric: MetricField, start: GeodesicState, t_end: float,
-                       rtol: float = 1e-10, atol: float = 1e-12, n_samples: int = 200,
-                       transport: bool = False) -> GeodesicTrajectory:
+                       n_samples: int = 200, transport: bool = False) -> GeodesicTrajectory:
     """Integrate the geodesic equation, optionally transporting a scalar along.
 
     Raises DomainExitError when the curve reaches the chart boundary and
@@ -118,7 +119,7 @@ def integrate_geodesic(metric: MetricField, start: GeodesicState, t_end: float,
         return metric.boundary_margin(Point3(y[0], y[1], y[2]))
 
     sol = solve_ivp(one_lane(_rhs(metric, transport)), (start.t, start.t + t_end), y0[None],
-                    rtol=rtol, atol=atol,
+                    rtol=_GEODESIC_RTOL, atol=_GEODESIC_ATOL,
                     t_eval=np.linspace(start.t, start.t + t_end, n_samples + 1),
                     events=[(one_lane(boundary), -1)]).lanes[0]
     if sol.status == -1:
@@ -148,50 +149,8 @@ def integrate_geodesic(metric: MetricField, start: GeodesicState, t_end: float,
     return GeodesicTrajectory(states=states, max_speed_drift=drift)
 
 
-def integrate_geodesic_rk4(metric: MetricField, start: GeodesicState, t_end: float,
-                           n_steps: int) -> GeodesicTrajectory:
-    """Fixed-step fourth-order integrator, kept for self-convergence checks."""
-    rhs = _rhs(metric, False)
-    h = t_end / n_steps
-    y = np.concatenate([start.position, start.velocity])
-    t = start.t
-    states = [GeodesicState(t=t, position=y[0:3].copy(), velocity=y[3:6].copy())]
-    drift = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        p = Point3(y[0], y[1], y[2])
-        if not metric.contains(p):
-            raise DomainExitError(f"fixed-step geodesic left the chart at t={t:.6g}")
-        g = metric.matrix(p)
-        drift = max(drift, abs(float(y[3:6] @ g @ y[3:6]) - 1.0))
-        states.append(GeodesicState(t=t, position=y[0:3].copy(), velocity=y[3:6].copy()))
-    return GeodesicTrajectory(states=states, max_speed_drift=drift)
-
-
-def transport_potential(metric: MetricField, f0: float, f0_slope: float,
-                        trajectory: GeodesicTrajectory, rtol: float = 1e-10,
-                        atol: float = 1e-12) -> GeodesicTrajectory:
-    """Carry a scalar along an already-integrated geodesic.
-
-    Re-integrates the joint system from the trajectory's initial position and
-    velocity with the given transport data, sampling at the trajectory's own
-    times.
-    """
-    first = trajectory.states[0]
-    start = GeodesicState(t=first.t, position=first.position, velocity=first.velocity,
-                          f_value=f0, f_slope=f0_slope)
-    span = trajectory.states[-1].t - first.t
-    return integrate_geodesic(metric, start, span, rtol=rtol, atol=atol,
-                              n_samples=len(trajectory.states) - 1, transport=True)
-
-
 def solve_curve_ode(h_fn: Callable, f0, f0_slope, t0: float, t1: float,
-                    t_eval=None, rtol: float = 1e-12, atol: float = 1e-14) -> CurveBatch:
+                    t_eval=None) -> CurveBatch:
     """Solve u'' = h(t) u on a batch of curves; one (ts, us, slopes) per curve.
 
     ``f0`` and ``f0_slope`` hold the initial data, one entry per curve (a
@@ -218,7 +177,7 @@ def solve_curve_ode(h_fn: Callable, f0, f0_slope, t0: float, t1: float,
 
     with np.errstate(over="ignore", invalid="ignore"):   # overflow fails the curve on reading
         sol = solve_ivp(rhs, (t0, t1), np.stack([f0.ravel(), f0_slope.ravel()], axis=1),
-                        rtol=rtol, atol=atol, t_eval=t_eval)
+                        rtol=_CURVE_RTOL, atol=_CURVE_ATOL, t_eval=t_eval)
     return CurveBatch(sol.lanes)
 
 

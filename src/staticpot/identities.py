@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError, ZeroPotentialError
 from .geometry import MetricField, Point3, _first_flagged, curvature_at, ricci_with_derivative
-from .potentials import PotentialField, _gate, _hess_g, _static_from, _taylor
+from .potentials import PotentialField, _gate, _hess_g, _one_point, _static_from, _taylor
 
 ALL_DISTINCT = "all_distinct"
 TWO_EQUAL = "two_equal"
@@ -137,9 +137,10 @@ def quotient_residual(f: PotentialField, N: PotentialField, metric: MetricField,
 
     For Z = f/N on the region where N > 0 the law is
     N Hess Z + dN (x) dZ + dZ (x) dN = 0; the returned matrix is its left side.
-    Both static gates read one curvature pass.
+    Both static gates read one curvature pass. Takes one point; a batched
+    Point3 raises ValueError.
     """
-    p = Point3.of(point)
+    p = _one_point(point, "quotient_residual")
     n_val = N.value(p)
     if n_val <= 1e-10:
         raise ZeroPotentialError(f"{N.label}: denominator potential is not positive at {p.coords()}")
@@ -154,69 +155,3 @@ def quotient_residual(f: PotentialField, N: PotentialField, metric: MetricField,
     Hz = _hess_g(hess_z, dZ, bundle.gamma)
     dN = gate.gradient
     return n_val * Hz + np.outer(dN, dZ) + np.outer(dZ, dN)
-
-
-@dataclass(frozen=True)
-class GapRecord:
-    point: Point3
-    eigenvalues: np.ndarray
-    kind: str
-    pair: tuple | None
-    simple_direction: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class GapScanReport:
-    tau_eig: float
-    records: list
-
-    def counts(self) -> dict:
-        out = {ALL_DISTINCT: 0, TWO_EQUAL: 0, ALL_EQUAL: 0}
-        for rec in self.records:
-            out[rec.kind] += 1
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "tau_eig": self.tau_eig,
-            "counts": self.counts(),
-            "records": [
-                {
-                    "point": list(rec.point.coords()),
-                    "eigenvalues": [float(v) for v in rec.eigenvalues],
-                    "kind": rec.kind,
-                    "pair": list(rec.pair) if rec.pair is not None else None,
-                    "simple_direction": ([float(v) for v in rec.simple_direction]
-                                         if rec.simple_direction is not None else None),
-                }
-                for rec in self.records
-            ],
-        }
-
-    def to_csv_rows(self) -> list:
-        rows = [["x1", "x2", "x3", "lam1", "lam2", "lam3", "kind", "pair"]]
-        for rec in self.records:
-            rows.append([
-                f"{rec.point.x1:.17g}", f"{rec.point.x2:.17g}", f"{rec.point.x3:.17g}",
-                f"{rec.eigenvalues[0]:.17g}", f"{rec.eigenvalues[1]:.17g}",
-                f"{rec.eigenvalues[2]:.17g}", rec.kind,
-                "" if rec.pair is None else f"{rec.pair[0]}-{rec.pair[1]}",
-            ])
-        return rows
-
-
-def eigenvalue_gap_scan(metric: MetricField, points) -> GapScanReport:
-    """Classify Ricci eigenvalue coincidence pointwise over a sample set.
-
-    The sample set takes one batched curvature pass.
-    """
-    points = [Point3.of(q) for q in points]
-    frames = ricci_eigenframe(metric, Point3.stack(points)) if points else []
-    records = []
-    for point, ef in zip(points, frames):
-        direction = None
-        if ef.kind == TWO_EQUAL:
-            direction = ef.frame[:, ef.simple_index].copy()
-        records.append(GapRecord(point=point, eigenvalues=ef.eigenvalues,
-                                 kind=ef.kind, pair=ef.pair, simple_direction=direction))
-    return GapScanReport(tau_eig=_TAU_EIG, records=records)

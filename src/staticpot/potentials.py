@@ -30,11 +30,10 @@ from .quadrature import SphereRule, aitken_limit, sphere_rule
 
 @dataclass(frozen=True)
 class PotentialField:
-    """A scalar field on the chart, with optional known linear part."""
+    """A scalar field on the chart."""
 
     expr: Callable
     label: str = "potential"
-    linear_part: tuple | None = None
 
     def value(self, point):
         """Value at a point; an array over the nodes of a batched Point3."""
@@ -71,7 +70,7 @@ def affine(a0: float, a1: float, a2: float, a3: float) -> PotentialField:
     def expr(X1, X2, X3):
         return a0 + a1 * X1 + a2 * X2 + a3 * X3
 
-    return PotentialField(expr=expr, label="affine", linear_part=(a1, a2, a3))
+    return PotentialField(expr=expr, label="affine")
 
 
 def schwarzschild_potential(mass: float) -> PotentialField:
@@ -83,12 +82,11 @@ def schwarzschild_potential(mass: float) -> PotentialField:
         w = (0.5 * m) / r
         return (1.0 - w) / (1.0 + w)
 
-    return PotentialField(expr=expr, label=f"schwarzschild_potential(m={m:g})",
-                          linear_part=(0.0, 0.0, 0.0))
+    return PotentialField(expr=expr, label=f"schwarzschild_potential(m={m:g})")
 
 
-def from_callable(fn: Callable, label: str = "custom", linear_part: tuple | None = None) -> PotentialField:
-    return PotentialField(expr=fn, label=label, linear_part=linear_part)
+def from_callable(fn: Callable, label: str = "custom") -> PotentialField:
+    return PotentialField(expr=fn, label=label)
 
 
 ### Expression grammar: + - * / ^, sqrt, ln, names x1 x2 x3 r, numbers
@@ -267,6 +265,14 @@ def require_static(f: PotentialField, metric: MetricField, point, tol: float = 1
     return _gate(static_residual(f, metric, point), f, metric, tol)
 
 
+def _one_point(point, name: str) -> Point3:
+    """``Point3.of(point)``; ValueError naming ``name`` when it is a batch."""
+    p = Point3.of(point)
+    if any(np.ndim(x) for x in p.coords()):
+        raise ValueError(f"{name} takes one point, not a batched Point3")
+    return p
+
+
 def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: float = 1e-6) -> float:
     """Defect of the gradient-norm identity satisfied by static potentials.
 
@@ -274,9 +280,10 @@ def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: 
     at a point where f does not vanish. The connection, the metric with its
     partials and f's derivatives come from the static gate; the first two
     partials of phi = g^ij f_i f_j follow from them by the product rule, with
-    d(g^-1) = -g^-1 (dg) g^-1.
+    d(g^-1) = -g^-1 (dg) g^-1. Takes one point; a batched Point3 raises
+    ValueError.
     """
-    p = Point3.of(point)
+    p = _one_point(point, "bochner_residual")
     # a vanishing f is reported before the gate runs, even where f has no
     # derivatives or the point is off the chart
     fval = f.value(p)

@@ -584,11 +584,11 @@ def gauss_bonnet_limit(graph: SurfaceGraph, radii, n_angles: int = 256) -> Gauss
 
 @dataclass(frozen=True)
 class ClosedComponent:
-    """A closed zero-set component meshed by rays from a center point."""
+    """A closed zero-set component meshed by rays from a center point; the ray
+    chart over the sphere of directions makes it a topological sphere."""
 
     chart: SurfaceChart
     center: np.ndarray
-    euler_characteristic: int
     grad_norms: np.ndarray    # |grad f|_g at the vertices
 
     @staticmethod
@@ -620,9 +620,10 @@ def extract_closed_component(f: PotentialField, metric: MetricField, center,
 
     Rays are solved like graph lines, all vertices in one chart call, each ray
     starting from the ``(lo, hi)`` pair ``s_bracket`` of radii, with slope
-    floor 1e-8; the Euler characteristic comes from the actual
-    vertex/edge/face counts of the triangulation. Vanishing |grad f| on the
-    component raises CriticalOnZeroSetError.
+    floor 1e-8; the vertices are the two poles and ``n_theta`` rings of
+    ``n_phi`` rays. Each ray meets the component once, so it is a topological
+    sphere (Euler characteristic 2). Vanishing |grad f| on the component
+    raises CriticalOnZeroSetError.
     """
     if hasattr(center, "as_array"):
         center = center.as_array()
@@ -651,29 +652,6 @@ def extract_closed_component(f: PotentialField, metric: MetricField, center,
     us, vs = np.array(params).T
     p = chart.lift(us, vs).point
 
-    def ring_index(i: int, j: int) -> int:
-        return 1 + i * n_phi + (j % n_phi)
-
-    top, bottom = 0, len(params) - 1
-    triangles = []
-    for j in range(n_phi):
-        triangles.append((top, ring_index(0, j), ring_index(0, j + 1)))
-    for i in range(n_theta - 1):
-        for j in range(n_phi):
-            a, b = ring_index(i, j), ring_index(i, j + 1)
-            cc, dd = ring_index(i + 1, j), ring_index(i + 1, j + 1)
-            triangles.append((a, b, cc))
-            triangles.append((b, dd, cc))
-    for j in range(n_phi):
-        triangles.append((bottom, ring_index(n_theta - 1, j + 1), ring_index(n_theta - 1, j)))
-
-    edges = set()
-    for (a, b, cc) in triangles:
-        edges.add(tuple(sorted((a, b))))
-        edges.add(tuple(sorted((b, cc))))
-        edges.add(tuple(sorted((a, cc))))
-    euler = len(params) - len(edges) + len(triangles)
-
     grad_norms = _norm_g(metric.matrix(p), f.gradient(p))
     low = grad_norms < 1e-8
     if low.any():
@@ -682,8 +660,7 @@ def extract_closed_component(f: PotentialField, metric: MetricField, center,
             f"{f.label}: |grad f| = {grad_norms[k]:.3e} at {_first_flagged(p, low)}; "
             "component degenerate")
 
-    return ClosedComponent(chart=chart, center=c, euler_characteristic=euler,
-                           grad_norms=grad_norms)
+    return ClosedComponent(chart=chart, center=c, grad_norms=grad_norms)
 
 
 ### Adapted-frame curvature laws on zero sets

@@ -233,6 +233,17 @@ class TestCommandLine:
         report = cli.run_suite("growth_bound", {}, str(tmp_path))
         assert report["passed"] and len(calls) == 2
 
+    def test_schwarzschild_suite_takes_one_eigenframe_pass(self, tmp_path, monkeypatch):
+        # simple_direction_radial and radial_eigenvalue_doubling share one pass
+        from staticpot import identities
+
+        calls = []
+        ricci_eigenframe = identities.ricci_eigenframe
+        monkeypatch.setattr(identities, "ricci_eigenframe",
+                            lambda *a: calls.append(1) or ricci_eigenframe(*a))
+        report = cli.run_suite("schwarzschild_static", {}, str(tmp_path))
+        assert report["passed"] and len(calls) == 1
+
     def test_unknown_suite_exit_two(self, tmp_path, capsys):
         rc = cli.main(["verify", "bogus", "--out", str(tmp_path)])
         assert rc == 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,17 +38,6 @@ class TestIntegration:
         with pytest.raises(sp.DomainExitError):
             sp.integrate_geodesic(g, start, 5.0)
 
-    def test_rk4_matches_adaptive_reference(self):
-        g = sp.schwarzschild(1.0)
-        start = sp.launch_state(g, Point3(2.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-        ref = sp.integrate_geodesic(g, start, 3.0, n_samples=10)
-        errs = []
-        for n in (40, 80, 160):
-            traj = sp.integrate_geodesic_rk4(g, start, 3.0, n_steps=n)
-            errs.append(np.linalg.norm(traj.positions[-1] - ref.positions[-1]))
-        order = math.log(errs[0] / errs[2]) / math.log(4.0)
-        assert order > 3.5
-
     @pytest.mark.parametrize("transport", [False, True])
     def test_batched_samples_match_the_per_point_loop(self, transport):
         # the samples are evaluated in one batched pass; the per-point loop is the reference
@@ -81,10 +71,10 @@ class TestTransport:
         g = sp.schwarzschild(m)
         f = sp.schwarzschild_potential(m)
         p0 = Point3(2.0, 1.0, 0.0)
-        start = sp.launch_state(g, p0, (1.0, 0.5, -0.2))
-        traj = sp.integrate_geodesic(g, start, 12.0, n_samples=60)
-        slope0 = float(f.gradient(p0) @ start.velocity)
-        carried = sp.transport_potential(g, f.value(p0), slope0, traj)
+        launch = sp.launch_state(g, p0, (1.0, 0.5, -0.2))
+        start = replace(launch, f_value=f.value(p0),
+                        f_slope=float(f.gradient(p0) @ launch.velocity))
+        carried = sp.integrate_geodesic(g, start, 12.0, n_samples=60, transport=True)
         exact = np.array([f.value(Point3.of(q)) for q in carried.positions])
         assert np.max(np.abs(np.array(carried.f_values) - exact)) < 1e-6
 

@@ -127,18 +127,17 @@ class TestQuotient:
         with pytest.raises(sp.ZeroPotentialError):
             sp.quotient_residual(f, N, g, Point3(-1.0, 1.0, 0.0))
 
+    def test_batched_point_rejected(self):
+        g, N, f = warped_pair()
+        batch = Point3.stack([Point3(0.5, 1.0, 0.0), Point3(2.0, 0.5, -1.0)])
+        with pytest.raises(ValueError, match="quotient_residual takes one point"):
+            sp.quotient_residual(f, N, g, batch)
 
-class TestGapScan:
-    def test_counts_and_serialization(self):
+
+class TestEigenvalueClasses:
+    def test_schwarzschild_shell_is_two_equal(self):
         g = sp.schwarzschild(1.0)
         rng = np.random.default_rng(2)
         pts = sp.sample_shell(rng, 8, 1.0, 10.0)
-        report = sp.eigenvalue_gap_scan(g, pts)
-        counts = report.counts()
-        assert counts[sp.TWO_EQUAL] == 8
-        assert counts[sp.ALL_EQUAL] == 0
-        blob = report.to_json()
-        assert len(blob["records"]) == 8
-        rows = report.to_csv_rows()
-        assert len(rows) == 9  # header plus one row per point
-        assert rows[0][0] == "x1"
+        frames = sp.ricci_eigenframe(g, Point3.stack(pts))
+        assert [frame.kind for frame in frames] == [sp.TWO_EQUAL] * 8

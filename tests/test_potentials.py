@@ -146,6 +146,11 @@ class TestBochner:
         with pytest.raises(sp.ZeroPotentialError):
             sp.bochner_residual(f, g, Point3(0.0, 1.0, 0.0))
 
+    def test_batched_point_rejected(self):
+        batch = Point3.stack([Point3(2.0, 1.0, 0.0), Point3(3.0, 0.0, 1.0)])
+        with pytest.raises(ValueError, match="bochner_residual takes one point"):
+            sp.bochner_residual(sp.schwarzschild_potential(1.0), sp.schwarzschild(1.0), batch)
+
 
 class TestCovariantHessian:
     def test_flat_chart_reduces_to_partials(self):
