@@ -3,8 +3,9 @@
 Geodesics are integrated in unit speed; the optional transport carries a scalar
 along the curve by the second-order equation u'' = Ric(c', c') u, which is the
 restriction of the static system to the curve. To carry a potential f, start
-``integrate_geodesic(..., transport=True)`` from a state whose ``f_value`` and
-``f_slope`` hold f and its derivative along the launch velocity. The growth
+``integrate_geodesic(..., transport=True)`` from ``launch_state(metric, point,
+direction, f)``, whose ``f_value`` and ``f_slope`` hold f and its derivative
+along the normalized launch velocity. The growth
 side packages the comparison envelope w(t) = A t^alpha built from a curvature
 smallness constant and sup data on the launch sphere.
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import DomainExitError, PreconditionError, StepFailureError
 from .geometry import MetricField, Point3, christoffel_at, curvature_at
+from .potentials import PotentialField
 from .zeroset import _quad
 
 _GEODESIC_RTOL, _GEODESIC_ATOL = 1e-10, 1e-12
@@ -76,17 +78,24 @@ class GeodesicTrajectory:
         return np.array([s.h_value for s in self.states])
 
 
-def launch_state(metric: MetricField, point, direction, f_value: float = 0.0,
-                 f_slope: float = 0.0) -> GeodesicState:
-    """Initial state with the direction normalized to unit metric length."""
+def launch_state(metric: MetricField, point, direction,
+                 f: PotentialField | None = None) -> GeodesicState:
+    """Initial state with the direction normalized to unit metric length.
+
+    Given a potential ``f``, the state carries its value and its slope along
+    the normalized velocity, the initial data that transport starts from.
+    """
     p = Point3.of(point)
     g = metric.matrix(p)
     v = np.asarray(direction, dtype=float)
     speed = math.sqrt(v @ g @ v)
     if speed <= 0:
         raise ValueError("direction must be nonzero")
-    return GeodesicState(t=0.0, position=p.as_array(), velocity=v / speed,
-                         f_value=f_value, f_slope=f_slope)
+    velocity = v / speed
+    if f is None:
+        return GeodesicState(t=0.0, position=p.as_array(), velocity=velocity)
+    return GeodesicState(t=0.0, position=p.as_array(), velocity=velocity, f_value=f.value(p),
+                         f_slope=float(f.gradient(p) @ velocity))
 
 
 def _rhs(metric: MetricField, with_transport: bool) -> Callable:

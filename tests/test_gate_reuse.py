@@ -12,6 +12,7 @@ loop.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,8 +227,8 @@ def test_transport_rhs_matches_reference(name):
 @pytest.mark.parametrize("name", sorted(METRICS))
 def test_transported_geodesic_matches_reference(name, monkeypatch):
     metric = METRICS[name]
-    start = sp.launch_state(metric, Point3(6.0, 2.0, -1.0), (-0.4, 1.0, 0.3),
-                            f_value=0.8, f_slope=0.05)
+    start = replace(sp.launch_state(metric, Point3(6.0, 2.0, -1.0), (-0.4, 1.0, 0.3)),
+                    f_value=0.8, f_slope=0.05)
     new = sp.integrate_geodesic(metric, start, 6.0, n_samples=20, transport=True)
     monkeypatch.setattr(geodesics, "_rhs", reference_geodesic_rhs)
     old = sp.integrate_geodesic(metric, start, 6.0, n_samples=20, transport=True)

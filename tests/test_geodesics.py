@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,9 +70,9 @@ class TestTransport:
         g = sp.schwarzschild(m)
         f = sp.schwarzschild_potential(m)
         p0 = Point3(2.0, 1.0, 0.0)
-        launch = sp.launch_state(g, p0, (1.0, 0.5, -0.2))
-        start = replace(launch, f_value=f.value(p0),
-                        f_slope=float(f.gradient(p0) @ launch.velocity))
+        start = sp.launch_state(g, p0, (1.0, 0.5, -0.2), f)
+        assert start.f_value == f.value(p0)
+        assert start.f_slope == float(f.gradient(p0) @ start.velocity)
         carried = sp.integrate_geodesic(g, start, 12.0, n_samples=60, transport=True)
         exact = np.array([f.value(Point3.of(q)) for q in carried.positions])
         assert np.max(np.abs(np.array(carried.f_values) - exact)) < 1e-6

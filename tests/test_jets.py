@@ -92,43 +92,52 @@ class TestSecondOrder:
         assert np.allclose(h, h.T, atol=1e-14)
 
     def test_nested_tower_mixed_order(self):
-        # outer depth-2 over an inner depth-1 result still peels correctly
+        # a product and a square of seeds, read off the Jet2 itself and by taylor
         x = (1.5, 2.5, -0.5)
         Xs = jets.seed(x, 2)
         e = Xs[0] * Xs[1] + Xs[2] ** 2
-        val, grad, hess = (t[..., 0] for t in jets.taylor([e], 2))
-        assert val == pytest.approx(1.5 * 2.5 + 0.25)
-        assert grad == pytest.approx([2.5, 1.5, -1.0])
-        assert hess[0, 1] == pytest.approx(1.0)
-        assert hess[2, 2] == pytest.approx(2.0)
+        assert isinstance(e, jets.Jet2) and e.vgrad is e.grad
+        for val, grad, hess in [(e.val, e.grad, np.reshape(e.hess, (3, 3))),
+                                (t[..., 0] for t in jets.taylor([e], 2))]:
+            assert val == pytest.approx(1.5 * 2.5 + 0.25)
+            assert grad == pytest.approx([2.5, 1.5, -1.0])
+            assert hess[0, 1] == pytest.approx(1.0)
+            assert hess[2, 2] == pytest.approx(2.0)
 
 
 def _bits(x, batch) -> bytes:
     return np.broadcast_to(np.asarray(x, dtype=float), batch).tobytes()
 
 
+def _slot(x, i, j=None):
+    """First partial i, or second partial (i, j), of a Jet2; constants give 0."""
+    if not isinstance(x, jets.Jet2):
+        return 0.0
+    if j is None:
+        return x.grad[i]
+    return 0.0 if x.hess is None else x.hess[3 * i + j]
+
+
 @pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
 def test_taylor_layout(batch):
     # order n is batch + (3,) * n + (entries,): entry e's slot (i, j) holds
-    # peel_grad(peel_grad(x, i), j) bit for bit, constants broadcast over batch
+    # hess[3 i + j] of its Jet2 bit for bit, constants broadcast over batch
     rng = np.random.default_rng(5)
     coords = [0.5 + (rng.random(batch) if batch else rng.random()) for _ in range(3)]
     Xs = jets.seed(coords, 2)
-    # a hand-built tower holding 10 i + j in slot (i, j), so the slot order shows
-    tower = jets.Jet(jets.Jet(coords[0], (1.0, 2.0, 3.0)),
-                     tuple(jets.Jet(0.5 * i, tuple(10.0 * i + j for j in range(3)))
-                           for i in range(3)))
-    entries = [poly(*Xs), 2.5, transcendental(*Xs), Xs[1], tower]
+    # a hand-built Jet2 holding 10 i + j in slot (i, j), so the slot order shows
+    hand = jets.Jet2(coords[0], (1.0, 2.0, 3.0), tuple(0.5 * i for i in range(3)),
+                     tuple(10.0 * i + j for i in range(3) for j in range(3)))
+    entries = [poly(*Xs), 2.5, transcendental(*Xs), Xs[1], hand]
     val, grad, hess = jets.taylor(entries, 2, batch)
     for n, a in enumerate((val, grad, hess)):
         assert a.shape == batch + (3,) * n + (len(entries),) and a.dtype == float
     for e, x in enumerate(entries):
         assert _bits(val[..., e], batch) == _bits(jets.value(x), batch)
         for i in range(3):
-            assert _bits(grad[..., i, e], batch) == _bits(jets.value(jets.peel_grad(x, i)), batch)
+            assert _bits(grad[..., i, e], batch) == _bits(_slot(x, i), batch)
             for j in range(3):
-                want = jets.peel_grad(jets.peel_grad(x, i), j)
-                assert _bits(hess[..., i, j, e], batch) == _bits(want, batch)
+                assert _bits(hess[..., i, j, e], batch) == _bits(_slot(x, i, j), batch)
     assert not hess[..., 1].any() and np.all(val[..., 1] == 2.5)
 
 
@@ -203,11 +212,14 @@ def test_array_op_jet_defers_to_the_jet(op):
 
 def _numpy_leaf_seed(coords, depth):
     """``jets.seed`` without the float conversion: numpy scalars stay leaves."""
+    slots = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     xs = list(coords)
-    for _ in range(depth):
-        xs = [jets.Jet(xs[0], (1.0, 0.0, 0.0)),
-              jets.Jet(xs[1], (0.0, 1.0, 0.0)),
-              jets.Jet(xs[2], (0.0, 0.0, 1.0))]
+    if depth == 1:
+        return [jets.Jet(x, e) for x, e in zip(xs, slots)]
+    if depth >= 2:
+        xs = [jets.Jet2(x, e, e, None) for x, e in zip(xs, slots)]
+        for _ in range(depth - 2):
+            xs = [jets.Jet(x, e) for x, e in zip(xs, slots)]
     return xs
 
 
@@ -216,6 +228,11 @@ def _leaves(x):
         yield from _leaves(x.val)
         for slot in x.grad:
             yield from _leaves(slot)
+    elif isinstance(x, jets.Jet2):
+        yield x.val
+        yield from x.vgrad
+        yield from x.grad
+        yield from x.hess or ()
     else:
         yield x
 

@@ -9,6 +9,7 @@ drivers solved with scipy before the port. scipy is used by this test only.
 import contextlib
 import math
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,7 +243,8 @@ def test_transported_geodesic_matches_scipy(monkeypatch):
     spy = _Differential()
     monkeypatch.setattr(geodesics, "solve_ivp", spy)
     g = geometry.perturbed_as(1.0, [geometry.PerturbationTerm(0, 1, 0.3, (1, 0, 0))])
-    start = sp.launch_state(g, (4.0, 1.0, 0.5), (0.3, 1.0, 0.2), f_value=0.5, f_slope=0.1)
+    start = replace(sp.launch_state(g, (4.0, 1.0, 0.5), (0.3, 1.0, 0.2)), f_value=0.5,
+                    f_slope=0.1)
     traj = sp.integrate_geodesic(g, start, 8.0, n_samples=40, transport=True)
     assert len(traj.states) == 41 and spy.calls == 1
 

@@ -1,0 +1,74 @@
+"""Per-point cost of the metric-component jet layer, ``geometry._metric_taylor``.
+
+    python3 tools/layer_bench.py [--repeat 7]
+
+Prints, for ``schwarzschild(1)`` and the two-term ``perturbed_as`` of
+``perfbench/workloads.py``, the microseconds per point of one
+``_metric_taylor`` call (seeding, component evaluation and read-out) at jet
+depths 1, 2 and 3: once point by point, as an ODE stage calls it, over 200
+points whose coordinates are numpy scalars of a state row, and once for a
+batch of 1,000 points in one call. Points lie at r in [3, 6]. Each figure is
+the best of ``--repeat`` timed rounds, so it shows the layer's cost, not the
+host's noise. The library is imported from ``src/`` of this checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+
+import numpy as np
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, ROOT)
+
+from perfbench.workloads import PERTURBATION  # noqa: E402
+from staticpot import geometry  # noqa: E402
+
+N_SINGLE, N_BATCH = 200, 1000
+
+
+def _points(n):
+    rng = np.random.default_rng(3)
+    d = rng.normal(size=(n, 3))
+    return d / np.linalg.norm(d, axis=1)[:, None] * rng.uniform(3.0, 6.0, (n, 1))
+
+
+def _best(fn, repeat):
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=7)
+    args = parser.parse_args(argv)
+    metrics = {"schwarzschild(1)": geometry.schwarzschild(1.0),
+               "perturbed_as(2 terms)": geometry.perturbed_as(1.0, PERTURBATION)}
+    rows = list(_points(N_SINGLE))
+    batch = tuple(_points(N_BATCH).T.copy())
+    print(f"{'metric':<24}{'depth':>6}{'single us/pt':>15}{'batch-1000 us/pt':>19}")
+    for name, metric in metrics.items():
+        for depth in (1, 2, 3):
+            def single():
+                for y in rows:
+                    geometry._metric_taylor(metric, (y[0], y[1], y[2]), depth)
+
+            def batched():
+                geometry._metric_taylor(metric, batch, depth)
+
+            one = _best(single, args.repeat) / N_SINGLE * 1e6
+            many = _best(batched, args.repeat) / N_BATCH * 1e6
+            print(f"{name:<24}{depth:>6}{one:>15.2f}{many:>19.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
