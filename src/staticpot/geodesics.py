@@ -15,6 +15,12 @@ takes scipy's steps bit for bit. A geodesic is a batch of one lane
 (``one_lane``); ``solve_curve_ode`` solves a whole batch of transport equations
 in one call. The tolerances are pinned below: 1e-10/1e-12 for geodesics,
 1e-12/1e-14 for the transport equations.
+
+A geodesic's stages cannot batch, so its right-hand side reads only the two
+contracted terms it needs, Gamma^k(c', c') and Ric(c', c'), from one jet
+evaluation of the metric at the stage's point, in Python floats. It matches
+``curvature_at`` to roundoff; the samples of a trajectory still take one
+batched ``curvature_at`` pass.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainExitError, PreconditionError, StepFailureError
-from .geometry import MetricField, Point3, christoffel_at, curvature_at
+from .geometry import MetricField, Point3, _geodesic_terms, curvature_at
 from .potentials import PotentialField
 from .zeroset import _quad
 
@@ -82,12 +88,15 @@ def launch_state(metric: MetricField, point, direction,
                  f: PotentialField | None = None) -> GeodesicState:
     """Initial state with the direction normalized to unit metric length.
 
+    A non-finite coordinate of ``point`` or ``direction`` raises ValueError.
     Given a potential ``f``, the state carries its value and its slope along
     the normalized velocity, the initial data that transport starts from.
     """
     p = Point3.of(point)
-    g = metric.matrix(p)
     v = np.asarray(direction, dtype=float)
+    if not (np.isfinite(p.as_array()).all() and np.isfinite(v).all()):
+        raise ValueError("point and direction must be finite")
+    g = metric.matrix(p)
     speed = math.sqrt(v @ g @ v)
     if speed <= 0:
         raise ValueError("direction must be nonzero")
@@ -100,14 +109,11 @@ def launch_state(metric: MetricField, point, direction,
 
 def _rhs(metric: MetricField, with_transport: bool) -> Callable:
     def rhs(t, y):
-        x, v = y[0:3], y[3:6]
-        p = Point3(x[0], x[1], x[2])
+        x0, x1, x2, v0, v1, v2 = y[:6].tolist()
+        (a0, a1, a2), h = _geodesic_terms(metric, (x0, x1, x2), (v0, v1, v2), with_transport)
         if not with_transport:
-            gamma = christoffel_at(metric, p, check_domain=False)
-            return np.concatenate([v, -np.einsum("kij,i,j->k", gamma, v, v)])
-        bundle = curvature_at(metric, p, check_domain=False)  # Gamma and Ric from one pass
-        h = float(v @ bundle.ricci @ v)
-        return np.concatenate([v, -np.einsum("kij,i,j->k", bundle.gamma, v, v), [y[7], h * y[6]]])
+            return np.array([v0, v1, v2, -a0, -a1, -a2])
+        return np.array([v0, v1, v2, -a0, -a1, -a2, y[7], h * y[6]])
 
     return rhs
 
@@ -118,9 +124,15 @@ def integrate_geodesic(metric: MetricField, start: GeodesicState, t_end: float,
 
     Raises DomainExitError when the curve reaches the chart boundary and
     StepFailureError when the integrator gives up or the unit-speed drift
-    exceeds 1e-6. The samples are evaluated in one batched pass: one
+    exceeds 1e-6; ``n_samples`` below 1 raises ValueError. Each integrator
+    stage evaluates the metric's jets once, at one point, and contracts
+    Gamma^k(v, v) and, with transport, Ric(v, v) from them without building
+    a curvature bundle (``geometry._geodesic_terms``, with ``curvature_at`` as
+    its oracle). The accepted samples are evaluated in one batched pass: one
     ``curvature_at`` with transport, one ``metric.matrix`` without.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     y0 = np.concatenate([start.position, start.velocity]
                         + ([[start.f_value, start.f_slope]] if transport else []))
 

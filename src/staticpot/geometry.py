@@ -409,6 +409,138 @@ def _assemble_curvature(g, dg, d2g):
     return gamma, riem, ric, scal
 
 
+_JETS = (jets.Jet, jets.Jet2)
+_NO_GRAD = (0.0, 0.0, 0.0)
+# the upper-triangle entries (i, j) of a symmetric metric, in reading order
+_UPPER_I, _UPPER_J = (0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2)
+
+
+def _geodesic_terms(metric: MetricField, x, v, transport: bool):
+    """``(Gamma^k(v, v) for k = 0, 1, 2)`` and, with ``transport``, Ric(v, v)
+    at one point, contracted with v straight from the metric's jets.
+
+    This is the single-point kernel of the geodesic right-hand side: one
+    ``metric.components`` evaluation on jets of depth 2 (depth 1 without
+    transport, when Ric(v, v) is None), read as Python floats, with the
+    positive-definiteness check of ``curvature_at`` and no domain check. It
+    builds no curvature tensor; ``curvature_at`` is its oracle. With dots for
+    coordinate derivatives, the first-kind symbols Gamma_{f,bc} and
+    Gamma^e_bc = g^ef Gamma_{f,bc},
+
+        Ric(v, v) = g^bd v^a v^c R_abcd,
+        R_abcd = (g_ad.bc + g_bc.ad - g_ac.bd - g_bd.ac) / 2
+                 + g_ef (Gamma^e_bc Gamma^f_ad - Gamma^e_bd Gamma^f_ac),
+
+    so that the quadratic terms read p_fb = Gamma_{f,bc} v^c and the
+    contraction g^bd Gamma_{f,bd}, which meets the geodesic's Gamma^f(v, v).
+    The metric is taken as symmetric: its upper triangle is read.
+    """
+    rows = metric.components(*jets.seed(x, 2 if transport else 1))
+    _check_positive(np.array([[e.val if isinstance(e, _JETS) else e for e in row]
+                              for row in rows], dtype=float), metric.label, Point3(*x))
+    upper = [rows[i][j] for i, j in zip(_UPPER_I, _UPPER_J)]
+    g00, g01, g02, g11, g12, g22 = (e.val if isinstance(e, _JETS) else e for e in upper)
+    # (a, b, c)_ij = (d_0, d_1, d_2) g_ij
+    ((a00, b00, c00), (a01, b01, c01), (a02, b02, c02),
+     (a11, b11, c11), (a12, b12, c12), (a22, b22, c22)) = (
+        e.grad if isinstance(e, _JETS) else _NO_GRAD for e in upper)
+    v0, v1, v2 = v
+    # inverse metric i_ij from the adjugate
+    i00 = g11 * g22 - g12 * g12
+    i01 = g02 * g12 - g01 * g22
+    i02 = g01 * g12 - g02 * g11
+    det = g00 * i00 + g01 * i01 + g02 * i02
+    i00, i01, i02 = i00 / det, i01 / det, i02 / det
+    i11 = (g00 * g22 - g02 * g02) / det
+    i12 = (g01 * g02 - g00 * g12) / det
+    i22 = (g00 * g11 - g01 * g01) / det
+    # m_ij = v^c d_c g_ij and y_fb = v^c d_b g_fc
+    m00 = a00 * v0 + b00 * v1 + c00 * v2
+    m01 = a01 * v0 + b01 * v1 + c01 * v2
+    m02 = a02 * v0 + b02 * v1 + c02 * v2
+    m11 = a11 * v0 + b11 * v1 + c11 * v2
+    m12 = a12 * v0 + b12 * v1 + c12 * v2
+    m22 = a22 * v0 + b22 * v1 + c22 * v2
+    y00 = a00 * v0 + a01 * v1 + a02 * v2
+    y01 = b00 * v0 + b01 * v1 + b02 * v2
+    y02 = c00 * v0 + c01 * v1 + c02 * v2
+    y10 = a01 * v0 + a11 * v1 + a12 * v2
+    y11 = b01 * v0 + b11 * v1 + b12 * v2
+    y12 = c01 * v0 + c11 * v1 + c12 * v2
+    y20 = a02 * v0 + a12 * v1 + a22 * v2
+    y21 = b02 * v0 + b12 * v1 + b22 * v2
+    y22 = c02 * v0 + c12 * v1 + c22 * v2
+    # Gamma_{f,bc} v^b v^c = m_fc v^c - y_bf v^b / 2, raised by g^-1
+    l0 = (m00 * v0 + m01 * v1 + m02 * v2) - 0.5 * (y00 * v0 + y10 * v1 + y20 * v2)
+    l1 = (m01 * v0 + m11 * v1 + m12 * v2) - 0.5 * (y01 * v0 + y11 * v1 + y21 * v2)
+    l2 = (m02 * v0 + m12 * v1 + m22 * v2) - 0.5 * (y02 * v0 + y12 * v1 + y22 * v2)
+    gam0 = i00 * l0 + i01 * l1 + i02 * l2
+    gam1 = i01 * l0 + i11 * l1 + i12 * l2
+    gam2 = i02 * l0 + i12 * l1 + i22 * l2
+    if not transport:
+        return (gam0, gam1, gam2), None
+
+    # p_fb = Gamma_{f,bc} v^c = (m_fb + y_fb - y_bf) / 2 and q = g^-1 p;
+    # the first quadratic term is g^bd p_fb q_fd
+    k01, k02, k12 = 0.5 * (y01 - y10), 0.5 * (y02 - y20), 0.5 * (y12 - y21)
+    p00, p11, p22 = 0.5 * m00, 0.5 * m11, 0.5 * m22
+    h01, h02, h12 = 0.5 * m01, 0.5 * m02, 0.5 * m12
+    p01, p10 = h01 + k01, h01 - k01
+    p02, p20 = h02 + k02, h02 - k02
+    p12, p21 = h12 + k12, h12 - k12
+    q00 = i00 * p00 + i01 * p10 + i02 * p20
+    q01 = i00 * p01 + i01 * p11 + i02 * p21
+    q02 = i00 * p02 + i01 * p12 + i02 * p22
+    q10 = i01 * p00 + i11 * p10 + i12 * p20
+    q11 = i01 * p01 + i11 * p11 + i12 * p21
+    q12 = i01 * p02 + i11 * p12 + i12 * p22
+    q20 = i02 * p00 + i12 * p10 + i22 * p20
+    q21 = i02 * p01 + i12 * p11 + i22 * p21
+    q22 = i02 * p02 + i12 * p12 + i22 * p22
+    ric = (i00 * (p00 * q00 + p10 * q10 + p20 * q20)
+           + i11 * (p01 * q01 + p11 * q11 + p21 * q21)
+           + i22 * (p02 * q02 + p12 * q12 + p22 * q22)
+           + i01 * (p00 * q01 + p10 * q11 + p20 * q21 + p01 * q00 + p11 * q10 + p21 * q20)
+           + i02 * (p00 * q02 + p10 * q12 + p20 * q22 + p02 * q00 + p12 * q10 + p22 * q20)
+           + i12 * (p01 * q02 + p11 * q12 + p21 * q22 + p02 * q01 + p12 * q11 + p22 * q21))
+    # the second: -Gamma^f(v, v) g^bd Gamma_{f,bd}, with
+    # g^bd Gamma_{f,bd} = g^bd d_b g_fd - g^bd d_f g_bd / 2
+    e0 = (i00 * a00 + i01 * (b00 + a01) + i02 * (c00 + a02) + i11 * b01
+          + i12 * (c01 + b02) + i22 * c02)
+    e1 = (i00 * a01 + i01 * (b01 + a11) + i02 * (c01 + a12) + i11 * b11
+          + i12 * (c11 + b12) + i22 * c12)
+    e2 = (i00 * a02 + i01 * (b02 + a12) + i02 * (c02 + a22) + i11 * b12
+          + i12 * (c12 + b22) + i22 * c22)
+    t0 = i00 * a00 + i11 * a11 + i22 * a22 + 2.0 * (i01 * a01 + i02 * a02 + i12 * a12)
+    t1 = i00 * b00 + i11 * b11 + i22 * b22 + 2.0 * (i01 * b01 + i02 * b02 + i12 * b12)
+    t2 = i00 * c00 + i11 * c11 + i22 * c22 + 2.0 * (i01 * c01 + i02 * c02 + i12 * c12)
+    ric -= gam0 * (e0 - 0.5 * t0) + gam1 * (e1 - 0.5 * t1) + gam2 * (e2 - 0.5 * t2)
+    # the second derivatives, entry by entry: an upper entry i < j stands for
+    # g_ij and g_ji; with Hessian H it enters g^bd v^a v^c (g_ad.bc + g_bc.ad)
+    # / 2 as (v^j g^bi + v^i g^bj) (H v)_b and the other two terms as
+    # -(v^i v^j tr(g^-1 H) + g^ij v.H v); a diagonal entry enters half of each
+    ginv = ((i00, i01, i02), (i01, i11, i12), (i02, i12, i22))
+    for e, i, j in zip(upper, _UPPER_I, _UPPER_J):
+        if not isinstance(e, jets.Jet2) or e.hess is None:
+            continue
+        h0, h1, h2, h3, h4, h5, h6, h7, h8 = e.hess
+        hv0 = h0 * v0 + h1 * v1 + h2 * v2
+        hv1 = h3 * v0 + h4 * v1 + h5 * v2
+        hv2 = h6 * v0 + h7 * v1 + h8 * v2
+        gi, gj = ginv[i], ginv[j]
+        tr = (i00 * h0 + i11 * h4 + i22 * h8
+              + i01 * (h1 + h3) + i02 * (h2 + h6) + i12 * (h5 + h7))
+        vhv = v0 * hv0 + v1 * hv1 + v2 * hv2
+        vi, vj = v[i], v[j]
+        zh = vj * (gi[0] * hv0 + gi[1] * hv1 + gi[2] * hv2)
+        if i == j:
+            ric += zh - 0.5 * (vi * vi * tr + gi[i] * vhv)
+        else:
+            ric += (zh + vi * (gj[0] * hv0 + gj[1] * hv1 + gj[2] * hv2)
+                    - (vi * vj * tr + gi[j] * vhv))
+    return (gam0, gam1, gam2), ric
+
+
 def _metric_taylor(metric: MetricField, coords, depth: int):
     """The metric and its first ``depth`` (at most 3) coordinate derivatives.
 

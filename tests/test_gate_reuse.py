@@ -6,9 +6,10 @@ gate first. The gate's single pass already holds the curvature bundle and the
 potential's value, gradient and covariant Hessian; the identities must read
 them from it and give bit-identical results to the versions in
 ``reference_pointwise`` that evaluate them again. The geodesic transport
-right-hand side likewise reads its Christoffels and Ricci tensor from one
-curvature bundle, and the surface Christoffels are one contraction instead of a
-loop.
+right-hand side contracts Gamma(v, v) and Ric(v, v) from one jet evaluation of
+the metric, without a curvature bundle; it matches the reference, which reads
+them off ``christoffel_at`` and ``curvature_at``, to roundoff (1e-14
+relative). The surface Christoffels are one contraction instead of a loop.
 """
 
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import staticpot as sp
-from staticpot import geodesics, geometry, global_checks, potentials, zeroset
+from staticpot import geodesics, geometry, global_checks, jets, potentials, zeroset
 from staticpot.geometry import PerturbationTerm, Point3
 from staticpot.potentials import _norm_g
 
@@ -211,29 +212,101 @@ def test_surface_christoffel_matches_loop():
                      reference_surface_christoffel(sig, d_u, d_v))
 
 
+def _rhs_close(metric, y, transport):
+    """``geodesics._rhs`` within 1e-14 of the per-point reference.
+
+    The acceleration is scaled by max|Gamma| |v|^2, the transport slope by
+    max|Ric| |v|^2 |u|, from the reference's curvature bundle; position,
+    velocity and slope entries are copied, so they must match exactly.
+    """
+    yy = y if transport else y[:6]
+    a = geodesics._rhs(metric, transport)(0.0, yy)
+    b = reference_geodesic_rhs(metric, transport)(0.0, yy)
+    bundle = sp.curvature_at(metric, Point3(*y[:3]), check_domain=False)
+    vv = float(y[3:6] @ y[3:6])
+    if a.shape != b.shape or not _same(a[:3], b[:3]):
+        return False
+    if abs(a[3:6] - b[3:6]).max() > 1e-14 * np.abs(bundle.gamma).max() * vv:
+        return False
+    return not transport or (a[6] == b[6] and abs(a[7] - b[7])
+                             <= 1e-14 * np.abs(bundle.ricci).max() * vv * abs(y[6]))
+
+
 @pytest.mark.parametrize("name", sorted(METRICS))
 def test_transport_rhs_matches_reference(name):
+    # the stage contracts Gamma(v, v) and Ric(v, v) from the metric's jets;
+    # the reference reads them off christoffel_at and curvature_at
     metric = METRICS[name]
     rng = np.random.default_rng(7)
     for p in _points(10, seed=9):
         y = np.concatenate([p.as_array(), rng.normal(size=3), rng.normal(size=2)])
         for transport in (False, True):
-            yy = y if transport else y[:6]
-            a = geodesics._rhs(metric, transport)(0.0, yy)
-            b = reference_geodesic_rhs(metric, transport)(0.0, yy)
-            assert _same(a, b), (p, transport)
+            assert _rhs_close(metric, y, transport), (p, transport)
+
+
+def _sin_log_metric():
+    """A non-conformal metric whose entries go through jets.sin and jets.log."""
+    def comps(x1, x2, x3):
+        g01 = 0.2 * jets.log(3.0 + x3 * x3)
+        g02 = 0.1 * jets.sin(x1 + x3)
+        g12 = 0.15 * jets.sin(x2 - 0.5 * x3)
+        return [[2.0 + 0.3 * jets.sin(x1 * x2), g01, g02],
+                [g01, 1.5 + 0.2 * jets.log(1.0 + x1 * x1 + x2 * x2), g12],
+                [g02, g12, 1.0 + 0.25 * jets.sin(x3) * jets.sin(x3)]]
+
+    return sp.generic_metric(comps, label="sin-log")
+
+
+@pytest.mark.parametrize("build", ["warped", "sin_log"])
+def test_transport_rhs_matches_reference_off_the_families(build):
+    # fractional powers (the warped half space) and sin/log entries
+    metric = _warped()[0] if build == "warped" else _sin_log_metric()
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        x = rng.uniform(-1.5, 1.5, size=3)
+        x[1] = abs(x[1]) + 0.2
+        y = np.concatenate([x, rng.normal(size=3), rng.normal(size=2)])
+        for transport in (False, True):
+            assert _rhs_close(metric, y, transport), (x, transport)
+
+
+def test_transport_rhs_on_flat_space_is_exact():
+    # constant entries: no jet carries a derivative, so both terms are exactly 0
+    y = np.array([1.0, -2.0, 0.5, 0.3, -0.7, 0.2, 1.5, -0.4])
+    assert np.array_equal(geodesics._rhs(sp.euclidean(), False)(0.0, y[:6]),
+                          np.concatenate([y[3:6], np.zeros(3)]))
+    assert np.array_equal(geodesics._rhs(sp.euclidean(), True)(0.0, y),
+                          np.concatenate([y[3:6], np.zeros(3), [y[7], 0.0]]))
+    (a, h) = geometry._geodesic_terms(sp.euclidean(), (1.0, -2.0, 0.5), (0.3, -0.7, 0.2), True)
+    assert a == (0.0, 0.0, 0.0) and h == 0.0
+
+
+@pytest.mark.parametrize("transport", [False, True])
+def test_transport_rhs_rejects_a_singular_metric(transport):
+    # the stage keeps curvature_at's positive-definiteness check: same class,
+    # same message, also with the domain check off
+    metric = sp.generic_metric(lambda x1, x2, x3: [[x1, 0.0, 0.0], [0.0, 1.0 + 0.0 * x2, 0.0],
+                                                   [0.0, 0.0, 1.0 + 0.0 * x3]],
+                               label="signature change")
+    y = np.array([-0.5, 1.0, 2.0, 0.3, 0.4, 0.5, 1.0, 0.0])
+    yy = y if transport else y[:6]
+    a = _outcome(geodesics._rhs(metric, transport), 0.0, yy)
+    b = _outcome(reference_geodesic_rhs(metric, transport), 0.0, yy)
+    assert isinstance(a, tuple) and a[0] is sp.SingularMetricError and a == b
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))
 def test_transported_geodesic_matches_reference(name, monkeypatch):
+    # DOP853 on the contracted stage against the same solve on the reference
+    # stage: the two right-hand sides agree to roundoff, not bit for bit
     metric = METRICS[name]
     start = replace(sp.launch_state(metric, Point3(6.0, 2.0, -1.0), (-0.4, 1.0, 0.3)),
                     f_value=0.8, f_slope=0.05)
     new = sp.integrate_geodesic(metric, start, 6.0, n_samples=20, transport=True)
     monkeypatch.setattr(geodesics, "_rhs", reference_geodesic_rhs)
     old = sp.integrate_geodesic(metric, start, 6.0, n_samples=20, transport=True)
-    assert _same(new.positions, old.positions)
-    assert _same(new.f_values, old.f_values)
+    assert np.abs(new.positions - old.positions).max() <= 1e-14 * np.abs(old.positions).max()
+    assert np.abs(new.f_values - old.f_values).max() <= 1e-14 * np.abs(old.f_values).max()
     drift = 0.0
     for s in old.states:
         g = metric.matrix(Point3(*s.position))
@@ -399,7 +472,19 @@ def test_zero_set_laws_reports_a_critical_zero_set_before_the_gate():
     assert isinstance(a, tuple) and a[0] is sp.CriticalOnZeroSetError and a == b
 
 
-def test_transport_rhs_one_curvature_per_stage(counts):
+@pytest.mark.parametrize("transport", [False, True])
+def test_transport_rhs_one_metric_jet_pass_per_stage(counts, transport):
+    # one components evaluation on jets (depth 2 with transport, 1 without)
+    # and no curvature bundle or Christoffel array
+    metric = METRICS["perturbed_as"]
+    depths = []
+
+    def components(*xs):
+        depths.append(type(xs[0]))
+        return metric.components(*xs)
+
     y = np.array([4.0, 1.0, -2.0, 0.3, -0.5, 0.2, 1.0, 0.1])
-    geodesics._rhs(METRICS["perturbed_as"], True)(0.0, y)
-    assert counts.get("curvature_at", 0) == 1 and counts.get("christoffel_at", 0) == 0
+    geodesics._rhs(replace(metric, components=components), transport)(
+        0.0, y if transport else y[:6])
+    assert depths == [jets.Jet2 if transport else jets.Jet]
+    assert counts == {}

@@ -31,6 +31,23 @@ class TestIntegration:
         speed = math.sqrt(float(st_.velocity @ gmat @ st_.velocity))
         assert speed == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("point, direction", [
+        ((4.0, 0.0, 0.0), (math.nan, 0.0, 1.0)),
+        ((4.0, 0.0, 0.0), (0.0, math.inf, 1.0)),
+        ((math.nan, 0.0, 4.0), (0.0, 0.0, 1.0)),
+        ((4.0, -math.inf, 0.0), (0.0, 0.0, 1.0)),
+    ])
+    def test_launch_rejects_non_finite_input(self, point, direction):
+        with pytest.raises(ValueError, match="finite"):
+            sp.launch_state(sp.schwarzschild(1.0), point, direction)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_integrate_rejects_fewer_than_one_sample(self, n_samples):
+        g = sp.schwarzschild(1.0)
+        start = sp.launch_state(g, Point3(4.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="n_samples"):
+            sp.integrate_geodesic(g, start, 2.0, n_samples=n_samples)
+
     def test_domain_exit_detected(self):
         g = sp.schwarzschild(2.0)  # exterior chart ends at r = 1
         start = sp.launch_state(g, Point3(1.5, 0.0, 0.0), (-1.0, 0.0, 0.0))

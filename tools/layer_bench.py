@@ -1,4 +1,5 @@
-"""Per-point cost of the metric-component jet layer, ``geometry._metric_taylor``.
+"""Per-point cost of the metric-component jet layer, ``geometry._metric_taylor``,
+and of the geodesic stage built on the metric's jets.
 
     python3 tools/layer_bench.py [--repeat 7]
 
@@ -7,9 +8,12 @@ Prints, for ``schwarzschild(1)`` and the two-term ``perturbed_as`` of
 ``_metric_taylor`` call (seeding, component evaluation and read-out) at jet
 depths 1, 2 and 3: once point by point, as an ODE stage calls it, over 200
 points whose coordinates are numpy scalars of a state row, and once for a
-batch of 1,000 points in one call. Points lie at r in [3, 6]. Each figure is
-the best of ``--repeat`` timed rounds, so it shows the layer's cost, not the
-host's noise. The library is imported from ``src/`` of this checkout.
+batch of 1,000 points in one call. A second table gives the microseconds per
+call of the transported geodesic's right-hand side,
+``geodesics._rhs(metric, True)``, on 8-entry state rows at the same 200
+points. Points lie at r in [3, 6]. Each figure is the best of ``--repeat``
+timed rounds, so it shows the layer's cost, not the host's noise. The library
+is imported from ``src/`` of this checkout.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 
 from perfbench.workloads import PERTURBATION  # noqa: E402
-from staticpot import geometry  # noqa: E402
+from staticpot import geodesics, geometry  # noqa: E402
 
 N_SINGLE, N_BATCH = 200, 1000
 
@@ -67,6 +71,17 @@ def main(argv=None) -> int:
             one = _best(single, args.repeat) / N_SINGLE * 1e6
             many = _best(batched, args.repeat) / N_BATCH * 1e6
             print(f"{name:<24}{depth:>6}{one:>15.2f}{many:>19.3f}")
+    rng = np.random.default_rng(5)
+    states = [np.concatenate([x, rng.normal(size=3), rng.normal(size=2)]) for x in rows]
+    print(f"\n{'metric':<24}{'transport stage us':>21}")
+    for name, metric in metrics.items():
+        rhs = geodesics._rhs(metric, True)
+
+        def stages():
+            for y in states:
+                rhs(0.0, y)
+
+        print(f"{name:<24}{_best(stages, args.repeat) / N_SINGLE * 1e6:>21.2f}")
     return 0
 
 
