@@ -585,8 +585,9 @@ SUITES = {
 }
 
 # The kind of every config key above, declared once: "count" is an integer
-# >= 1, "float" a finite number, "list" a non-empty list of finite numbers, an
-# integer n a list of exactly n numbers, and "pair" two increasing numbers.
+# >= 1, "float" a finite number, "nonneg" a finite number >= 0 (a tolerance),
+# "list" a non-empty list of finite numbers, an integer n a list of exactly n
+# numbers, and "pair" two increasing numbers.
 KEY_KINDS = {
     **dict.fromkeys(("n_points", "n_trials", "n_angles", "n_spheres", "n_polar",
                      "n_azimuth", "n_panels", "nodes_per_panel"), "count"),
@@ -594,10 +595,10 @@ KEY_KINDS = {
     **dict.fromkeys(("window", "bracket"), "pair"),
     "coeffs": 4,
     "start": 3,
-    **dict.fromkeys(("mass", "tol", "r_min", "r_max", "epsilon", "r0", "t_end",
+    **dict.fromkeys(("mass", "r_min", "r_max", "epsilon", "r0", "t_end",
                      "inner", "outer", "perturb_amp", "r_lo", "r_hi",
-                     "ratio_factor", "r_inner", "r_outer", "rel_tol",
-                     "capacity_tol", "r_escape", "b_tol"), "float"),
+                     "ratio_factor", "r_inner", "r_outer", "r_escape"), "float"),
+    **dict.fromkeys(("tol", "rel_tol", "capacity_tol", "b_tol"), "nonneg"),
 }
 
 
@@ -606,6 +607,11 @@ def _coerce(cfg, key):
     kind = KEY_KINDS[key]
     if kind == "float":
         return cfgmod.as_float(cfg, key)
+    if kind == "nonneg":
+        value = cfgmod.as_float(cfg, key)
+        if value < 0:
+            raise ConfigError(f"key {key!r}: expected a number >= 0, got {cfg[key]!r}")
+        return value
     if kind == "count":
         value = cfgmod.as_int(cfg, key)
         if value < 1:

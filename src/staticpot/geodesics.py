@@ -20,7 +20,8 @@ A geodesic's stages cannot batch, so its right-hand side reads only the two
 contracted terms it needs, Gamma^k(c', c') and Ric(c', c'), from one jet
 evaluation of the metric at the stage's point, in Python floats. It matches
 ``curvature_at`` to roundoff; the samples of a trajectory still take one
-batched ``curvature_at`` pass.
+batched ``curvature_at`` pass. The gradient flow's stages are read the same
+way, at a single point in Python floats (``global_checks._flow_terms``).
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ by entry.
 It also keeps the static-gated identities as they were before they read the
 static gate's curvature and potential derivatives: each evaluates them again
 after the gate, as do the surface Christoffel loop and the geodesic transport
-right-hand side with its separate Christoffel and curvature calls.
+right-hand side with its separate Christoffel and curvature calls. The
+gradient flow's stage reads g and the gradient of f at one point through the
+batched read-outs ``_metric_taylor`` and ``PotentialField.gradient``.
 Test-only; the library never imports it.
 """
 
@@ -27,8 +29,8 @@ from staticpot import geometry, jets, zeroset
 from staticpot.errors import (ConfigError, CriticalOnZeroSetError, DomainError, MultiRootError,
                               NoRootError, MonotonicityError, NonConvergentError,
                               SingularMetricError, ZeroPotentialError)
-from staticpot.geometry import (CurvatureBundle, MetricField, Point3, christoffel_at,
-                                curvature_at, ricci_with_derivative)
+from staticpot.geometry import (CurvatureBundle, MetricField, Point3, _metric_taylor,
+                                christoffel_at, curvature_at, ricci_with_derivative)
 from staticpot.identities import ricci_eigenframe
 from staticpot.jets import peel_grad, peel_value, seed
 from staticpot.potentials import (LinearPartFit, PotentialField, covariant_hessian,
@@ -742,5 +744,19 @@ def reference_geodesic_rhs(metric: MetricField, with_transport: bool):
             return np.concatenate([v, acc])
         h = reference_ricci_quadratic(metric, x, v)
         return np.concatenate([v, acc, [y[7], h * y[6]]])
+
+    return rhs
+
+
+### Gradient-flow stage: the batched read-outs at a single point
+
+
+def reference_flow_terms(metric: MetricField, f: PotentialField, y):
+    return _metric_taylor(metric, y, 0)[0], f.gradient(Point3(*y))
+
+
+def reference_flow_rhs(metric: MetricField, f: PotentialField):
+    def rhs(t, y):
+        return np.linalg.inv(_metric_taylor(metric, y, 0)[0]) @ f.gradient(Point3(*y))
 
     return rhs

@@ -104,6 +104,15 @@ class TestKeyKinds:
             used |= set(defaults)
         assert used == set(cli.KEY_KINDS)
 
+    @pytest.mark.parametrize("key", ["tol", "rel_tol", "capacity_tol", "b_tol"])
+    def test_tolerances_are_finite_and_nonnegative(self, key):
+        assert cli.KEY_KINDS[key] == "nonneg"
+        assert cli._coerce({key: "0"}, key) == 0.0
+        assert cli._coerce({key: "1e-3"}, key) == 1e-3
+        for bad in ("-1e-12", "-1", "inf", "nan"):
+            with pytest.raises(ConfigError, match=key):
+                cli._coerce({key: bad}, key)
+
 
 class TestPlotData:
     def test_writes_rows_with_full_precision(self, tmp_path):
@@ -311,10 +320,12 @@ class TestCommandLine:
                    for c in report["checks"] if not c["passed"])
 
     @pytest.mark.parametrize("suite,line,code,detail", [
+        # an escape radius inside the start radius 0.6 could never be crossed
+        ("flow_classify", "r_escape = 0.5", 2, "ValueError: r_escape 0.5 must exceed"),
+        ("flow_classify", "r_escape = 0", 2, "ValueError: r_escape 0.0 must exceed"),
+        ("flow_classify", "r_escape = -1", 2, "ValueError: r_escape -1.0 must exceed"),
+        ("flow_classify", "r_escape = -5", 2, "ValueError: r_escape -5.0 must exceed"),
         # the flow never escapes, so there is no limit to compare
-        ("flow_classify", "r_escape = 0.5", 1, "no limit: the flow ended as unresolved"),
-        ("flow_classify", "r_escape = 0", 1, "no limit: the flow ended as "),
-        ("flow_classify", "r_escape = -1", 1, "no limit: the flow ended as "),
         ("flow_classify", "r_escape = 1e300", 1, "no limit: the flow ended as "),
         ("flow_classify", "mass = 1e-300", 1, "no limit: the flow ended as "),
         ("growth_bound", "t_end = 1", 2, "need t_end > r0"),
@@ -330,6 +341,12 @@ class TestCommandLine:
         ("huisken_yau", "r_lo = 1e300", 1, "OverflowError: "),
         # the start point is checked while the suite is set up
         ("flow_classify", "start = 1e300, 0, 0", 2, "OverflowError: "),
+        # a check with a negative tolerance could never pass
+        ("euclidean_affine", "tol = -1", 2, "key 'tol': expected a number >= 0"),
+        ("integral_identities", "rel_tol = -1e-5", 2, "key 'rel_tol': expected a number >= 0"),
+        ("integral_identities", "capacity_tol = -0.02", 2,
+         "key 'capacity_tol': expected a number >= 0"),
+        ("flow_classify", "b_tol = -1", 2, "key 'b_tol': expected a number >= 0"),
     ])
     def test_boundary_value_exit_code(self, tmp_path, capsys, suite, line, code, detail):
         cfg = tmp_path / "edge.cfg"
@@ -438,7 +455,7 @@ def _edge_configs(draw):
     keys = sorted(k for k in defaults if k not in cfg)
     pairs = ([("window", k) for k in keys if cli.KEY_KINDS[k] == "pair"]
              + [p for p in _RELATED if p[0] in defaults])
-    singles = [k for k in keys if cli.KEY_KINDS[k] in ("float", "count")]
+    singles = [k for k in keys if cli.KEY_KINDS[k] in ("float", "nonneg", "count")]
     if pairs and draw(st.booleans()):
         pair, swap = draw(st.sampled_from(pairs)), draw(st.booleans())
         if pair[0] == "window":

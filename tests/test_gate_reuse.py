@@ -9,7 +9,10 @@ them from it and give bit-identical results to the versions in
 right-hand side contracts Gamma(v, v) and Ric(v, v) from one jet evaluation of
 the metric, without a curvature bundle; it matches the reference, which reads
 them off ``christoffel_at`` and ``curvature_at``, to roundoff (1e-14
-relative). The surface Christoffels are one contraction instead of a loop.
+relative). The gradient flow's stage reads g and the gradient of f from one
+component pass and one depth-1 jet; it gives the same bytes as the batched
+read-outs of the reference, stage by stage and over a whole flow. The surface
+Christoffels are one contraction instead of a loop.
 """
 
 import sys
@@ -23,7 +26,8 @@ from staticpot import geodesics, geometry, global_checks, jets, potentials, zero
 from staticpot.geometry import PerturbationTerm, Point3
 from staticpot.potentials import _norm_g
 
-from .reference_pointwise import (reference_bochner_residual, reference_geodesic_rhs,
+from .reference_pointwise import (reference_bochner_residual, reference_flow_rhs,
+                                  reference_flow_terms, reference_geodesic_rhs,
                                   reference_quotient_residual, reference_ricci_quadratic,
                                   reference_surface_christoffel,
                                   reference_tod_identity_residuals, reference_zero_set_laws)
@@ -332,6 +336,62 @@ def test_flow_trace_samples_match_per_sample_loop(metric, f):
         assert s.grad_norm == _norm_g(metric.matrix(p), f.gradient(p))
 
 
+def _flow_cases():
+    """(metric, potential) pairs for the flow stage: the shipped flow and its
+    two controls, perfbench's two-term perturbation, a rotated chart and a
+    constant potential, whose expression returns no jet."""
+    two_term = sp.perturbed_as(1.0, [PerturbationTerm(0, 0, 0.3, (0, 0, 0)),
+                                     PerturbationTerm(1, 2, 0.2, (1, 1, 0))])
+    return {
+        "schwarzschild": (sp.schwarzschild(1.0), sp.schwarzschild_potential(1.0)),
+        "sink": (sp.euclidean(),
+                 sp.expression_potential("-(x1*x1 + x2*x2 + x3*x3)", label="sink")),
+        "affine": (sp.euclidean(), sp.affine(0.5, 1.0, -2.0, 3.0)),
+        "perturbed_as": (two_term, sp.schwarzschild_potential(1.0)),
+        "rotate_chart": (METRICS["rotate_chart"], N),
+        "constant": (sp.schwarzschild(1.0), sp.from_callable(lambda x1, x2, x3: 2.5)),
+    }
+
+
+FLOW_CASES = _flow_cases()
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_CASES))
+def test_flow_stage_bytes_match_the_batched_readout(name):
+    metric, f = FLOW_CASES[name]
+    rhs, ref = global_checks._flow_rhs(metric, f), reference_flow_rhs(metric, f)
+    # state rows of a 2-D array hold numpy scalars, as the solver's lanes do
+    rows = np.array([p.coords() for p in _points(24, seed=11)])
+    for y in rows:
+        g, grad = global_checks._flow_terms(metric, f, y)
+        g_ref, grad_ref = reference_flow_terms(metric, f, y)
+        assert _same(g, g_ref) and _same(grad, grad_ref)
+        assert rhs(0.0, y).tobytes() == ref(0.0, y).tobytes()
+        critical = _norm_g(g, grad) - global_checks._FLOW_GRAD_FLOOR
+        critical_ref = _norm_g(g_ref, grad_ref) - global_checks._FLOW_GRAD_FLOOR
+        assert np.float64(critical).tobytes() == np.float64(critical_ref).tobytes()
+
+
+@pytest.mark.parametrize("name, start, budget", [
+    ("schwarzschild", Point3(3.0, 1.0, -2.0), global_checks.FlowBudget(r_escape=20.0)),
+    ("sink", Point3(1.0, 0.0, 0.0), global_checks.FlowBudget(r_escape=50.0, t_max=50.0)),
+    ("affine", Point3(0.1, 0.0, 0.0), global_checks.FlowBudget(r_escape=25.0, t_max=1e4)),
+])
+def test_flow_trace_bytes_match_the_batched_readout(name, start, budget, monkeypatch):
+    # every stage and event of the solve reads the same floats, so the solver
+    # takes the same steps and the trace is the same, sample for sample
+    metric, f = FLOW_CASES[name]
+    new = global_checks.flow_classify(f, metric, start, budget)
+    monkeypatch.setattr(global_checks, "_flow_terms", reference_flow_terms)
+    old = global_checks.flow_classify(f, metric, start, budget)
+    assert (new.classification, new.interval, new.limit_estimate, new.monotone_violations) == \
+        (old.classification, old.interval, old.limit_estimate, old.monotone_violations)
+    assert len(new.samples) == len(old.samples) > 2
+    for a, b in zip(new.samples, old.samples):
+        assert _same([a.t, a.f_value, a.grad_norm, *a.position],
+                     [b.t, b.f_value, b.grad_norm, *b.position])
+
+
 ### Evaluation counts
 
 
@@ -487,4 +547,27 @@ def test_transport_rhs_one_metric_jet_pass_per_stage(counts, transport):
     geodesics._rhs(replace(metric, components=components), transport)(
         0.0, y if transport else y[:6])
     assert depths == [jets.Jet2 if transport else jets.Jet]
+    assert counts == {}
+
+
+@pytest.mark.parametrize("name", ["perturbed_as", "constant"])
+def test_flow_stage_one_component_and_one_expr_pass(counts, monkeypatch, name):
+    # one components call on Python floats and one expr call on depth-1 jets;
+    # no batched read-out of the metric or of the potential
+    metric, f = FLOW_CASES[name]
+    for fn in (jets.taylor, geometry._metric_taylor):
+        _count(monkeypatch, fn, counts, fn.__name__)
+    calls = []
+
+    def components(*xs):
+        calls.append(("components", *map(type, xs)))
+        return metric.components(*xs)
+
+    def expr(*xs):
+        calls.append(("expr", *map(type, xs)))
+        return f.expr(*xs)
+
+    y = np.array([[4.0, 1.0, -2.0]])[0]
+    global_checks._flow_rhs(replace(metric, components=components), replace(f, expr=expr))(0.0, y)
+    assert calls == [("components", float, float, float), ("expr", jets.Jet, jets.Jet, jets.Jet)]
     assert counts == {}

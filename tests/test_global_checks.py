@@ -233,6 +233,15 @@ class TestFlowClassification:
                                  global_checks.FlowBudget(t_max=1e4))
         assert trace.classification == global_checks.EXIT_BOUNDARY
 
+    @pytest.mark.parametrize("r_escape", [0.6, math.nan])
+    def test_escape_radius_inside_the_start_is_refused(self, r_escape):
+        # the flow could never cross it, so no time budget would resolve it
+        g = sp.schwarzschild(1.0)
+        f = sp.schwarzschild_potential(1.0)
+        with pytest.raises(ValueError, match="r_escape .* must exceed the start point's"):
+            sp.flow_classify(f, g, Point3(0.6, 0.0, 0.0),
+                             global_checks.FlowBudget(r_escape=r_escape))
+
     def test_time_budget_leaves_unresolved(self):
         g = sp.schwarzschild(1.0)
         f = sp.schwarzschild_potential(1.0)

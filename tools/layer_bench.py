@@ -1,5 +1,5 @@
 """Per-point cost of the metric-component jet layer, ``geometry._metric_taylor``,
-and of the geodesic stage built on the metric's jets.
+and of the geodesic and gradient-flow stages built on single-point jets.
 
     python3 tools/layer_bench.py [--repeat 7]
 
@@ -11,7 +11,11 @@ points whose coordinates are numpy scalars of a state row, and once for a
 batch of 1,000 points in one call. A second table gives the microseconds per
 call of the transported geodesic's right-hand side,
 ``geodesics._rhs(metric, True)``, on 8-entry state rows at the same 200
-points. Points lie at r in [3, 6]. Each figure is the best of ``--repeat``
+points. A third table gives the microseconds per call of the gradient flow's
+right-hand side, ``global_checks._flow_rhs``, at the same 200 points, for
+the Schwarzschild potential on ``schwarzschild(1)`` and for the sink control
+-(x1^2 + x2^2 + x3^2) on the flat metric, the flows of the ``flow_classify``
+suite. Points lie at r in [3, 6]. Each figure is the best of ``--repeat``
 timed rounds, so it shows the layer's cost, not the host's noise. The library
 is imported from ``src/`` of this checkout.
 """
@@ -30,7 +34,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 
 from perfbench.workloads import PERTURBATION  # noqa: E402
-from staticpot import geodesics, geometry  # noqa: E402
+from staticpot import geodesics, geometry, global_checks, potentials  # noqa: E402
 
 N_SINGLE, N_BATCH = 200, 1000
 
@@ -79,6 +83,19 @@ def main(argv=None) -> int:
 
         def stages():
             for y in states:
+                rhs(0.0, y)
+
+        print(f"{name:<24}{_best(stages, args.repeat) / N_SINGLE * 1e6:>21.2f}")
+    flows = {"schwarzschild(1)": (metrics["schwarzschild(1)"],
+                                  potentials.schwarzschild_potential(1.0)),
+             "euclidean sink": (geometry.euclidean(), potentials.expression_potential(
+                 "-(x1*x1 + x2*x2 + x3*x3)", label="sink control"))}
+    print(f"\n{'metric':<24}{'flow stage us':>21}")
+    for name, (metric, f) in flows.items():
+        rhs = global_checks._flow_rhs(metric, f)
+
+        def stages():
+            for y in rows:
                 rhs(0.0, y)
 
         print(f"{name:<24}{_best(stages, args.repeat) / N_SINGLE * 1e6:>21.2f}")
