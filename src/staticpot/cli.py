@@ -338,6 +338,12 @@ def _suite_mass_fit(c, rng):
 def _suite_huisken_yau(c, rng):
     mass, amp, r_lo, r_hi = c.mass, c.perturb_amp, c.r_lo, c.r_hi
     ratio_tol = c.ratio_factor
+    # equal radii make the ratio 1 on any metric, and a factor below 1 leaves
+    # no ratio that could pass
+    if not 0.0 < r_lo < r_hi:
+        raise ConfigError(f"need 0 < r_lo < r_hi, got r_lo = {r_lo:g} and r_hi = {r_hi:g}")
+    if not ratio_tol >= 1.0:
+        raise ConfigError(f"need ratio_factor >= 1, got {ratio_tol:g}")
     pure = geometry.schwarzschild(mass)
     terms = [PerturbationTerm(0, 0, amp, (0, 0, 0)),
              PerturbationTerm(0, 1, 0.6 * amp, (0, 0, 0)),

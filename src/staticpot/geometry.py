@@ -136,7 +136,55 @@ def _require_inside(metric: MetricField, p: Point3) -> None:
                       "outside chart domain")
 
 
-def _check_positive(g: np.ndarray, label: str, p: Point3) -> None:
+def _dominant(g00, g01, g02, g10, g11, g12, g20, g21, g22):
+    """Whether a Gershgorin bound certifies that the symmetric part S of g has
+    every eigenvalue above ``_EIG_FLOOR``; elementwise over arrays.
+
+    Row i is certified when g_ii - sum_{j != i} |S_ij| exceeds the floor
+    ``_EIG_FLOOR + 1e-12 * scale``, scale being the sum of |g_ii| and |S_ij|
+    over the upper triangle. The computed row bound is within ~8 eps * scale of
+    the exact Gershgorin bound, and eigvalsh's smallest eigenvalue of a 3x3 is
+    within p(3) eps ||S||_2 <= 3 p(3) eps * scale of the exact one (a
+    backward-stable symmetric solver; Demmel, Applied Numerical Linear Algebra,
+    SIAM 1997, sec. 5.2); both are far below the 1e-12 * scale margin (~4,500
+    eps), so a certified matrix is one the eigvalsh test passes.
+    The converse does not hold: a matrix not certified may still be positive
+    definite. Only operators combine the terms, never min, max or ``and``, so
+    a NaN or an infinity in any slot makes some comparison false and the
+    matrix is never certified.
+    """
+    s01 = abs(0.5 * (g01 + g10))
+    s02 = abs(0.5 * (g02 + g20))
+    s12 = abs(0.5 * (g12 + g21))
+    floor = _EIG_FLOOR + 1e-12 * (abs(g00) + abs(g11) + abs(g22) + s01 + s02 + s12)
+    return (g00 - s01 - s02 > floor) & (g11 - s01 - s12 > floor) & (g22 - s02 - s12 > floor)
+
+
+def _check_positive(g, label: str, p) -> None:
+    """Raise SingularMetricError unless every metric matrix is finite with
+    symmetric part above ``_EIG_FLOOR`` in every eigenvalue.
+
+    ``g`` is an array ``g[..., i, j]`` at the Point3 ``p``, or one matrix as
+    three rows of Python floats at the coordinate triple ``p``, as the
+    geodesic stage reads it. The Gershgorin certificate ``_dominant`` decides
+    first, on Python floats for one matrix and on the nine component arrays
+    for a batch. Only when it leaves some node uncertified does the whole input
+    go, as an array at a Point3, through the test that decides and reports:
+    isfinite, then eigvalsh, with the first flagged node in the message. The
+    certificate never passes a matrix that test rejects, so the verdicts and
+    messages are those of the eigvalsh test alone.
+    """
+    if isinstance(g, np.ndarray) and g.ndim > 2:
+        with np.errstate(all="ignore"):  # infinities and NaN just fail the bound
+            certified = _dominant(*(g[..., i, j] for i in range(3) for j in range(3))).all()
+    else:
+        rows = g.tolist() if isinstance(g, np.ndarray) else g
+        certified = _dominant(*rows[0], *rows[1], *rows[2])
+    if certified:
+        return
+    g = np.asarray(g, dtype=float)
+    if not isinstance(p, Point3):
+        p = Point3(*p)
     if not np.isfinite(g).all():
         bad = ~np.isfinite(g).all(axis=(-2, -1))
         raise SingularMetricError(
@@ -421,8 +469,11 @@ def _geodesic_terms(metric: MetricField, x, v, transport: bool):
 
     This is the single-point kernel of the geodesic right-hand side: one
     ``metric.components`` evaluation on jets of depth 2 (depth 1 without
-    transport, when Ric(v, v) is None), read as Python floats, with the
-    positive-definiteness check of ``curvature_at`` and no domain check. It
+    transport, when Ric(v, v) is None), read as Python floats, and no domain
+    check. The positive-definiteness check is ``curvature_at``'s,
+    ``_check_positive`` on the rows of floats read here: its Gershgorin
+    certificate runs on those nine floats, and only a matrix it cannot certify
+    becomes an array and a Point3 for the eigvalsh test. It
     builds no curvature tensor; ``curvature_at`` is its oracle. With dots for
     coordinate derivatives, the first-kind symbols Gamma_{f,bc} and
     Gamma^e_bc = g^ef Gamma_{f,bc},
@@ -436,10 +487,10 @@ def _geodesic_terms(metric: MetricField, x, v, transport: bool):
     The metric is taken as symmetric: its upper triangle is read.
     """
     rows = metric.components(*jets.seed(x, 2 if transport else 1))
-    _check_positive(np.array([[e.val if isinstance(e, _JETS) else e for e in row]
-                              for row in rows], dtype=float), metric.label, Point3(*x))
+    vals = [[e.val if isinstance(e, _JETS) else e for e in row] for row in rows]
+    _check_positive(vals, metric.label, x)
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = vals
     upper = [rows[i][j] for i, j in zip(_UPPER_I, _UPPER_J)]
-    g00, g01, g02, g11, g12, g22 = (e.val if isinstance(e, _JETS) else e for e in upper)
     # (a, b, c)_ij = (d_0, d_1, d_2) g_ij
     ((a00, b00, c00), (a01, b01, c01), (a02, b02, c02),
      (a11, b11, c11), (a12, b12, c12), (a22, b22, c22)) = (

@@ -330,15 +330,20 @@ class TestCommandLine:
         ("flow_classify", "mass = 1e-300", 1, "no limit: the flow ended as "),
         ("growth_bound", "t_end = 1", 2, "need t_end > r0"),
         ("growth_bound", "t_end = 0.5", 2, "need t_end > r0"),
-        ("huisken_yau", "r_lo = 0", 1, "ZeroDivisionError: "),
-        ("huisken_yau", "r_hi = 0", 1, "ZeroDivisionError: "),
-        ("huisken_yau", "ratio_factor = 0", 1, "ZeroDivisionError: "),
+        # the ratio check needs 0 < r_lo < r_hi (equal radii give the ratio 1 on
+        # any metric) and ratio_factor >= 1 (below 1 no ratio could pass)
+        ("huisken_yau", "r_lo = 0", 2, "need 0 < r_lo < r_hi, got r_lo = 0 and r_hi = 40"),
+        ("huisken_yau", "r_hi = 0", 2, "need 0 < r_lo < r_hi, got r_lo = 20 and r_hi = 0"),
+        ("huisken_yau", "r_lo = 40", 2, "need 0 < r_lo < r_hi, got r_lo = 40 and r_hi = 40"),
+        ("huisken_yau", "r_lo = 50", 2, "need 0 < r_lo < r_hi, got r_lo = 50 and r_hi = 40"),
+        ("huisken_yau", "ratio_factor = 0", 2, "need ratio_factor >= 1, got 0"),
+        ("huisken_yau", "ratio_factor = 0.5", 2, "need ratio_factor >= 1, got 0.5"),
         ("euclidean_affine", "r_max = 1e300", 1, "OverflowError: "),
         ("schwarzschild_static", "r_max = 1e300", 1, "OverflowError: "),
         # the overflow is reported before f sees the coordinates, with no numpy warning
         pytest.param("conformal_double", "r_max = 1e300", 1, "OverflowError: ",
                      marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
-        ("huisken_yau", "r_lo = 1e300", 1, "OverflowError: "),
+        ("huisken_yau", "r_lo = 1e300", 2, "need 0 < r_lo < r_hi, got r_lo = 1e+300"),
         # the start point is checked while the suite is set up
         ("flow_classify", "start = 1e300, 0, 0", 2, "OverflowError: "),
         # a check with a negative tolerance could never pass
@@ -357,7 +362,7 @@ class TestCommandLine:
         assert rc == code
         assert "Traceback" not in err
         if code == 2:
-            assert err.startswith("config error: ") and detail in err
+            assert err.startswith("config error: ") and detail in err and err.count("\n") == 1
         else:
             report = json.loads((tmp_path / "out" / "report.json").read_text())
             assert any(c["detail"].startswith(detail)

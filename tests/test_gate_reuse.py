@@ -532,11 +532,34 @@ def test_zero_set_laws_reports_a_critical_zero_set_before_the_gate():
     assert isinstance(a, tuple) and a[0] is sp.CriticalOnZeroSetError and a == b
 
 
+STAGE_METRICS = {
+    "perturbed_as": METRICS["perturbed_as"],
+    "schwarzschild(1)": sp.schwarzschild(1.0),
+    # the two-term perturbation of the benchmark's geodesic workload
+    "perturbed_as(2 terms)": sp.perturbed_as(1.0, [PerturbationTerm(0, 0, 0.3, (0, 0, 0)),
+                                                   PerturbationTerm(1, 2, 0.2, (1, 1, 0))]),
+}
+
+
+def _count_numpy(monkeypatch, counts):
+    """Count the positive-definiteness test's numpy calls: eigvalsh and isfinite."""
+    for mod, attr in ((np.linalg, "eigvalsh"), (np, "isfinite")):
+        fn = getattr(mod, attr)
+
+        def counted(*args, _fn=fn, _key=attr, **kwargs):
+            counts[_key] = counts.get(_key, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, counted)
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_METRICS))
 @pytest.mark.parametrize("transport", [False, True])
-def test_transport_rhs_one_metric_jet_pass_per_stage(counts, transport):
-    # one components evaluation on jets (depth 2 with transport, 1 without)
-    # and no curvature bundle or Christoffel array
-    metric = METRICS["perturbed_as"]
+def test_transport_rhs_one_metric_jet_pass_per_stage(counts, monkeypatch, transport, name):
+    # one components evaluation on jets (depth 2 with transport, 1 without),
+    # no curvature bundle or Christoffel array, and a metric check that the
+    # Gershgorin bound decides without eigvalsh or isfinite
+    metric = STAGE_METRICS[name]
     depths = []
 
     def components(*xs):
@@ -544,10 +567,45 @@ def test_transport_rhs_one_metric_jet_pass_per_stage(counts, transport):
         return metric.components(*xs)
 
     y = np.array([4.0, 1.0, -2.0, 0.3, -0.5, 0.2, 1.0, 0.1])
-    geodesics._rhs(replace(metric, components=components), transport)(
-        0.0, y if transport else y[:6])
+    rhs = geodesics._rhs(replace(metric, components=components), transport)
+    _count_numpy(monkeypatch, counts)
+    rhs(0.0, y if transport else y[:6])
     assert depths == [jets.Jet2 if transport else jets.Jet]
     assert counts == {}
+
+
+def _not_dominant_metric():
+    """Positive definite (smallest eigenvalue near 0.1) but no row diagonally
+    dominant: the Gershgorin bound cannot certify it."""
+    def comps(x1, x2, x3):
+        off = 0.9 + 0.01 * jets.sin(x1 * x2)
+        return [[1.0 + 0.02 * x3 * x3, off, 0.9],
+                [off, 1.0 + 0.01 * x1 * x1, 0.9 + 0.01 * x2],
+                [0.9, 0.9 + 0.01 * x2, 1.05]]
+
+    return sp.generic_metric(comps, label="not dominant")
+
+
+@pytest.mark.parametrize("transport", [False, True])
+def test_transport_rhs_falls_back_once_on_a_metric_the_bound_cannot_certify(
+        monkeypatch, transport):
+    # exactly one eigvalsh test per stage decides, and it changes no byte of
+    # the stage: the same stage with the check switched off agrees
+    metric = _not_dominant_metric()
+    y = np.array([0.4, -0.3, 0.5, 0.3, -0.5, 0.2, 1.0, 0.1])
+    yy = y if transport else y[:6]
+    g = metric.matrix(Point3(*y[:3]))
+    assert not geometry._dominant(*g.ravel().tolist()) and np.linalg.eigvalsh(g)[0] > 0.05
+    rhs = geodesics._rhs(metric, transport)
+    checks, counts = [], {}
+    real_check = geometry._check_positive
+    monkeypatch.setattr(geometry, "_check_positive",
+                        lambda *args: checks.append(1) or real_check(*args))
+    _count_numpy(monkeypatch, counts)
+    out = rhs(0.0, yy)
+    assert checks == [1] and counts == {"eigvalsh": 1, "isfinite": 1}
+    monkeypatch.setattr(geometry, "_dominant", lambda *args: True)
+    assert _same(out, rhs(0.0, yy))
 
 
 @pytest.mark.parametrize("name", ["perturbed_as", "constant"])

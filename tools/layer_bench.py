@@ -15,8 +15,11 @@ points. A third table gives the microseconds per call of the gradient flow's
 right-hand side, ``global_checks._flow_rhs``, at the same 200 points, for
 the Schwarzschild potential on ``schwarzschild(1)`` and for the sink control
 -(x1^2 + x2^2 + x3^2) on the flat metric, the flows of the ``flow_classify``
-suite. Points lie at r in [3, 6]. Each figure is the best of ``--repeat``
-timed rounds, so it shows the layer's cost, not the host's noise. The library
+suite. A fourth table gives the microseconds per call of the metric's
+positive-definiteness check, ``geometry._check_positive``, on the two metrics:
+on one metric matrix, over the same 200 points, and on the batch of 1,000
+matrices in one call. Points lie at r in [3, 6]. Each figure is the best of
+``--repeat`` timed rounds, so it shows the layer's cost, not the host's noise. The library
 is imported from ``src/`` of this checkout.
 """
 
@@ -99,6 +102,21 @@ def main(argv=None) -> int:
                 rhs(0.0, y)
 
         print(f"{name:<24}{_best(stages, args.repeat) / N_SINGLE * 1e6:>21.2f}")
+    nodes = geometry.Point3(*batch)
+    print(f"\n{'metric':<24}{'check single us':>21}{'check batch-1000 us':>21}")
+    for name, metric in metrics.items():
+        mats = [(metric.matrix(p), p) for p in (geometry.Point3(*y) for y in rows)]
+        g_batch = metric.matrix(nodes)
+
+        def single():
+            for g, p in mats:
+                geometry._check_positive(g, metric.label, p)
+
+        def batched():
+            geometry._check_positive(g_batch, metric.label, nodes)
+
+        one = _best(single, args.repeat) / N_SINGLE * 1e6
+        print(f"{name:<24}{one:>21.2f}{_best(batched, args.repeat) * 1e6:>21.1f}")
     return 0
 
 
