@@ -40,7 +40,6 @@ from .geometry import (
     euclidean,
     generic_metric,
     perturbed_as,
-    reconstruct_riemann_from_ricci,
     ricci_with_derivative,
     rotate_chart,
     sample_shell,
@@ -52,10 +51,8 @@ from .potentials import (
     StaticResidual,
     affine,
     bochner_residual,
-    covariant_hessian,
     expression_potential,
     fit_linear_part,
-    from_callable,
     require_static,
     schwarzschild_potential,
     static_residual,
@@ -65,7 +62,6 @@ from .identities import (
     ALL_EQUAL,
     TWO_EQUAL,
     RicciEigenframe,
-    quotient_residual,
     ricci_eigenframe,
     tod_identity_residuals,
 )
@@ -98,7 +94,6 @@ from .zeroset import (
     extract_closed_component,
     extract_zero_graph,
     gauss_bonnet_limit,
-    second_potential_laws,
     zero_set_laws,
 )
 from .global_checks import (

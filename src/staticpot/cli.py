@@ -58,9 +58,23 @@ def _flag(passed, detail=""):
     return CheckResult(bool(passed), 1.0 if passed else 0.0, 1.0, 0.0, detail)
 
 
+def _listed(values):
+    return ", ".join(f"{v:g}" for v in values)
+
+
 def _worst(*arrays):
     """Largest entry of the arrays; NaN when any entry is NaN, so a check fails on it."""
     return float(np.max(np.concatenate([np.ravel(a) for a in arrays])))
+
+
+def _require_shell(metric, r_min, r_max):
+    """ConfigError unless 0 < r_min <= r_max; DomainError unless the chart, the
+    exterior of a ball, holds the sphere of radius r_min and so the shell. Only
+    a radius is compared: no metric is evaluated, and a radius that overflows
+    near r_max = 1e300 is left to fail the checks."""
+    if not 0.0 < r_min <= r_max:
+        raise ConfigError(f"need 0 < r_min <= r_max, got r_min = {r_min:g} and r_max = {r_max:g}")
+    geometry._require_inside(metric, Point3(r_min, 0.0, 0.0))
 
 
 def emit_plot_data(out_dir, filename, header, rows):
@@ -115,6 +129,7 @@ def _suite_euclidean_affine(c, rng):
 def _suite_schwarzschild_static(c, rng):
     metric = geometry.schwarzschild(c.mass)
     f = potentials.schwarzschild_potential(c.mass)
+    _require_shell(metric, c.r_min, c.r_max)
     pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
     nodes, head = Point3.stack(pts), Point3.stack(pts[:20])
     rows = []
@@ -175,6 +190,7 @@ def _suite_schwarzschild_static(c, rng):
 def _suite_tod_identities(c, rng):
     metric = geometry.schwarzschild(c.mass)
     f = potentials.schwarzschild_potential(c.mass)
+    _require_shell(metric, c.r_min, c.r_max)
     pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
     nodes, head = Point3.stack(pts), Point3.stack(pts[:20])
     rows = []
@@ -260,6 +276,9 @@ _GRAPH_EXPR = "x1 + 0.5*ln(x2^2 + x3^2)"
 
 def _suite_zero_set_gauss_bonnet(c, rng):
     lo, hi = c.bracket
+    # the decay exponent is a line fit through the radii
+    if len(set(c.radii)) != len(c.radii) or len(c.radii) < 2:
+        raise ConfigError(f"need at least two radii, all distinct, got radii = {_listed(c.radii)}")
     metric = geometry.schwarzschild(c.mass)
     f = potentials.expression_potential(_GRAPH_EXPR, label="log graph")
     region = zeroset.AnnulusRegion(c.inner, c.outer)
@@ -291,6 +310,9 @@ def _suite_zero_set_gauss_bonnet(c, rng):
 def _suite_mass_fit(c, rng):
     mass, n_spheres = c.mass, c.n_spheres
     lo, hi = c.window
+    # the spheres are spaced geometrically from lo
+    if not lo > 0.0:
+        raise ConfigError(f"need 0 < lo < hi, got window = {lo:g}, {hi:g}")
     metric = geometry.schwarzschild(mass)
     f = potentials.schwarzschild_potential(mass)
     rows = []
@@ -350,6 +372,9 @@ def _suite_huisken_yau(c, rng):
              PerturbationTerm(2, 2, -0.8 * amp, (0, 0, 0))]
     bumpy = geometry.perturbed_as(mass, terms)
     dirs = quadrature.sphere_rule(4, 8).directions
+    for metric in (pure, bumpy):
+        for r in (r_lo, r_hi):
+            geometry._require_inside(metric, Point3(*(r * dirs).T))
     rows = []
 
     def sphere_max(metric, r):
@@ -395,11 +420,17 @@ def _suite_huisken_yau(c, rng):
 def _suite_anisotropy_limit(c, rng):
     f = potentials.expression_potential(_GRAPH_EXPR, label="log graph")
     region = zeroset.AnnulusRegion(c.inner, c.outer)
+    # the model a + b/y + c/y^2 has three coefficients to fit
+    heights = set(c.heights)
+    if len(heights) < 3 or not all(c.inner < y < c.outer for y in heights):
+        raise ConfigError(f"need at least three distinct heights inside ({c.inner:g}, "
+                          f"{c.outer:g}), got heights = {_listed(c.heights)}")
     rows = []
     checks = []
     for m in c.masses:
-        def one(mass=m):
-            metric = geometry.schwarzschild(mass)
+        metric = geometry.schwarzschild(m)   # a zero mass is refused at set-up
+
+        def one(mass=m, metric=metric):
             graph = zeroset.extract_zero_graph(f, metric, region, (-10.0, 2.0),
                                                n_u=4, n_v=8)
             report = global_checks.anisotropy_limit(metric, graph, c.heights)
@@ -472,6 +503,7 @@ def _suite_integral_identities(c, rng):
 def _suite_conformal_double(c, rng):
     metric = geometry.schwarzschild(c.mass)
     f = potentials.schwarzschild_potential(c.mass)
+    _require_shell(metric, c.r_min, c.r_max)
     pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
     nodes = Point3.stack(pts)
     rows = []

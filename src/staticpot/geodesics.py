@@ -123,14 +123,16 @@ def integrate_geodesic(metric: MetricField, start: GeodesicState, t_end: float,
                        n_samples: int = 200, transport: bool = False) -> GeodesicTrajectory:
     """Integrate the geodesic equation, optionally transporting a scalar along.
 
+    Integration runs forward only, from ``start.t`` to ``start.t + t_end``.
     Raises DomainExitError when the curve reaches the chart boundary and
     StepFailureError when the integrator gives up or the unit-speed drift
-    exceeds 1e-6; ``n_samples`` below 1 raises ValueError. Each integrator
-    stage evaluates the metric's jets once, at one point, and contracts
-    Gamma^k(v, v) and, with transport, Ric(v, v) from them without building
-    a curvature bundle (``geometry._geodesic_terms``, with ``curvature_at`` as
-    its oracle). The accepted samples are evaluated in one batched pass: one
-    ``curvature_at`` with transport, one ``metric.matrix`` without.
+    exceeds 1e-6; ``t_end <= 0`` or ``n_samples`` below 1 raises ValueError.
+    Each integrator stage evaluates the metric's jets once, at one point, and
+    contracts Gamma^k(v, v) and, with transport, Ric(v, v) from them without
+    building a curvature bundle (``geometry._geodesic_terms``, with
+    ``curvature_at`` as its oracle). The accepted samples are evaluated in one
+    batched pass: one ``curvature_at`` with transport, one ``metric.matrix``
+    without.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -179,14 +181,14 @@ def solve_curve_ode(h_fn: Callable, f0, f0_slope, t0: float, t1: float,
     scalar is a batch of one). ``h_fn(t, lanes)`` returns the coefficients at
     times ``t`` of the curves ``lanes`` (indices into ``f0``), as
     ``zeroset.brentq`` takes its objective. All curves run in one lane-wise
-    solve, and each takes the steps it would take alone.
+    solve, forward only, and each takes the steps it would take alone.
 
     A curve whose solution grows too large to step on fails with
     StepFailureError naming the t where it stopped, not with inf or nan: the
     overflowing steps are rejected until the step size falls below the
     spacing of t. The error is raised when that curve is read from the
-    returned batch, so the other curves stay readable. A bad span or start
-    raises ValueError at the call.
+    returned batch, so the other curves stay readable. A bad span (t1 <= t0
+    among them) or start raises ValueError at the call.
     """
     f0, f0_slope = np.broadcast_arrays(np.asarray(f0, dtype=float),
                                        np.asarray(f0_slope, dtype=float))

@@ -658,12 +658,10 @@ class CurvatureBundle:
     dricci: np.ndarray | None = None  # dricci[..., c, a, b] = d_c Ric_ab
 
 
-def _curvature(metric: MetricField, p: Point3, backend: str, depth: int,
-               check_domain: bool = True) -> CurvatureBundle:
+def _curvature(metric: MetricField, p: Point3, backend: str, depth: int) -> CurvatureBundle:
     """The curvature pass of ``curvature_at`` (depth 2, float arrays) and of
     ``ricci_with_derivative`` (depth 3, the same assembly on _Tangent pairs)."""
-    if check_domain:
-        _require_inside(metric, p)
+    _require_inside(metric, p)
     if backend == "dual":
         taylor = _metric_taylor(metric, p.coords(), depth)
     elif backend == "fd":
@@ -682,29 +680,25 @@ def _curvature(metric: MetricField, p: Point3, backend: str, depth: int,
                            scalar=scal if np.ndim(scal) else float(scal), dricci=dric)
 
 
-def curvature_at(metric: MetricField, point, backend: str = "dual",
-                 check_domain: bool = True) -> CurvatureBundle:
+def curvature_at(metric: MetricField, point, backend: str = "dual") -> CurvatureBundle:
     """Curvature of a metric field at a chart point.
 
     ``backend="dual"`` differentiates the components exactly with nested jets;
     ``backend="fd"`` uses fourth-order central differences with step
     1e-3 * max(1, r) and exists as an independent
-    cross-check of the dual path. ``check_domain=False`` skips the membership
-    test; ODE drivers need that while an integrator stage probes past a
-    boundary it is about to stop at.
+    cross-check of the dual path.
 
     A Point3 whose coordinates are arrays evaluates all its nodes in one
     batched pass; every array of the bundle then carries the batch shape in
     front. A single point is the shape-() case of the same path.
     """
-    return _curvature(metric, Point3.of(point), backend, 2, check_domain)
+    return _curvature(metric, Point3.of(point), backend, 2)
 
 
-def christoffel_at(metric: MetricField, point, check_domain: bool = True) -> np.ndarray:
+def christoffel_at(metric: MetricField, point) -> np.ndarray:
     """Christoffel symbols gamma[..., k, i, j] = Gamma^k_{ij} (depth-1 jets only)."""
     p = Point3.of(point)
-    if check_domain:
-        _require_inside(metric, p)
+    _require_inside(metric, p)
     g, dg = _metric_taylor(metric, p.coords(), 1)
     _check_positive(g, metric.label, p)
     return _connection(g, dg)[2]
@@ -719,25 +713,6 @@ def ricci_with_derivative(metric: MetricField, point) -> CurvatureBundle:
     is evaluated in one pass, with the batch shape in front.
     """
     return _curvature(metric, Point3.of(point), "dual", 3)
-
-
-def reconstruct_riemann_from_ricci(ricci, scalar: float, g) -> np.ndarray:
-    """Rebuild the full curvature tensor from Ricci data, valid in dimension 3.
-
-    Implements R^d_{abc} = delta^d_b R_ac - delta^d_c R_ab + g_ac R^d_b
-    - g_ab R^d_c + (R/2)(delta^d_c g_ab - delta^d_b g_ac).
-    """
-    ric = np.array(ricci, dtype=float)
-    gm = np.array(g, dtype=float)
-    if gm.shape != (3, 3) or ric.shape != (3, 3):
-        raise ValueError("expected 3x3 matrices")
-    _check_positive(gm, "reconstruct", Point3(0.0, 0.0, 0.0))
-    ric_mixed = np.linalg.inv(gm) @ ric  # R^d_b
-    # the terms with delta^d_b and R^d_b; the tensor is their antisymmetric
-    # part in (b, c)
-    half = (np.einsum("db,ac->dabc", np.eye(3), ric - 0.5 * float(scalar) * gm)
-            + np.einsum("ac,db->dabc", gm, ric_mixed))
-    return half - np.swapaxes(half, -2, -1)
 
 
 def sample_shell(rng: np.random.Generator, n: int, r_min: float, r_max: float) -> list:

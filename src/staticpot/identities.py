@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError, ZeroPotentialError
+from .errors import DegenerateMetricError
 from .geometry import MetricField, Point3, _first_flagged, curvature_at, ricci_with_derivative
-from .potentials import PotentialField, _gate, _hess_g, _one_point, _static_from, _taylor
+from .potentials import PotentialField, _gate, _static_from
 
 ALL_DISTINCT = "all_distinct"
 TWO_EQUAL = "two_equal"
@@ -129,29 +129,3 @@ def tod_identity_residuals(f: PotentialField, metric: MetricField, point,
     i, j, k = [0, 1, 2], [1, 2, 0], [2, 0, 1]
     return (np.expand_dims(gate.f_value, -1) * (P[..., k, k, i] - P[..., k, i, k])
             - (lam[..., j] - lam[..., k]) * fp)
-
-
-def quotient_residual(f: PotentialField, N: PotentialField, metric: MetricField, point,
-                      static_tol: float = 1e-6) -> np.ndarray:
-    """Defect of the Hessian law obeyed by the ratio of two static potentials.
-
-    For Z = f/N on the region where N > 0 the law is
-    N Hess Z + dN (x) dZ + dZ (x) dN = 0; the returned matrix is its left side.
-    Both static gates read one curvature pass. Takes one point; a batched
-    Point3 raises ValueError.
-    """
-    p = _one_point(point, "quotient_residual")
-    n_val = N.value(p)
-    if n_val <= 1e-10:
-        raise ZeroPotentialError(f"{N.label}: denominator potential is not positive at {p.coords()}")
-    bundle = curvature_at(metric, p)
-    _gate(_static_from(f, p, bundle), f, metric, static_tol)
-    gate = _gate(_static_from(N, p, bundle), N, metric, static_tol)
-
-    def zexpr(X1, X2, X3):
-        return f.expr(X1, X2, X3) / N.expr(X1, X2, X3)
-
-    _, dZ, hess_z = _taylor(zexpr, p, 2)
-    Hz = _hess_g(hess_z, dZ, bundle.gamma)
-    dN = gate.gradient
-    return n_val * Hz + np.outer(dN, dZ) + np.outer(dZ, dN)

@@ -51,7 +51,7 @@ The Butcher, error and interpolation tables below are copied from scipy's
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,8 +367,9 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
 
     Each lane's step control is scipy's scalar code on Python floats; the
     stages, error estimate and dense output are array passes over the lanes
-    attempting a step. Raises ValueError for a non-finite or empty span, a
-    non-finite ``y0``, or a ``t_eval`` outside or against the span.
+    attempting a step. Integration runs forward only: raises ValueError for a
+    non-finite span, one with t1 <= t0, a non-finite ``y0``, or a ``t_eval``
+    outside the span or not ascending.
     """
     t0, t1 = map(float, t_span)
     y0 = np.array(y0, dtype=float)
@@ -380,22 +381,19 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
         raise ValueError("All components of the initial state `y0` must be finite.")
     if t1 == t0:
         raise ValueError(f"empty integration span: t1 = t0 = {t0:g}")
+    if t1 < t0:
+        raise ValueError(f"backward span ({t0:g}, {t1:g}): integration runs forward only")
     n_lanes, n = y0.shape
-    direction = 1.0 if t1 > t0 else -1.0
     rtol = max(rtol, 100 * EPS)   # scipy raises a too small rtol to this, with a warning
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.ndim != 1:
             raise ValueError("`t_eval` must be 1-dimensional.")
-        if np.any(t_eval < min(t0, t1)) or np.any(t_eval > max(t0, t1)):
+        if np.any(t_eval < t0) or np.any(t_eval > t1):
             raise ValueError("Values in `t_eval` are not within `t_span`.")
-        if np.any(direction * np.diff(t_eval) <= 0):
+        if np.any(np.diff(t_eval) <= 0):
             raise ValueError("Values in `t_eval` are not properly sorted.")
-        # points passed at t: forward, those at or before t; backward, at or after
-        ascending = (t_eval if direction > 0 else t_eval[::-1]).tolist()
-        m = len(ascending)
-        passed = ((lambda t: bisect_right(ascending, t)) if direction > 0 else
-                  (lambda t: m - bisect_left(ascending, t)))
+        ascending = t_eval.tolist()   # the points passed at t are those at or before t
         emitted = [0] * n_lanes
 
     every = np.arange(n_lanes)
@@ -411,7 +409,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
     t = np.full(n_lanes, t0)
     y = y0.copy()
     f = call(t, y, every)
-    h_abs = _initial_step(call, t0, y, f, t1, direction, rtol, atol, every)
+    h_abs = _initial_step(call, t0, y, f, t1, rtol, atol, every)
     nfev = [2] * n_lanes
     status = [RUNNING] * n_lanes
     retry = [False] * n_lanes    # the lane's last attempt was rejected
@@ -431,15 +429,15 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
         go, hs, t_news = [], [], []
         for lane, t_l in zip(run, t[ix].tolist()):
             h_l = h_abs[lane]
-            min_step = 10 * abs(math.nextafter(t_l, direction * math.inf) - t_l)
+            min_step = 10 * (math.nextafter(t_l, math.inf) - t_l)
             if not retry[lane] and h_l < min_step:
                 h_l = min_step
             if h_l < min_step:   # a rejected step shrank below the spacing of t
                 status[lane] = FAILED
                 t_stop[lane] = t_l
                 continue
-            t_new = t_l + h_l * direction
-            if direction * (t_new - t1) > 0:
+            t_new = t_l + h_l
+            if t_new > t1:
                 t_new = t1
             go.append(lane)
             hs.append(t_new - t_l)
@@ -513,7 +511,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
             t[acc_ix], y[acc_ix], f[acc_ix] = t_new, y_new, f_new
         t_out = t_new.tolist()
         for lane, t_l in zip(acc, t_out):
-            if direction * (t_l - t1) >= 0:
+            if t_l >= t1:
                 status[lane] = FINISHED
                 t_stop[lane] = t_l
         # the dense output is needed where an event fired or t_eval points were passed
@@ -525,7 +523,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
                             if (a <= 0 and b >= 0 and d >= 0) or (a >= 0 and b <= 0 and d <= 0)]
                 g[lane] = g_new[j]
         if t_eval is not None:
-            upto = [passed(t_l) for t_l in t_out]
+            upto = [bisect_right(ascending, t_l) for t_l in t_out]
         dj = [j for j, lane in enumerate(acc)
               if fired[j] or (t_eval is not None and upto[j] > emitted[lane])]
         y_out = y_new
@@ -575,7 +573,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
                     roots.update(((j, e), r) for j, r in zip(js, found.tolist()))
                 for j in hits:   # a lane stops at its first root: every event is terminal
                     lane_roots = np.array([roots[j, e] for e in fired[j]])
-                    first = np.argsort(lane_roots if direction > 0 else -lane_roots)[0]
+                    first = np.argsort(lane_roots)[0]
                     e, root = fired[j][first], float(lane_roots[first])
                     y_root = dense_at(slice(row[j], row[j] + 1), np.array([root]))[0]
                     lane = acc[j]
@@ -585,7 +583,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
                     t_stop[lane] = t_out[j] = root
                     y_out[j] = y_root
                     if t_eval is not None:
-                        upto[j] = passed(root)
+                        upto[j] = bisect_right(ascending, root)
 
             if t_eval is not None:   # each lane's points passed in this step
                 spans = [(row[j], lane, emitted[lane], upto[j])
@@ -619,15 +617,15 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
         for k in range(n_lanes)], nfev=sum(nfev))
 
 
-def _initial_step(call, t0, y0, f0, t1, direction, rtol, atol, lanes) -> list:
+def _initial_step(call, t0, y0, f0, t1, rtol, atol, lanes) -> list:
     """scipy's ``select_initial_step`` on each lane (Hairer, Norsett & Wanner, II.4)."""
-    interval = abs(t1 - t0)
+    interval = t1 - t0
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval)
           for a, b in zip(d0, d1)]
     h0_arr = np.array(h0)
-    f1 = call(t0 + h0_arr * direction, y0 + (h0_arr * direction)[:, None] * f0, lanes)
+    f1 = call(t0 + h0_arr, y0 + h0_arr[:, None] * f0, lanes)
     d2 = [_ratio(d, h) for d, h in zip(_rms((f1 - f0) / scale), h0)]
     return [min(100 * h, max(1e-6, h * 1e-3) if a <= 1e-15 and b <= 1e-15 else
                 _power(_ratio(0.01, max(a, b)), 1 / 8), interval)

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConfigError, NonConvergentError, NotStaticError, ZeroPotentialError
-from .geometry import (CurvatureBundle, MetricField, Point3, _first_flagged, christoffel_at,
-                       curvature_at)
+from .geometry import CurvatureBundle, MetricField, Point3, _first_flagged, curvature_at
 from .quadrature import SphereRule, aitken_limit, sphere_rule
 
 
@@ -83,10 +82,6 @@ def schwarzschild_potential(mass: float) -> PotentialField:
         return (1.0 - w) / (1.0 + w)
 
     return PotentialField(expr=expr, label=f"schwarzschild_potential(m={m:g})")
-
-
-def from_callable(fn: Callable, label: str = "custom") -> PotentialField:
-    return PotentialField(expr=fn, label=label)
 
 
 ### Expression grammar: + - * / ^, sqrt, ln, names x1 x2 x3 r, numbers
@@ -219,14 +214,6 @@ def _norm_g(g: np.ndarray, grad: np.ndarray):
     return out if np.ndim(out) else float(out)
 
 
-def covariant_hessian(f: PotentialField, metric: MetricField, point) -> np.ndarray:
-    """Hess_g f at a point: coordinate Hessian minus the Christoffel term."""
-    p = Point3.of(point)
-    gamma = christoffel_at(metric, p)
-    _, grad, hess = _taylor(f.expr, p, 2)
-    return _hess_g(hess, grad, gamma)
-
-
 def static_residual(f: PotentialField, metric: MetricField, point) -> StaticResidual:
     """Pointwise defect of the static system for (f, metric).
 
@@ -265,14 +252,6 @@ def require_static(f: PotentialField, metric: MetricField, point, tol: float = 1
     return _gate(static_residual(f, metric, point), f, metric, tol)
 
 
-def _one_point(point, name: str) -> Point3:
-    """``Point3.of(point)``; ValueError naming ``name`` when it is a batch."""
-    p = Point3.of(point)
-    if any(np.ndim(x) for x in p.coords()):
-        raise ValueError(f"{name} takes one point, not a batched Point3")
-    return p
-
-
 def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: float = 1e-6) -> float:
     """Defect of the gradient-norm identity satisfied by static potentials.
 
@@ -283,7 +262,9 @@ def bochner_residual(f: PotentialField, metric: MetricField, point, static_tol: 
     d(g^-1) = -g^-1 (dg) g^-1. Takes one point; a batched Point3 raises
     ValueError.
     """
-    p = _one_point(point, "bochner_residual")
+    p = Point3.of(point)
+    if any(np.ndim(x) for x in p.coords()):
+        raise ValueError("bochner_residual takes one point, not a batched Point3")
     # a vanishing f is reported before the gate runs, even where f has no
     # derivatives or the point is off the chart
     fval = f.value(p)

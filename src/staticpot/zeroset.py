@@ -725,51 +725,3 @@ def zero_set_laws(f: PotentialField, metric: MetricField, chart: SurfaceChart,
                             eigen_residuals=np.sqrt(_dot(resid, resid)),
                             r11_r22_gaps=np.abs(r11 - r22), k_values=ks,
                             k_minus_2r11=np.abs(ks - 2.0 * r11), k_plus_r33=np.abs(ks + r33))
-
-
-@dataclass(frozen=True)
-class SecondPotentialReport:
-    values: np.ndarray            # K * f^3 samples
-    relative_spread: float
-    hessian_residual_max: float
-    hessian_scale: float
-
-
-def second_potential_laws(f_second: PotentialField, chart: SurfaceChart,
-                          samples, deltas) -> SecondPotentialReport:
-    """Constancy of K f^3 and the intrinsic Hessian law for a second potential.
-
-    ``f_second`` is a static potential whose zero set is elsewhere; restricted
-    to this chart's surface it must satisfy Hess_sigma f = (K f / 2) sigma,
-    and K f^3 must be constant along each component. The stencils of all
-    samples take one chart call, which gives f, sigma and the intrinsic
-    curvature.
-    """
-    us, vs = np.array(samples, dtype=float).reshape(-1, 2).T
-    d = np.asarray(deltas, dtype=float)
-    grid_u, grid_v = _grid_lines(us, vs, d)
-    lift = chart.lift(grid_u.ravel(), grid_v.ravel())
-    S = chart._sigma(lift).reshape(grid_u.shape + (2, 2))
-    grid = f_second.value(lift.point).reshape(grid_u.shape)
-
-    dd = d * d
-    f_c = grid[:, 2, 2]
-    f_u = _dot(_C1, grid[:, :, 2]) / d
-    f_v = _dot(_C1, grid[:, 2, :]) / d
-    f_uu = _dot(_C2, grid[:, :, 2]) / dd
-    f_vv = _dot(_C2, grid[:, 2, :]) / dd
-    f_uv = np.einsum("i,j,...ij->...", _C1, _C1, grid) / dd
-
-    sig, d_u, d_v = _first_derivatives(S, d)
-    gam = _surface_christoffel(sig, d_u, d_v)
-    hess = np.stack([f_uu, f_uv, f_uv, f_vv], axis=-1).reshape(-1, 2, 2)
-    hess -= gam[:, 0] * f_u[:, None, None] + gam[:, 1] * f_v[:, None, None]
-
-    K = _brioschi(S, d)
-    law = (0.5 * K * f_c)[:, None, None] * sig
-    res_max = float(np.abs(hess - law).max(axis=(1, 2)).max(initial=0.0))
-    scale = float((np.abs(law).max(axis=(1, 2)) + np.abs(f_uu) + np.abs(f_vv)).max(initial=0.0))
-    vals = K * f_c ** 3
-    spread = float((vals.max() - vals.min()) / max(abs(vals.mean()), 1e-300))
-    return SecondPotentialReport(values=vals, relative_spread=spread,
-                                 hessian_residual_max=res_max, hessian_scale=scale)

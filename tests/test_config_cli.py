@@ -352,6 +352,37 @@ class TestCommandLine:
         ("integral_identities", "capacity_tol = -0.02", 2,
          "key 'capacity_tol': expected a number >= 0"),
         ("flow_classify", "b_tol = -1", 2, "key 'b_tol': expected a number >= 0"),
+        # a sampling shell must be non-empty and inside the chart (floor m/2)
+        ("schwarzschild_static", "r_min = 0.5", 2,
+         "DomainError: schwarzschild(m=2): point (0.5, 0.0, 0.0) outside chart domain"),
+        ("schwarzschild_static", "r_min = -3", 2,
+         "need 0 < r_min <= r_max, got r_min = -3 and r_max = 10"),
+        ("schwarzschild_static", "r_min = 20", 2,
+         "need 0 < r_min <= r_max, got r_min = 20 and r_max = 10"),
+        ("tod_identities", "r_min = 0.1", 2,
+         "DomainError: schwarzschild(m=1.5): point (0.1, 0.0, 0.0) outside chart domain"),
+        ("conformal_double", "r_min = 0.1", 2,
+         "DomainError: schwarzschild(m=1): point (0.1, 0.0, 0.0) outside chart domain"),
+        ("huisken_yau", "r_lo = 0.1", 2, "DomainError: schwarzschild(m=1): point ("),
+        # the perturbed chart then starts at r ~ 3098
+        ("huisken_yau", "perturb_amp = 1e6", 2, "DomainError: perturbed_as(m=1,terms=3): point ("),
+        # three coefficients need three heights, inside the annulus, and nonzero masses
+        ("anisotropy_limit", "heights = 100, 200", 2,
+         "need at least three distinct heights inside (50, 1000), got heights = 100, 200"),
+        ("anisotropy_limit", "heights = 100, 100, 200", 2,
+         "need at least three distinct heights inside (50, 1000), got heights = 100, 100, 200"),
+        ("anisotropy_limit", "heights = 10", 2,
+         "need at least three distinct heights inside (50, 1000), got heights = 10"),
+        ("anisotropy_limit", "heights = 10, 140, 200", 2,
+         "need at least three distinct heights inside (50, 1000), got heights = 10, 140, 200"),
+        ("anisotropy_limit", "masses = 0", 2, "ValueError: mass must be nonzero"),
+        # geometric spacing needs lo > 0; the decay fit needs two distinct radii
+        ("mass_fit", "window = 0, 400", 2, "need 0 < lo < hi, got window = 0, 400"),
+        ("mass_fit", "window = -5, 400", 2, "need 0 < lo < hi, got window = -5, 400"),
+        ("zero_set_gauss_bonnet", "radii = 50", 2,
+         "need at least two radii, all distinct, got radii = 50"),
+        ("zero_set_gauss_bonnet", "radii = 50, 50, 50", 2,
+         "need at least two radii, all distinct, got radii = 50, 50, 50"),
     ])
     def test_boundary_value_exit_code(self, tmp_path, capsys, suite, line, code, detail):
         cfg = tmp_path / "edge.cfg"

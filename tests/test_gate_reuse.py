@@ -1,7 +1,7 @@
 """Differential and evaluation-count tests for the static-gated identities.
 
-The eigenframe (Tod) identities, the Bochner identity, the quotient law and the
-zero-set laws hold only where the static system does, so each runs the static
+The eigenframe (Tod) identities, the Bochner identity and the zero-set laws
+hold only where the static system does, so each runs the static
 gate first. The gate's single pass already holds the curvature bundle and the
 potential's value, gradient and covariant Hessian; the identities must read
 them from it and give bit-identical results to the versions in
@@ -28,7 +28,7 @@ from staticpot.potentials import _norm_g
 
 from .reference_pointwise import (reference_bochner_residual, reference_flow_rhs,
                                   reference_flow_terms, reference_geodesic_rhs,
-                                  reference_quotient_residual, reference_ricci_quadratic,
+                                  reference_ricci_quadratic, unbounded,
                                   reference_surface_christoffel,
                                   reference_tod_identity_residuals, reference_zero_set_laws)
 
@@ -51,15 +51,14 @@ N = sp.expression_potential("3 + 0.2*x1 - 0.1*x2*x3/r", label="shifted")
 
 
 def _warped():
-    """A half-space chart with two static potentials, N = x2^(2/3) and f = x1 N."""
+    """A half-space chart with the static potential f = x1 x2^(2/3)."""
     g = sp.generic_metric(
         lambda x1, x2, x3: [[x2 ** (4.0 / 3.0), 0.0, 0.0],
                             [0.0, 1.0 + 0.0 * x1, 0.0],
                             [0.0, 0.0, x2 ** (-2.0 / 3.0)]],
         label="warped half space", contains=lambda p: p.x2 > 1e-6)
-    Nw = sp.from_callable(lambda x1, x2, x3: x2 ** (2.0 / 3.0), label="warped N")
-    fw = sp.from_callable(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0), label="warped f")
-    return g, Nw, fw
+    fw = sp.PotentialField(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0), label="warped f")
+    return g, fw
 
 
 def _points(n=12, seed=3):
@@ -110,15 +109,6 @@ def test_bochner_residual_matches_reference(name):
             assert _bochner_close(f, metric, p, static_tol=LOOSE), (p, f.label)
 
 
-@pytest.mark.parametrize("name", sorted(METRICS))
-def test_quotient_residual_matches_reference(name):
-    metric = METRICS[name]
-    for p in _points(8):
-        a = sp.quotient_residual(F, N, metric, p, static_tol=LOOSE)
-        b = reference_quotient_residual(F, N, metric, p, static_tol=LOOSE)
-        assert _same(a, b), (p, a, b)
-
-
 def test_static_pairs_match_reference():
     # the identities at their default gate, on pairs that pass it
     g = sp.schwarzschild(1.5)
@@ -126,10 +116,6 @@ def test_static_pairs_match_reference():
         assert _same(sp.tod_identity_residuals(F, g, p),
                      reference_tod_identity_residuals(F, g, p))
         assert _bochner_close(F, g, p)
-    warped, Nw, fw = _warped()
-    for p in [Point3(0.5, 1.5, -0.2), Point3(2.0, 1.0, 0.0), Point3(-1.0, 3.0, 2.0)]:
-        assert _same(sp.quotient_residual(fw, Nw, warped, p),
-                     reference_quotient_residual(fw, Nw, warped, p))
 
 
 @pytest.mark.parametrize("fn,ref,args", [
@@ -138,11 +124,10 @@ def test_static_pairs_match_reference():
      (sp.affine(0, 1, 0, 0), METRICS["schwarzschild"], Point3(2.0, 0.0, 0.0))),
     (sp.bochner_residual, reference_bochner_residual,
      (sp.expression_potential("1 + x1*x1"), sp.euclidean(), Point3(1.0, 2.0, 0.0))),
-    (sp.quotient_residual, reference_quotient_residual,
-     (sp.expression_potential("x1*x1"), N, sp.euclidean(), Point3(1.0, 2.0, 0.5))),
-    (sp.quotient_residual, reference_quotient_residual,
-     (sp.affine(0, 1, 0, 0), sp.expression_potential("2 + x2*x2"), sp.euclidean(),
-      Point3(1.0, 2.0, 0.5))),
+    (sp.tod_identity_residuals, reference_tod_identity_residuals,
+     (N, METRICS["perturbed_as"], Point3(3.0, 1.0, -2.0))),
+    (sp.bochner_residual, reference_bochner_residual,
+     (N, METRICS["schwarzschild"], Point3(3.0, 1.0, -2.0))),
     # zero potential, also where f is not static or the point is off the chart
     (sp.bochner_residual, reference_bochner_residual,
      (sp.expression_potential("x1"), sp.euclidean(), Point3(0.0, 1.0, 0.0))),
@@ -152,11 +137,6 @@ def test_static_pairs_match_reference():
      (sp.expression_potential("sqrt(x1)"), sp.euclidean(), Point3(0.0, 1.0, 0.0))),
     (sp.bochner_residual, reference_bochner_residual,
      (F, sp.schwarzschild(1.5), Point3(0.75, 0.0, 0.0))),
-    (sp.quotient_residual, reference_quotient_residual,
-     (F, sp.expression_potential("x1"), sp.euclidean(), Point3(-1.0, 1.0, 0.0))),
-    (sp.quotient_residual, reference_quotient_residual,
-     (sp.expression_potential("x1*x1"), sp.expression_potential("x2"), sp.euclidean(),
-      Point3(1.0, 0.0, 0.0))),
 ])
 def test_errors_match_reference(fn, ref, args):
     a, b = _outcome(fn, *args), _outcome(ref, *args)
@@ -164,7 +144,7 @@ def test_errors_match_reference(fn, ref, args):
 
 
 def _warped_strip():
-    g, _, f = _warped()
+    g, f = _warped()
     chart = zeroset.SurfaceChart(f, g, embed=lambda u, v, s: (s, u, v),
                                  bracket=(-1.0, 1.0), label="strip")
     return f, g, chart, [(1.0, 0.0), (2.0, 1.0), (3.0, -2.0)], [0.02, 0.05, 0.08]
@@ -196,8 +176,8 @@ def test_zero_set_laws_match_reference(build):
 
 def test_zero_set_laws_errors_match_reference():
     f, g, chart, samples, deltas = _warped_strip()
-    bent = sp.from_callable(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0) + 1e-3 * x1 * x1,
-                            label="bent f")
+    bent = sp.PotentialField(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0) + 1e-3 * x1 * x1,
+                             label="bent f")
     bent_chart = zeroset.SurfaceChart(bent, g, embed=lambda u, v, s: (s, u, v),
                                       bracket=(-1.0, 1.0), label="bent")
     a = _outcome(sp.zero_set_laws, bent, g, bent_chart, samples, deltas, static_tol=1e-12)
@@ -226,7 +206,7 @@ def _rhs_close(metric, y, transport):
     yy = y if transport else y[:6]
     a = geodesics._rhs(metric, transport)(0.0, yy)
     b = reference_geodesic_rhs(metric, transport)(0.0, yy)
-    bundle = sp.curvature_at(metric, Point3(*y[:3]), check_domain=False)
+    bundle = sp.curvature_at(unbounded(metric), Point3(*y[:3]))
     vv = float(y[3:6] @ y[3:6])
     if a.shape != b.shape or not _same(a[:3], b[:3]):
         return False
@@ -349,7 +329,7 @@ def _flow_cases():
         "affine": (sp.euclidean(), sp.affine(0.5, 1.0, -2.0, 3.0)),
         "perturbed_as": (two_term, sp.schwarzschild_potential(1.0)),
         "rotate_chart": (METRICS["rotate_chart"], N),
-        "constant": (sp.schwarzschild(1.0), sp.from_callable(lambda x1, x2, x3: 2.5)),
+        "constant": (sp.schwarzschild(1.0), sp.PotentialField(lambda x1, x2, x3: 2.5)),
     }
 
 
@@ -443,13 +423,6 @@ def test_tod_batch_takes_one_curvature_pass(counts):
     assert counts == {"ricci_with_derivative": 1}
 
 
-def test_quotient_gates_both_potentials_from_one_pass(counts):
-    sp.quotient_residual(F, N, METRICS["schwarzschild"], Point3(3.0, 1.0, -2.0),
-                         static_tol=LOOSE)
-    assert counts.get("curvature_at", 0) == 1
-    assert counts.get("ricci_with_derivative", 0) == counts.get("matrix", 0) == 0
-
-
 def test_bochner_reads_connection_and_metric_from_gate(counts):
     sp.bochner_residual(F, METRICS["schwarzschild"], Point3(3.0, 1.0, -2.0))
     assert counts.get("christoffel_at", 0) == 0 and counts.get("matrix", 0) == 0
@@ -526,7 +499,7 @@ def test_zero_set_laws_reports_a_critical_zero_set_before_the_gate():
     # grad f vanishes on x1 = 0 and f = x1^2 is not static: the frame's
     # CriticalOnZeroSetError comes first, as in the reference
     f, g, chart, samples, deltas = _warped_strip()
-    flat = sp.from_callable(lambda x1, x2, x3: x1 * x1 + 0.0 * x2, label="flat f")
+    flat = sp.PotentialField(lambda x1, x2, x3: x1 * x1 + 0.0 * x2, label="flat f")
     a = _outcome(sp.zero_set_laws, flat, g, chart, samples[:1], deltas[:1])
     b = _outcome(reference_zero_set_laws, flat, g, chart, samples[:1], deltas[:1])
     assert isinstance(a, tuple) and a[0] is sp.CriticalOnZeroSetError and a == b

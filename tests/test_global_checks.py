@@ -183,7 +183,7 @@ class TestConformalDouble:
 
     def test_degenerate_factor_raises(self):
         g = sp.euclidean()
-        f = sp.from_callable(lambda x1, x2, x3: 2.0 + 0.0 * x1, label="big")
+        f = sp.PotentialField(lambda x1, x2, x3: 2.0 + 0.0 * x1, label="big")
         with pytest.raises(sp.DegenerateConformalError):
             sp.conformal_double_scalar(f, g, -1, Point3(1.0, 0.0, 0.0))
 

@@ -11,8 +11,7 @@ def warped_pair():
     """A product-like chart carrying two independent static potentials.
 
     g = diag(x2^(4/3), 1, x2^(-2/3)) on the half space x2 > 0 admits
-    N = x2^(2/3) and f = x1 * x2^(2/3); both are checked static below before
-    any law built on them is trusted.
+    N = x2^(2/3) and f = x1 * x2^(2/3); both are checked static below.
     """
     g = sp.generic_metric(
         lambda x1, x2, x3: [[x2 ** (4.0 / 3.0), 0.0, 0.0],
@@ -20,8 +19,8 @@ def warped_pair():
                             [0.0, 0.0, x2 ** (-2.0 / 3.0)]],
         label="warped half space",
         contains=lambda p: p.x2 > 1e-6)
-    N = sp.from_callable(lambda x1, x2, x3: x2 ** (2.0 / 3.0), label="warped N")
-    f = sp.from_callable(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0), label="warped f")
+    N = sp.PotentialField(lambda x1, x2, x3: x2 ** (2.0 / 3.0), label="warped N")
+    f = sp.PotentialField(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0), label="warped f")
     return g, N, f
 
 
@@ -104,34 +103,6 @@ class TestQuotient:
         for p in [Point3(0.5, 1.0, 0.0), Point3(-1.0, 2.0, 3.0), Point3(2.0, 0.5, -1.0)]:
             assert sp.static_residual(N, g, p).combined_norm < 1e-10
             assert sp.static_residual(f, g, p).combined_norm < 1e-10
-
-    def test_quotient_law_holds(self):
-        g, N, f = warped_pair()
-        for p in [Point3(0.5, 1.0, 0.0), Point3(-1.0, 2.0, 3.0), Point3(2.0, 0.5, -1.0)]:
-            res = sp.quotient_residual(f, N, g, p)
-            assert np.max(np.abs(res)) < 1e-9
-
-    def test_constant_ratio_trivially_flat(self):
-        m = 1.0
-        g = sp.schwarzschild(m)
-        N = sp.schwarzschild_potential(m)
-        f = sp.from_callable(lambda x1, x2, x3: 2.0 * N.expr(x1, x2, x3),
-                             label="doubled")
-        res = sp.quotient_residual(f, N, g, Point3(2.0, 1.0, 0.0))
-        assert np.max(np.abs(res)) < 1e-11
-
-    def test_nonpositive_denominator_rejected(self):
-        g = sp.euclidean()
-        N = sp.affine(0.0, 1.0, 0.0, 0.0)
-        f = sp.affine(0.0, 0.0, 1.0, 0.0)
-        with pytest.raises(sp.ZeroPotentialError):
-            sp.quotient_residual(f, N, g, Point3(-1.0, 1.0, 0.0))
-
-    def test_batched_point_rejected(self):
-        g, N, f = warped_pair()
-        batch = Point3.stack([Point3(0.5, 1.0, 0.0), Point3(2.0, 0.5, -1.0)])
-        with pytest.raises(ValueError, match="quotient_residual takes one point"):
-            sp.quotient_residual(f, N, g, batch)
 
 
 class TestEigenvalueClasses:

@@ -115,7 +115,7 @@ def test_one_lane_without_t_eval_matches_scipy():
     assert _bits(ts) == _bits(ref.t) and _bits(slopes) == _bits(ref.y[1])
 
 
-### Step control: rejections, failures, direction
+### Step control: rejections, failures, forward spans only
 
 # an oscillator whose frequency jumps at t = 1: the steps across the jump are rejected
 JUMPS = np.array([1e2, 1e4, 3e3])
@@ -150,15 +150,15 @@ def test_too_small_step_fails_as_scipy_does():
     assert sol.lanes[0].t_stop == sol.lanes[0].t[-1]
 
 
-@pytest.mark.parametrize("with_t_eval", [False, True])
-def test_backward_integration_matches_scipy(with_t_eval):
-    t_eval = np.linspace(3.0, 0.0, 31) if with_t_eval else None
-    sol = ode.solve_ivp(_jump_rhs, (3.0, 0.0), [[1.0, 0.0]] * 3, rtol=1e-9, atol=1e-12,
-                        t_eval=t_eval)
-    for k, lane in enumerate(sol.lanes):
-        ref = _scipy(_jump_scalar(k), (3.0, 0.0), [1.0, 0.0], rtol=1e-9, atol=1e-12,
-                     t_eval=t_eval)
-        _assert_lane_is_scipys(lane, ref)
+def test_backward_span_is_rejected():
+    # integration runs forward only: t1 < t0 is refused, as t1 == t0 is
+    metric = sp.schwarzschild(1.0)
+    start = sp.launch_state(metric, (5.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    for call in (lambda: ode.solve_ivp(_jump_rhs, (3.0, 0.0), [[1.0, 0.0]]),
+                 lambda: sp.solve_curve_ode(lambda t, lanes: 0.0, 1.0, 2.0, 5.0, 1.0),
+                 lambda: sp.integrate_geodesic(metric, start, -2.0)):
+        with pytest.raises(ValueError, match="runs forward only"):
+            call()
 
 
 def test_lanes_stop_at_their_own_events():

@@ -21,7 +21,7 @@ def warped_chart():
                             [0.0, 0.0, x2 ** (-2.0 / 3.0)]],
         label="warped half space",
         contains=lambda p: p.x2 > 1e-6)
-    f = sp.from_callable(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0), label="warped f")
+    f = sp.PotentialField(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0), label="warped f")
     chart = zeroset.SurfaceChart(
         f, g,
         embed=lambda u, v, s: (s, u, v),
@@ -138,7 +138,7 @@ class TestClosedComponent:
     def test_critical_zero_set_rejected(self):
         g = sp.euclidean()
         # gradient vanishes on the whole zero set of (r^2 - 1)^2 - small
-        f = sp.from_callable(
+        f = sp.PotentialField(
             lambda x1, x2, x3: (x1 * x1 + x2 * x2 + x3 * x3 - 1.0) ** 3,
             label="cubic degenerate")
         with pytest.raises((sp.CriticalOnZeroSetError, sp.MonotonicityError)):
@@ -163,17 +163,6 @@ class TestAdaptedLaws:
             assert K == pytest.approx(-4.0 / (9.0 * u * u), rel=1e-5)
         assert np.max(report.k_minus_2r11) < 1e-5
         assert np.max(report.k_plus_r33) < 1e-5
-
-    def test_second_potential_laws_on_warped_strip(self):
-        g, f, chart = warped_chart()
-        N = sp.from_callable(lambda x1, x2, x3: x2 ** (2.0 / 3.0), label="warped N")
-        samples = [(1.0, 0.0), (2.0, 1.0), (3.0, -2.0)]
-        deltas = [0.02, 0.05, 0.08]
-        report = sp.second_potential_laws(N, chart, samples, deltas)
-        # K N^3 = -4/9 everywhere on the strip
-        assert np.allclose(report.values, -4.0 / 9.0, rtol=1e-5)
-        assert report.relative_spread < 1e-5
-        assert report.hessian_residual_max < 1e-4 * max(1.0, report.hessian_scale)
 
     def test_zero_set_laws_on_horizon(self):
         m = 1.0

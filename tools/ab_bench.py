@@ -10,14 +10,17 @@ each from its own tree. The order alternates over the pairs: at an
 even pair index the parent runs first, at an odd one the change. Each run's
 end-to-end metrics are read off the JSON line that ``run.py`` prints last.
 Before the first pair, each checkout makes one short run (the first workload
-at the first seed, 1 s) that is discarded, so that no measured run compiles a
-fresh checkout's bytecode; the output file does not record it.
+at the first seed, 1 s) that is discarded; the output file does not record
+it. With ``PYTHONDONTWRITEBYTECODE=1`` set, no run writes bytecode caches, so
+this warm-up compiles nothing for later runs and warms only the OS file
+cache: every run's ``setup_s`` includes compiling the library.
 
 The output file holds, per workload and side, the median and inclusive
 quartiles of every end-to-end metric that ``BENCHMARK.json`` declares, the
 number of pairs in which the change is better (by that metric's direction),
-failed runs, the largest fail ratio, and every run's values in seed order
-(null where a run printed no result). ``--claim`` adds a summary of one
+a verdict against the metric's ``BENCHMARK.json`` bound (``verdict``), failed
+runs, the largest fail ratio, and every run's values in seed order (null where
+a run printed no result). ``--claim`` adds a summary of one
 workload's metric. A run that fails (exit code not 0, or an output check that
 failed) counts in ``failed_runs``; the statistics are taken over the pairs in
 which neither run failed.
@@ -66,19 +69,44 @@ def _run(tree, workload, seed, seconds):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _quartiles(values):
+    """Inclusive (q1, median, q3) of the values."""
+    if len(values) == 1:
+        return values * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def _summary(values):
-    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
-                 else values * 3)
-    return {"median": round(statistics.median(values), 6), "q1": round(q1, 6),
-            "q3": round(q3, 6)}
+    q1, median, q3 = _quartiles(values)
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
-def _better(metric, a, b, directions):
-    """Whether value b is better than value a."""
-    return b < a if directions[metric] == "lower" else b > a
+def _better(better, a, b):
+    """Whether value b is better than value a, ``better`` being "lower" or "higher"."""
+    return b < a if better == "lower" else b > a
 
 
-def _workload(parent, change, workload, seeds, seconds, directions):
+def verdict(parent, change, better, bound):
+    """One metric's verdict on the change's runs against the parent's.
+
+    ``worse``: the change's median is worse than the parent's by more than
+    ``bound``, relative to the parent's median. ``unresolved``: not worse, but
+    the parent's interquartile range exceeds ``bound`` times its median, and
+    not every change run beats every parent run. ``ok`` otherwise.
+    """
+    q1, median, q3 = _quartiles(parent)
+    loss = statistics.median(change) - median
+    if better == "higher":
+        loss = -loss
+    if loss > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not all(_better(better, a, b)
+                                                 for a in parent for b in change):
+        return "unresolved"
+    return "ok"
+
+
+def _workload(parent, change, workload, seeds, seconds, directions, bounds):
     runs = {m: {side: [] for side in SIDES} for m in directions}
     complete = {m: {side: [] for side in SIDES} for m in directions}
     failed_runs, fail_ratio_max, pairs = 0, 0.0, 0
@@ -112,9 +140,12 @@ def _workload(parent, change, workload, seeds, seconds, directions):
              "fail_ratio_max": fail_ratio_max}
     if pairs:
         entry["change_better_pairs"] = {
-            m: sum(_better(m, a, b, directions)
+            m: sum(_better(directions[m], a, b)
                    for a, b in zip(complete[m]["parent"], complete[m]["change"]))
             for m in directions}
+        entry["verdict"] = {m: verdict(complete[m]["parent"], complete[m]["change"],
+                                       directions[m], bounds[m])
+                            for m in directions}
         for side in SIDES:
             entry[side] = {m: _summary(complete[m][side]) for m in directions}
     entry["runs"] = runs
@@ -133,6 +164,7 @@ def main(argv=None):
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     seeds = _seeds(args.seeds)
@@ -147,7 +179,11 @@ def main(argv=None):
             "alternating pairs (even pair index: parent first; odd: change first), each "
             "side run from its own copy of the tree, one run per side and seed. Quartiles "
             "are inclusive; change_better_pairs counts pairs where the change's value is "
-            "better, over the pairs in which neither run failed. runs lists each side's "
+            "better, over the pairs in which neither run failed. verdict judges each metric "
+            "against its BENCHMARK.json bound: worse (median worse than the parent's by "
+            "more than the bound, relative), unresolved (not worse, but the parent's "
+            "interquartile range exceeds the bound times its median and not every change "
+            "run beats every parent run) or ok. runs lists each side's "
             "values in seed order, null where a run printed no result. Written by "
             "tools/ab_bench.py."),
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds}",
@@ -161,7 +197,7 @@ def main(argv=None):
         _run(tree, workloads[0], seeds[0], 1)
     for workload in workloads:
         out["workloads"][workload] = _workload(args.parent, args.change, workload, seeds,
-                                               seconds, directions)
+                                               seconds, directions, bounds)
     if args.claim:
         entry = out["workloads"][claim_workload]
         out["claim"] = {"workload": claim_workload, "metric": claim_metric,
@@ -179,7 +215,8 @@ def main(argv=None):
             if entry["pairs"]:
                 print(f"{workload:<20} {m:<12} parent {entry['parent'][m]['median']:>12.6g} "
                       f"change {entry['change'][m]['median']:>12.6g} "
-                      f"better {entry['change_better_pairs'][m]}/{entry['pairs']}")
+                      f"better {entry['change_better_pairs'][m]}/{entry['pairs']} "
+                      f"{entry['verdict'][m]}")
     return 0
 
 
