@@ -67,14 +67,21 @@ def _worst(*arrays):
     return float(np.max(np.concatenate([np.ravel(a) for a in arrays])))
 
 
-def _require_shell(metric, r_min, r_max):
-    """ConfigError unless 0 < r_min <= r_max; DomainError unless the chart, the
-    exterior of a ball, holds the sphere of radius r_min and so the shell. Only
-    a radius is compared: no metric is evaluated, and a radius that overflows
-    near r_max = 1e300 is left to fail the checks."""
-    if not 0.0 < r_min <= r_max:
-        raise ConfigError(f"need 0 < r_min <= r_max, got r_min = {r_min:g} and r_max = {r_max:g}")
-    geometry._require_inside(metric, Point3(r_min, 0.0, 0.0))
+def _shell_setup(c, rng):
+    """The Schwarzschild pair of mass c.mass and c.n_points points drawn from rng
+    in the shell r_min <= r <= r_max: the points, their stack and the stack of
+    the first 20. ConfigError unless 0 < r_min <= r_max; DomainError unless the
+    chart, the exterior of a ball, holds the sphere of radius r_min and so the
+    shell. Only a radius is compared: no metric is evaluated, and a radius that
+    overflows near r_max = 1e300 is left to fail the checks."""
+    metric = geometry.schwarzschild(c.mass)
+    f = potentials.schwarzschild_potential(c.mass)
+    if not 0.0 < c.r_min <= c.r_max:
+        raise ConfigError(f"need 0 < r_min <= r_max, got r_min = {c.r_min:g} "
+                          f"and r_max = {c.r_max:g}")
+    geometry._require_inside(metric, Point3(c.r_min, 0.0, 0.0))
+    pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
+    return metric, f, pts, Point3.stack(pts), Point3.stack(pts[:20])
 
 
 def emit_plot_data(out_dir, filename, header, rows):
@@ -127,11 +134,7 @@ def _suite_euclidean_affine(c, rng):
 
 
 def _suite_schwarzschild_static(c, rng):
-    metric = geometry.schwarzschild(c.mass)
-    f = potentials.schwarzschild_potential(c.mass)
-    _require_shell(metric, c.r_min, c.r_max)
-    pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
-    nodes, head = Point3.stack(pts), Point3.stack(pts[:20])
+    metric, f, pts, nodes, head = _shell_setup(c, rng)
     rows = []
 
     @functools.cache
@@ -188,11 +191,7 @@ def _suite_schwarzschild_static(c, rng):
 
 
 def _suite_tod_identities(c, rng):
-    metric = geometry.schwarzschild(c.mass)
-    f = potentials.schwarzschild_potential(c.mass)
-    _require_shell(metric, c.r_min, c.r_max)
-    pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
-    nodes, head = Point3.stack(pts), Point3.stack(pts[:20])
+    metric, f, _, nodes, head = _shell_setup(c, rng)
     rows = []
 
     def residual_max():
@@ -387,12 +386,11 @@ def _suite_huisken_yau(c, rng):
         return _ok(worst, 0.0, 1e-12)
 
     def perturbed_ratio():
-        lo_val = sphere_max(bumpy, r_lo)
-        hi_val = sphere_max(bumpy, r_hi)
-        for rr in np.geomspace(r_lo, r_hi, 7):
-            rows.append((rr, sphere_max(bumpy, rr)))
+        # geomspace returns r_lo and r_hi exactly as its first and last radii
+        sweep = [(rr, sphere_max(bumpy, rr)) for rr in np.geomspace(r_lo, r_hi, 7)]
+        rows.extend(sweep)
         expected = (r_lo / r_hi) ** 4
-        ratio = hi_val / lo_val
+        ratio = sweep[-1][1] / sweep[0][1]
         passed = expected / ratio_tol <= ratio <= expected * ratio_tol
         return CheckResult(passed, ratio, expected, expected * (ratio_tol - 1.0),
                            f"doubling the radius scales the defect by {ratio:.5f}")
@@ -501,11 +499,7 @@ def _suite_integral_identities(c, rng):
 
 
 def _suite_conformal_double(c, rng):
-    metric = geometry.schwarzschild(c.mass)
-    f = potentials.schwarzschild_potential(c.mass)
-    _require_shell(metric, c.r_min, c.r_max)
-    pts = geometry.sample_shell(rng, c.n_points, c.r_min, c.r_max)
-    nodes = Point3.stack(pts)
+    metric, f, _, nodes, _ = _shell_setup(c, rng)
     rows = []
 
     def both_signs():

@@ -101,16 +101,15 @@ class MetricField:
 
     ``components(X1, X2, X3)`` returns a 3x3 nested list of scalars and must be
     generic over the scalar type: floats, coordinate arrays or jets.
-    ``contains`` answers point membership, elementwise for a batched Point3;
-    ``boundary_margin`` is a continuous function positive inside the domain,
-    used as a termination event by the ODE drivers.
+    ``boundary_margin`` is the chart: a continuous function, elementwise for a
+    batched Point3, positive exactly inside the domain. Membership is its sign,
+    and the ODE drivers stop on its root.
     """
 
     label: str
     components: Callable
     tau: float
     mass: float
-    contains: Callable
     boundary_margin: Callable
 
     def matrix(self, point) -> np.ndarray:
@@ -129,7 +128,7 @@ def _first_flagged(p: Point3, flags) -> tuple:
 
 
 def _require_inside(metric: MetricField, p: Point3) -> None:
-    inside = metric.contains(p)
+    inside = metric.boundary_margin(p) > 0.0
     if inside is True or np.all(inside):  # a plain bool for a single point
         return
     raise DomainError(f"{metric.label}: point {_first_flagged(p, ~np.asarray(inside))} "
@@ -217,7 +216,6 @@ def euclidean() -> MetricField:
         components=comps,
         tau=1.0,
         mass=0.0,
-        contains=lambda p: True,
         boundary_margin=lambda p: 1.0,
     )
 
@@ -237,6 +235,7 @@ def schwarzschild(mass: float, exterior_only: bool = True) -> MetricField:
         r_floor = m / 2.0 if exterior_only else 0.0
     else:
         r_floor = abs(m) / 2.0
+    edge = r_floor * (1.0 + 1e-12) + 1e-300  # a relative band off the degenerate floor
 
     def comps(X1, X2, X3):
         r = jets.sqrt(X1 * X1 + X2 * X2 + X3 * X3)
@@ -250,21 +249,18 @@ def schwarzschild(mass: float, exterior_only: bool = True) -> MetricField:
         components=comps,
         tau=1.0,
         mass=m,
-        contains=lambda p: p.r > r_floor * (1.0 + 1e-12) + 1e-300,
-        boundary_margin=lambda p: p.r - r_floor,
+        boundary_margin=lambda p: p.r - edge,
     )
 
 
-def perturbed_as(mass: float, terms: Sequence[PerturbationTerm], r_min: float | None = None) -> MetricField:
+def perturbed_as(mass: float, terms: Sequence[PerturbationTerm]) -> MetricField:
     """Asymptotically flat metric: conformal part plus explicit r^-2 terms."""
     m = float(mass)
     terms = tuple(terms)
     total = sum(abs(t.amplitude) for t in terms)
-    if r_min is None:
-        # keep the perturbation well below the conformal part so the matrix
-        # stays positive definite with margin
-        r_min = max(abs(m), 2.0 * math.sqrt(total) if total > 0 else 0.0, 1e-3)
-    r_min = float(r_min)
+    # keep the perturbation well below the conformal part so the matrix
+    # stays positive definite with margin
+    r_min = max(abs(m), 2.0 * math.sqrt(total) if total > 0 else 0.0, 1e-3)
 
     def comps(X1, X2, X3):
         r2 = X1 * X1 + X2 * X2 + X3 * X3
@@ -290,22 +286,20 @@ def perturbed_as(mass: float, terms: Sequence[PerturbationTerm], r_min: float | 
         components=comps,
         tau=1.0,
         mass=m,
-        contains=lambda p: p.r > r_min,
         boundary_margin=lambda p: p.r - r_min,
     )
 
 
-def generic_metric(components: Callable, tau: float = 1.0, contains: Callable | None = None,
-                   boundary_margin: Callable | None = None, label: str = "generic",
+def generic_metric(components: Callable, *, tau: float = 1.0,
+                   boundary_margin: Callable = lambda p: 1.0, label: str = "generic",
                    mass: float = 0.0) -> MetricField:
-    """Wrap a user-supplied components closure as a metric field."""
+    """Wrap a user-supplied components closure as a metric field; by default on all of R^3."""
     return MetricField(
         label=label,
         components=components,
         tau=_validate_tau(tau),
         mass=float(mass),
-        contains=contains if contains is not None else (lambda p: True),
-        boundary_margin=boundary_margin if boundary_margin is not None else (lambda p: 1.0),
+        boundary_margin=boundary_margin,
     )
 
 
@@ -330,16 +324,12 @@ def rotate_chart(metric: MetricField, rotation) -> MetricField:
         return [[rows[0][a] * GQ[0][b] + rows[1][a] * GQ[1][b] + rows[2][a] * GQ[2][b]
                  for b in range(3)] for a in range(3)]
 
-    def to_base(p: Point3) -> Point3:
-        return Point3(*base_coords(p.x1, p.x2, p.x3))
-
     return MetricField(
         label=metric.label + "+rotated",
         components=comps,
         tau=metric.tau,
         mass=metric.mass,
-        contains=lambda p: metric.contains(to_base(p)),
-        boundary_margin=lambda p: metric.boundary_margin(to_base(p)),
+        boundary_margin=lambda p: metric.boundary_margin(Point3(*base_coords(p.x1, p.x2, p.x3))),
     )
 
 

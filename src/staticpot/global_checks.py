@@ -21,7 +21,8 @@ from .geodesics import one_lane, solve_ivp
 from .geometry import (MetricField, Point3, _first_flagged, _metric_taylor, curvature_at,
                        generic_metric)
 from .potentials import PotentialField, _norm_g, _pair, fit_linear_part, require_static
-from .quadrature import SphereRule, flux_integral, sphere_average, sphere_rule, volume_integral
+from .quadrature import (SphereRule, flux_integral, inverse_power_fit, sphere_average,
+                         sphere_rule, volume_integral)
 from .zeroset import SurfaceGraph, _quad, extract_closed_component
 
 ESCAPE_TO_END = "escape_to_end"
@@ -57,12 +58,14 @@ def fit_mass_expansion(f: PotentialField, metric: MetricField, window=(50.0, 400
     """Fit sphere averages of a bounded potential to a + A/r + B/r^2.
 
     The mass is -A/a (so a potential with limit 1 reports -A directly). A
-    linear part above 1e-2 trips UnboundedPotentialError, a degenerate fit
-    IllConditionedFitError.
+    window outside 0 < lo < hi raises ValueError, a linear part above 1e-2
+    UnboundedPotentialError, a degenerate fit IllConditionedFitError.
     """
     if rule is None:
         rule = sphere_rule()
     lo, hi = float(window[0]), float(window[1])
+    if not 0.0 < lo < hi:
+        raise ValueError(f"fit window needs 0 < lo < hi, got {window}")
     radii = np.geomspace(lo, hi, n_spheres)
 
     lp = fit_linear_part(f, metric, radii[:: max(1, n_spheres // 4)], rule=rule)
@@ -72,12 +75,7 @@ def fit_mass_expansion(f: PotentialField, metric: MetricField, window=(50.0, 400
             "mass expansion needs a bounded potential")
 
     avgs = np.array([sphere_average(f.value, r, rule) for r in radii])
-    design = np.column_stack([np.ones_like(radii), 1.0 / radii, 1.0 / radii ** 2])
-    cond = float(np.linalg.cond(design))
-    if cond > 1e10:
-        raise IllConditionedFitError(f"fit window {window} gives condition number {cond:.3e}")
-    coef, _, _, _ = np.linalg.lstsq(design, avgs, rcond=None)
-    resid = avgs - design @ coef
+    coef, resid, cond = inverse_power_fit(radii, avgs)
     a, A = float(coef[0]), float(coef[1])
     if abs(a) < 1e-8:
         raise IllConditionedFitError(
@@ -138,8 +136,8 @@ def anisotropy_limit(metric: MetricField, graph: SurfaceGraph, heights) -> Aniso
 
     At base points (0, y) of the graph the two chart tangents are normalized
     and the difference Ric(t_u, t_u) - Ric(t_v, t_v), scaled by |y|^3, is
-    extrapolated in 1/|y|. All heights take one chart solve, which gives the
-    points and tangents, and one curvature pass.
+    extrapolated in 1/|y| by ``inverse_power_fit``. All heights take one chart
+    solve, which gives the points and tangents, and one curvature pass.
     """
     region = graph.region
     heights = np.array(sorted(float(y) for y in heights))
@@ -152,10 +150,8 @@ def anisotropy_limit(metric: MetricField, graph: SurfaceGraph, heights) -> Aniso
     tu = lift.tu / np.sqrt(_quad(lift.tu, g, lift.tu))[:, None]
     tv = lift.tv / np.sqrt(_quad(lift.tv, g, lift.tv))[:, None]
     vals = np.abs(heights) ** 3 * (_quad(tu, ric, tu) - _quad(tv, ric, tv))
-    design = np.column_stack([np.ones_like(heights), 1.0 / heights, 1.0 / heights ** 2])
-    coef, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)
     return AnisotropyReport(heights=heights, scaled_differences=vals,
-                            extrapolated=float(coef[0]))
+                            extrapolated=float(inverse_power_fit(heights, vals)[0][0]))
 
 
 ### Divergence-identity bookkeeping
@@ -291,9 +287,7 @@ def conformal_double_scalar(f: PotentialField, metric: MetricField, sign: int, p
         G = metric.components(X1, X2, X3)
         return [[G[i][j] * w for j in range(3)] for i in range(3)]
 
-    doubled = generic_metric(comps, tau=metric.tau,
-                             contains=metric.contains,
-                             boundary_margin=metric.boundary_margin,
+    doubled = generic_metric(comps, tau=metric.tau, boundary_margin=metric.boundary_margin,
                              label=f"double[{metric.label}]", mass=metric.mass)
     return curvature_at(doubled, p).scalar
 

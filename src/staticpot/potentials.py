@@ -24,7 +24,7 @@ import numpy as np
 from . import jets
 from .errors import ConfigError, NonConvergentError, NotStaticError, ZeroPotentialError
 from .geometry import CurvatureBundle, MetricField, Point3, _first_flagged, curvature_at
-from .quadrature import SphereRule, aitken_limit, sphere_rule
+from .quadrature import SphereRule, aitken_limit, decay_exponent, sphere_rule
 
 
 @dataclass(frozen=True)
@@ -347,9 +347,6 @@ def fit_linear_part(f: PotentialField, metric: MetricField, radii: Sequence[floa
         rms.append(math.sqrt(float((rule.weights * (dev ** 2).sum(axis=1)).sum() / (4.0 * np.pi))))
     rms = np.array(rms)
 
-    exponent = None
-    if np.all(rms > 1e-14 * scale):
-        slope = np.polyfit(np.log(radii), np.log(rms), 1)[0]
-        exponent = float(slope)
+    exponent = decay_exponent(radii, rms) if np.all(rms > 1e-14 * scale) else None
     return LinearPartFit(coefficients=coeffs, radii=radii, averages=averages,
                          remainder_rms=rms, remainder_exponent=exponent)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMetricError
+from .errors import IllConditionedFitError, SingularMetricError
 from .geometry import MetricField, Point3, _first_flagged, curvature_at
 
 
@@ -49,6 +49,32 @@ def aitken_limit(seq) -> float:
     if abs(denom) < 1e-13 * (1.0 + abs(v2)):
         return v2
     return v2 - (v2 - v1) ** 2 / denom
+
+
+def inverse_power_fit(x, y) -> tuple:
+    """Least-squares fit of y to a + b/x + c/x^2: coefficients (a, b, c), residuals
+    and the design's condition number. Fewer than three distinct abscissae raise
+    ValueError, a condition number above 1e10 IllConditionedFitError."""
+    x = np.asarray(x, dtype=float)
+    if len(set(x.tolist())) < 3:  # np.unique's first call adds ~1.2 MB resident
+        raise ValueError(f"a + b/x + c/x^2 needs three distinct abscissae, got {x.tolist()}")
+    design = np.column_stack([np.ones_like(x), 1.0 / x, 1.0 / x ** 2])
+    cond = float(np.linalg.cond(design))
+    if cond > 1e10:
+        raise IllConditionedFitError(f"fit abscissae {x.tolist()} give condition number {cond:.3e}")
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    return coef, y - design @ coef, cond
+
+
+def decay_exponent(radii, values) -> float:
+    """Least-squares slope of log(values) against log(radii); -inf unless every
+    value is positive. Fewer than two distinct radii raise ValueError."""
+    radii = np.asarray(radii, dtype=float)
+    if len(set(radii.tolist())) < 2:  # a set, as above
+        raise ValueError(f"a decay exponent needs two distinct radii, got {radii.tolist()}")
+    if not np.all(values > 0):
+        return -math.inf
+    return float(np.polyfit(np.log(radii), np.log(values), 1)[0])
 
 
 def sphere_rule(n_polar: int = 32, n_azimuth: int = 64) -> SphereRule:

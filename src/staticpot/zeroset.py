@@ -31,7 +31,7 @@ from .errors import (CriticalOnZeroSetError, DomainError, MonotonicityError,
                      MultiRootError, NoRootError, ResolutionError)
 from .geometry import MetricField, Point3, _first_flagged, _first_kind
 from .potentials import PotentialField, StaticResidual, _gate, _norm_g, static_residual
-from .quadrature import aitken_limit
+from .quadrature import aitken_limit, decay_exponent
 
 
 def brentq(f, a, b, xtol: float = 2e-12, rtol: float = 8.881784197001252e-16,
@@ -570,13 +570,9 @@ def gauss_bonnet_limit(graph: SurfaceGraph, radii, n_angles: int = 256) -> Gauss
     lengths = np.array([c.length for c in rows])
     devs = np.array([c.mean_kappa_deviation for c in rows])
     extrap = aitken_limit(integrals) if len(integrals) >= 3 else float(integrals[-1])
-    if np.all(devs > 0):
-        exponent = float(np.polyfit(np.log(radii), np.log(devs), 1)[0])
-    else:
-        exponent = -math.inf
     return GaussBonnetReport(radii=radii, turning_integrals=integrals, lengths=lengths,
                              kappa_deviations=devs, extrapolated=extrap,
-                             deviation_decay_exponent=exponent)
+                             deviation_decay_exponent=decay_exponent(radii, devs))
 
 
 ### Closed components

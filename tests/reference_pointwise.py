@@ -192,7 +192,7 @@ def _components_taylor2(metric: MetricField, coords):
 def reference_curvature_at(metric: MetricField, point) -> CurvatureBundle:
     """Curvature of a metric field at a chart point (dual backend only)."""
     p = Point3.of(point)
-    if not metric.contains(p):
+    if not metric.boundary_margin(p) > 0.0:
         raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
     coords = p.coords()
     backend = "dual"
@@ -237,7 +237,7 @@ def reconstruct_riemann_from_ricci(ricci, scalar: float, g) -> np.ndarray:
 def reference_christoffel_at(metric: MetricField, point) -> np.ndarray:
     """Christoffel symbols Gamma^k_{ij} at a point (depth-1 jets only)."""
     p = Point3.of(point)
-    if not metric.contains(p):
+    if not metric.boundary_margin(p) > 0.0:
         raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
     Xs = seed(p.coords(), 1)
     comps = metric.components(Xs[0], Xs[1], Xs[2])
@@ -262,7 +262,7 @@ def reference_ricci_with_derivative(metric: MetricField, point):
     depth-2 metric jets, so the derivative is exact.
     """
     p = Point3.of(point)
-    if not metric.contains(p):
+    if not metric.boundary_margin(p) > 0.0:
         raise DomainError(f"{metric.label}: point {p.coords()} outside chart domain")
     base = seed(p.coords(), 1)
     Xs = seed(base, 2)
@@ -735,7 +735,7 @@ def reference_surface_christoffel(sig: np.ndarray, d_u: np.ndarray, d_v: np.ndar
 def unbounded(metric: MetricField) -> MetricField:
     """``metric`` with a chart that contains every point, as an integrator
     stage that probes past a boundary it is about to stop at needs."""
-    return dataclasses.replace(metric, contains=lambda p: True)
+    return dataclasses.replace(metric, boundary_margin=lambda p: 1.0)
 
 
 def reference_ricci_quadratic(metric: MetricField, x: np.ndarray, v: np.ndarray) -> float:

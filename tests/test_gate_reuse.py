@@ -56,7 +56,7 @@ def _warped():
         lambda x1, x2, x3: [[x2 ** (4.0 / 3.0), 0.0, 0.0],
                             [0.0, 1.0 + 0.0 * x1, 0.0],
                             [0.0, 0.0, x2 ** (-2.0 / 3.0)]],
-        label="warped half space", contains=lambda p: p.x2 > 1e-6)
+        label="warped half space", boundary_margin=lambda p: p.x2 - 1e-6)
     fw = sp.PotentialField(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0), label="warped f")
     return g, fw
 

@@ -18,7 +18,7 @@ def warped_pair():
                             [0.0, 1.0 + 0.0 * x1, 0.0],
                             [0.0, 0.0, x2 ** (-2.0 / 3.0)]],
         label="warped half space",
-        contains=lambda p: p.x2 > 1e-6)
+        boundary_margin=lambda p: p.x2 - 1e-6)
     N = sp.PotentialField(lambda x1, x2, x3: x2 ** (2.0 / 3.0), label="warped N")
     f = sp.PotentialField(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0), label="warped f")
     return g, N, f

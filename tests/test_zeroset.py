@@ -20,7 +20,7 @@ def warped_chart():
                             [0.0, 1.0 + 0.0 * x1, 0.0],
                             [0.0, 0.0, x2 ** (-2.0 / 3.0)]],
         label="warped half space",
-        contains=lambda p: p.x2 > 1e-6)
+        boundary_margin=lambda p: p.x2 - 1e-6)
     f = sp.PotentialField(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0), label="warped f")
     chart = zeroset.SurfaceChart(
         f, g,
