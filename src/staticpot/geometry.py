@@ -78,7 +78,8 @@ class PerturbationTerm:
     Contributes ``amplitude * r^-2 * (x1/r)^p1 (x2/r)^p2 (x3/r)^p3`` to the
     (i, j) and (j, i) metric entries. Exponents are nonnegative integers with
     total degree at most two, which keeps each term's k-th derivatives decaying
-    like r^(-2-k).
+    like r^(-2-k). The powers are stored as Python ints, so an integral float
+    such as 1.0 counts its factors as 1 does.
     """
 
     i: int
@@ -93,11 +94,12 @@ class PerturbationTerm:
             raise ValueError("powers must be three nonnegative integers")
         if sum(self.powers) > 2:
             raise ValueError("total angular degree must be at most 2")
+        object.__setattr__(self, "powers", tuple(int(p) for p in self.powers))
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """A metric on a chart, with its decay class and domain bookkeeping.
+    """A metric on a chart: its components and its domain.
 
     ``components(X1, X2, X3)`` returns a 3x3 nested list of scalars and must be
     generic over the scalar type: floats, coordinate arrays or jets.
@@ -108,8 +110,6 @@ class MetricField:
 
     label: str
     components: Callable
-    tau: float
-    mass: float
     boundary_margin: Callable
 
     def matrix(self, point) -> np.ndarray:
@@ -195,13 +195,6 @@ def _check_positive(g, label: str, p) -> None:
             f"{label}: metric not positive definite at {_first_flagged(p, low)}")
 
 
-def _validate_tau(tau: float) -> float:
-    tau = float(tau)
-    if not (0.5 < tau <= 1.0):
-        raise ValueError(f"decay rate tau must lie in (1/2, 1], got {tau}")
-    return tau
-
-
 ### Metric families
 
 
@@ -214,10 +207,17 @@ def euclidean() -> MetricField:
     return MetricField(
         label="euclidean",
         components=comps,
-        tau=1.0,
-        mass=0.0,
         boundary_margin=lambda p: 1.0,
     )
+
+
+def _conformal(m: float, X1, X2, X3):
+    """The chart radius r and the metric (1 + m/(2r))^4 delta as nested lists."""
+    r = jets.sqrt(X1 * X1 + X2 * X2 + X3 * X3)
+    phi = 1.0 + (0.5 * m) / r
+    c = phi * phi
+    c = c * c
+    return r, [[c, 0.0, 0.0], [0.0, c, 0.0], [0.0, 0.0, c]]
 
 
 def schwarzschild(mass: float, exterior_only: bool = True) -> MetricField:
@@ -237,18 +237,9 @@ def schwarzschild(mass: float, exterior_only: bool = True) -> MetricField:
         r_floor = abs(m) / 2.0
     edge = r_floor * (1.0 + 1e-12) + 1e-300  # a relative band off the degenerate floor
 
-    def comps(X1, X2, X3):
-        r = jets.sqrt(X1 * X1 + X2 * X2 + X3 * X3)
-        phi = 1.0 + (0.5 * m) / r
-        c = phi * phi
-        c = c * c
-        return [[c, 0.0, 0.0], [0.0, c, 0.0], [0.0, 0.0, c]]
-
     return MetricField(
         label=f"schwarzschild(m={m:g})",
-        components=comps,
-        tau=1.0,
-        mass=m,
+        components=lambda X1, X2, X3: _conformal(m, X1, X2, X3)[1],
         boundary_margin=lambda p: p.r - edge,
     )
 
@@ -263,12 +254,7 @@ def perturbed_as(mass: float, terms: Sequence[PerturbationTerm]) -> MetricField:
     r_min = max(abs(m), 2.0 * math.sqrt(total) if total > 0 else 0.0, 1e-3)
 
     def comps(X1, X2, X3):
-        r2 = X1 * X1 + X2 * X2 + X3 * X3
-        r = jets.sqrt(r2)
-        phi = 1.0 + (0.5 * m) / r
-        c = phi * phi
-        c = c * c
-        g = [[c, 0.0, 0.0], [0.0, c, 0.0], [0.0, 0.0, c]]
+        r, g = _conformal(m, X1, X2, X3)
         X = (X1, X2, X3)
         for t in terms:
             s = sum(t.powers)
@@ -284,23 +270,14 @@ def perturbed_as(mass: float, terms: Sequence[PerturbationTerm]) -> MetricField:
     return MetricField(
         label=f"perturbed_as(m={m:g},terms={len(terms)})",
         components=comps,
-        tau=1.0,
-        mass=m,
         boundary_margin=lambda p: p.r - r_min,
     )
 
 
-def generic_metric(components: Callable, *, tau: float = 1.0,
-                   boundary_margin: Callable = lambda p: 1.0, label: str = "generic",
-                   mass: float = 0.0) -> MetricField:
+def generic_metric(components: Callable, *, boundary_margin: Callable = lambda p: 1.0,
+                   label: str = "generic") -> MetricField:
     """Wrap a user-supplied components closure as a metric field; by default on all of R^3."""
-    return MetricField(
-        label=label,
-        components=components,
-        tau=_validate_tau(tau),
-        mass=float(mass),
-        boundary_margin=boundary_margin,
-    )
+    return MetricField(label=label, components=components, boundary_margin=boundary_margin)
 
 
 def rotate_chart(metric: MetricField, rotation) -> MetricField:
@@ -327,8 +304,6 @@ def rotate_chart(metric: MetricField, rotation) -> MetricField:
     return MetricField(
         label=metric.label + "+rotated",
         components=comps,
-        tau=metric.tau,
-        mass=metric.mass,
         boundary_margin=lambda p: metric.boundary_margin(Point3(*base_coords(p.x1, p.x2, p.x3))),
     )
 

@@ -96,17 +96,17 @@ class DecayModelResidual:
     residual: float
 
 
-def curvature_decay_residual(metric: MetricField, point) -> DecayModelResidual:
-    """Deviation of Ricci from the leading conformal model at a point.
+def curvature_decay_residual(metric: MetricField, mass: float, point) -> DecayModelResidual:
+    """Deviation of Ricci from the leading conformal model of mass ``mass`` at a point.
 
     The model is (m/|y|^3) phi^-2 (delta - 3 yhat yhat) with
-    phi = 1 + m/(2|y|); for the unperturbed conformal slice it is exact, and
-    for perturbed ends the deviation inherits the perturbation's decay. A
-    batched Point3 takes one curvature pass; the fields then carry the batch
-    shape in front.
+    phi = 1 + m/(2|y|); for the unperturbed conformal slice of mass m it is
+    exact, and for perturbed ends the deviation inherits the perturbation's
+    decay. A batched Point3 takes one curvature pass; the fields then carry
+    the batch shape in front.
     """
     p = Point3.of(point)
-    m = metric.mass
+    m = float(mass)
     r = p.r
 
     def radial(q: float) -> float:  # in float arithmetic, node by node
@@ -287,8 +287,8 @@ def conformal_double_scalar(f: PotentialField, metric: MetricField, sign: int, p
         G = metric.components(X1, X2, X3)
         return [[G[i][j] * w for j in range(3)] for i in range(3)]
 
-    doubled = generic_metric(comps, tau=metric.tau, boundary_margin=metric.boundary_margin,
-                             label=f"double[{metric.label}]", mass=metric.mass)
+    doubled = generic_metric(comps, boundary_margin=metric.boundary_margin,
+                             label=f"double[{metric.label}]")
     return curvature_at(doubled, p).scalar
 
 

@@ -313,12 +313,13 @@ def fit_linear_part(f: PotentialField, metric: MetricField, radii: Sequence[floa
 
     The averaged partials are extrapolated in the sphere radius; the scatter of
     the gradient around the limit gives the remainder decay exponent. Raises
-    NonConvergentError when the averages show no Cauchy trend. Each sphere's
+    NonConvergentError when the averages show no Cauchy trend, and ValueError,
+    before any sphere pass, for fewer than three distinct radii. Each sphere's
     nodes go through one batched ``f.gradient`` call.
     """
     radii = np.array(sorted(float(r) for r in radii))
-    if len(radii) < 3:
-        raise ValueError("need at least three radii")
+    if len(set(radii.tolist())) < 3:  # a set, as quadrature.inverse_power_fit counts
+        raise ValueError(f"the linear part needs three distinct radii, got {radii.tolist()}")
     if rule is None:
         rule = sphere_rule()
 

@@ -138,10 +138,11 @@ def test_conformal_double_and_decay_batch_match_single_points():
             assert isinstance(one, float)
             scale = float(np.max(np.abs(sp.curvature_at(g, p).ricci)))
             assert abs(batch[k] - one) <= ROUNDOFF * scale
-    for metric in METRICS.values():
-        batch = sp.curvature_decay_residual(metric, _batch(POINTS))
+    for name, metric in METRICS.items():
+        mass = 1.5 if name == "schwarzschild" else 1.0   # the mass each metric is built with
+        batch = sp.curvature_decay_residual(metric, mass, _batch(POINTS))
         for k, p in enumerate(POINTS):
-            one = sp.curvature_decay_residual(metric, p)
+            one = sp.curvature_decay_residual(metric, mass, p)
             assert isinstance(one.residual, float)
             assert _rel(batch.computed[k], one.computed) <= ROUNDOFF
             assert _rel(batch.model[k], one.model) <= ROUNDOFF
@@ -193,7 +194,7 @@ SKEWED_NODES = [Point3(0.1, 0.3, 0.2), Point3(0.7, 0.1, 0.0), Point3(0.2, -1.0, 
     (sp.require_static, (F1, sp.schwarzschild(1.0)), DOMAIN_NODES, sp.DomainError),
     (sp.static_residual, (F1, sp.schwarzschild(1.0)), DOMAIN_NODES, sp.DomainError),
     (sp.tod_identity_residuals, (F1, sp.schwarzschild(1.0)), DOMAIN_NODES, sp.DomainError),
-    (sp.curvature_decay_residual, (sp.schwarzschild(1.0),), DOMAIN_NODES, sp.DomainError),
+    (sp.curvature_decay_residual, (sp.schwarzschild(1.0), 1.0), DOMAIN_NODES, sp.DomainError),
     (sp.conformal_double_scalar, (F1, sp.schwarzschild(1.0), 1),
      DOMAIN_NODES, sp.DomainError),
     # 1 - x1 is not safely positive from x1 = 1 on

@@ -126,9 +126,13 @@ def test_geodesic_leaving_the_half_space_raises_domain_exit():
 
 def test_chart_has_one_field_and_no_second_knob():
     assert [f.name for f in dataclasses.fields(sp.MetricField)] == [
-        "label", "components", "tau", "mass", "boundary_margin"]
+        "label", "components", "boundary_margin"]
     with pytest.raises(TypeError):
         sp.perturbed_as(1.0, [], r_min=2.0)
+    with pytest.raises(TypeError):   # a metric is its components: no declared decay
+        sp.generic_metric(_flat, tau=0.6)
+    with pytest.raises(TypeError):   # nor a declared mass
+        sp.generic_metric(_flat, mass=2.0)
     with pytest.raises(TypeError):   # a positional closure cannot bind to the margin
         sp.generic_metric(_flat, 1.0, lambda p: p.x1 - 0.5)
     assert _inside(sp.generic_metric(_flat), (1e300, -1e300, 0.0))

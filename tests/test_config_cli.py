@@ -376,6 +376,15 @@ class TestCommandLine:
         ("anisotropy_limit", "heights = 10, 140, 200", 2,
          "need at least three distinct heights inside (50, 1000), got heights = 10, 140, 200"),
         ("anisotropy_limit", "masses = 0", 2, "ValueError: mass must be nonzero"),
+        # each mass names a check limit_mass_<m:g>, and two equal names would
+        # write one name twice into report.json
+        ("anisotropy_limit", "masses = 2, 2", 2,
+         "need masses with distinct check names limit_mass_<m:g>, got masses = 2.0, 2.0"),
+        ("anisotropy_limit", "masses = 2, 2.0000001", 2,
+         "need masses with distinct check names limit_mass_<m:g>, got masses = 2.0, 2.0000001"),
+        # points are drawn from the cube [-r_max, r_max]^3, which must have room
+        ("euclidean_affine", "r_max = -10", 2, "need r_max > 0, got r_max = -10"),
+        ("euclidean_affine", "r_max = 0", 2, "need r_max > 0, got r_max = 0"),
         # geometric spacing needs lo > 0; the decay fit needs two distinct radii
         ("mass_fit", "window = 0, 400", 2, "need 0 < lo < hi, got window = 0, 400"),
         ("mass_fit", "window = -5, 400", 2, "need 0 < lo < hi, got window = -5, 400"),

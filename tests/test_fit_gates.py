@@ -53,9 +53,23 @@ def test_mass_fit_needs_a_positive_increasing_window(window):
 def test_linear_part_needs_two_distinct_radii_for_its_exponent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="two distinct radii"):
+        with pytest.raises(ValueError, match="three distinct radii"):
             sp.fit_linear_part(sp.schwarzschild_potential(2.0), sp.schwarzschild(2.0),
                                [50.0, 50.0, 50.0], rule=SMALL_RULE)
+
+
+def test_linear_part_refuses_two_distinct_radii_before_any_sphere_pass(monkeypatch):
+    calls = []
+    gradient = sp.PotentialField.gradient
+    monkeypatch.setattr(sp.PotentialField, "gradient",
+                        lambda self, p: calls.append(p) or gradient(self, p))
+    with pytest.raises(ValueError, match=r"three distinct radii, got \[50\.0, 50\.0, 100\.0\]"):
+        sp.fit_linear_part(sp.schwarzschild_potential(2.0), sp.schwarzschild(2.0),
+                           [100.0, 50.0, 50.0], rule=SMALL_RULE)
+    assert calls == []
+    sp.fit_linear_part(sp.schwarzschild_potential(2.0), sp.schwarzschild(2.0),
+                       [50.0, 100.0, 200.0], rule=SMALL_RULE)
+    assert len(calls) == 3   # the probe sees one pass per sphere
 
 
 def test_inverse_power_fit_is_the_lstsq_it_replaces():

@@ -58,9 +58,21 @@ class TestCurvatureDecayModel:
         g = sp.schwarzschild(1.0)
         for p in [Point3(20.0, 0.0, 0.0), Point3(5.0, -7.0, 11.0),
                   Point3(0.0, 30.0, -4.0)]:
-            res = sp.curvature_decay_residual(g, p)
+            res = sp.curvature_decay_residual(g, 1.0, p)
             assert res.residual < 1e-12
             assert np.allclose(res.computed, res.model, atol=1e-12)
+
+    def test_model_mass_comes_from_the_caller(self):
+        # one geometry, one residual: wrapping the components keeps every bit
+        s = sp.schwarzschild(2.0)
+        wrapped = sp.generic_metric(s.components, boundary_margin=s.boundary_margin)
+        nodes = [Point3(10.0, 3.0, -4.0)] + sp.sample_shell(np.random.default_rng(4), 8, 1.5, 40.0)
+        for p in nodes + [Point3.stack(nodes)]:
+            a = sp.curvature_decay_residual(wrapped, 2.0, p)
+            b = sp.curvature_decay_residual(s, 2.0, p)
+            assert np.asarray(a.residual).tobytes() == np.asarray(b.residual).tobytes()
+            assert a.model.tobytes() == b.model.tobytes()
+        assert sp.curvature_decay_residual(wrapped, 2.0, nodes[0]).residual < 1e-15
 
     def test_perturbation_scales_out_at_fourth_order(self):
         terms = [sp.PerturbationTerm(0, 0, 0.5, (0, 0, 0)),
@@ -69,7 +81,7 @@ class TestCurvatureDecayModel:
         dirs = quadrature.sphere_rule(4, 8).directions
 
         def worst(r):
-            return max(sp.curvature_decay_residual(g, Point3.of(r * d)).residual
+            return max(sp.curvature_decay_residual(g, 1.0, Point3.of(r * d)).residual
                        for d in dirs)
 
         lo, hi = worst(20.0), worst(40.0)
@@ -86,8 +98,8 @@ class TestCurvatureDecayModel:
                       [0.0, 0.0, 1.0]])
         rotated = sp.rotate_chart(g, q)
         p = Point3(12.0, 3.0, -5.0)
-        a = sp.curvature_decay_residual(g, p).residual
-        b = sp.curvature_decay_residual(rotated, Point3.of(q.T @ p.as_array())).residual
+        a = sp.curvature_decay_residual(g, 1.0, p).residual
+        b = sp.curvature_decay_residual(rotated, 1.0, Point3.of(q.T @ p.as_array())).residual
         assert b == pytest.approx(a, rel=1e-7)
 
 
