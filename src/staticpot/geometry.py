@@ -78,8 +78,8 @@ class PerturbationTerm:
     Contributes ``amplitude * r^-2 * (x1/r)^p1 (x2/r)^p2 (x3/r)^p3`` to the
     (i, j) and (j, i) metric entries. Exponents are nonnegative integers with
     total degree at most two, which keeps each term's k-th derivatives decaying
-    like r^(-2-k). The powers are stored as Python ints, so an integral float
-    such as 1.0 counts its factors as 1 does.
+    like r^(-2-k). The indices and powers are stored as Python ints, so an
+    integral float such as 1.0 indexes and counts its factors as 1 does.
     """
 
     i: int
@@ -88,12 +88,14 @@ class PerturbationTerm:
     powers: tuple = (0, 0, 0)
 
     def __post_init__(self):
-        if not (0 <= self.i <= 2 and 0 <= self.j <= 2):
-            raise ValueError("term indices must lie in 0..2")
+        if any(not 0 <= k <= 2 or int(k) != k for k in (self.i, self.j)):
+            raise ValueError("term indices must be integers in 0..2")
         if len(self.powers) != 3 or any(int(p) != p or p < 0 for p in self.powers):
             raise ValueError("powers must be three nonnegative integers")
         if sum(self.powers) > 2:
             raise ValueError("total angular degree must be at most 2")
+        object.__setattr__(self, "i", int(self.i))
+        object.__setattr__(self, "j", int(self.j))
         object.__setattr__(self, "powers", tuple(int(p) for p in self.powers))
 
 

@@ -4,15 +4,16 @@ A zero set is located as a certified root along a one-parameter line family: a
 vertical line over a base plane for asymptotic graphs, a ray from a center for
 closed components. The same chart object then lifts the lines to the surface:
 roots, their slopes, surface points and tangents come from one solve
-(``SurfaceChart.lift``), and the induced two-metric by implicit
-differentiation in jet arithmetic, which is exact; only the intrinsic curvature
-quantities use finite-difference stencils on top of the exact surface
-evaluations.
+(``SurfaceChart.lift``). The induced two-metric and its first and second
+chart derivatives come from the root as a Taylor jet (implicit
+differentiation in jet arithmetic), which is exact: the geodesic curvature of
+circles and the intrinsic curvature (Brioschi formula) take no finite
+differences.
 
 The chart is batched: it takes arrays of line coordinates and solves all their
 lines in one array pass, with Brent's method run lane by lane (``brentq``). So
-each stencil set (a circle, a grid, a sample set with its stencils) is one
-chart call, and a failing batch raises the error of its first failing line.
+each point set (a circle, a quadrature grid, a sample set) is one chart call,
+and a failing batch raises the error of its first failing line.
 An evaluation along the lines ignores floating-point flags; a nan or inf it
 returns (where a float would raise, say log outside its domain) is a
 DomainError naming its line.
@@ -300,16 +301,12 @@ class SurfaceChart:
             raise errors[min(errors)]
         return s, slope
 
-    def _root_jet(self, u, v, s0, slope, depth: int):
-        """Root as a jet in (u, v), exact to the seeded depth.
+    def _root_jet(self, U, V, s0, slope, depth: int):
+        """Root as a jet in the chart coordinates U, V seeded to ``depth``, exact.
 
         Simplified Newton in jet arithmetic with the frozen float slope; each
         sweep gains one Taylor order, so depth+1 sweeps land exactly.
         """
-        U, V = u, v
-        for _ in range(depth):
-            U = jets.Jet(U, (1.0, 0.0, 0.0))
-            V = jets.Jet(V, (0.0, 1.0, 0.0))
         S = s0
         for _ in range(depth + 1):
             X = self.embed(U, V, S)
@@ -319,8 +316,9 @@ class SurfaceChart:
     def _lift(self, u, v) -> Lift:
         """Flat lanes of lines lifted to the surface: one solve."""
         s, slope = self._solve(u, v)
-        S = self._root_jet(u, v, s, slope, 1)
-        X = self.embed(jets.Jet(u, (1.0, 0.0, 0.0)), jets.Jet(v, (0.0, 1.0, 0.0)), S)
+        U, V, _ = jets.seed((u, v, 0.0), 1)
+        S = self._root_jet(U, V, s, slope, 1)
+        X = self.embed(U, V, S)
         # dx[:, i, k] = d_i X_k for the embedding, k = 3 the root; i = u, v
         _, dx = jets.taylor([*X, S], 1, u.shape)
         (x,) = jets.taylor(self.embed(u, v, s), 0, u.shape)
@@ -332,6 +330,30 @@ class SurfaceChart:
         g = self.metric.matrix(lift.point)
         e, fm = _quad(lift.tu, g, lift.tu), _quad(lift.tu, g, lift.tv)
         return np.stack([e, fm, fm, _quad(lift.tv, g, lift.tv)], axis=-1).reshape(-1, 2, 2)
+
+    def _sigma_taylor(self, u, v, depth: int):
+        """sigma and its first ``depth`` (1 or 2) chart derivatives on flat lanes, exact.
+
+        One solve; the root jet is seeded to depth + 1, so the tangents
+        T = dX/d(u, v) carry ``depth`` orders and sigma = T^T g(X) T is formed
+        in jet arithmetic. The surface points pass ``metric.matrix`` once
+        (domain and positivity, as ``_sigma`` checks them). Returns
+        ``depth + 1`` arrays: sigma[n, a, b], d_c sigma[n, c, a, b] and, at
+        depth 2, d_c d_e sigma[n, c, e, a, b].
+        """
+        s, slope = self._solve(u, v)
+        U, V, _ = jets.seed((u, v, 0.0), depth + 1)
+        X = self.embed(U, V, self._root_jet(U, V, s, slope, depth + 1))
+        self.metric.matrix(Point3(*(np.broadcast_to(jets.value(x), u.shape) for x in X)))
+        T = [[jets.peel_grad(x, a) for x in X] for a in (0, 1)]
+        g = self.metric.components(*(jets.peel_value(x) for x in X))
+        gT = [[g[i][0] * t[0] + g[i][1] * t[1] + g[i][2] * t[2] for i in range(3)] for t in T]
+        sigma = [T[a][0] * gT[b][0] + T[a][1] * gT[b][1] + T[a][2] * gT[b][2]
+                 for a, b in ((0, 0), (0, 1), (1, 1))]
+        # E, F, F, G over the chart slots u, v of the three seeded coordinates
+        return [d[(Ellipsis,) + (slice(0, 2),) * n + ([0, 1, 1, 2],)].reshape(
+                    (u.size,) + (2,) * n + (2, 2))
+                for n, d in enumerate(jets.taylor(sigma, depth, u.shape))]
 
     # -- public evaluations: (u, v) scalars or arrays of lines
 
@@ -358,64 +380,20 @@ class SurfaceChart:
         return self._sigma(self._lift(u, v)).reshape(shape + (2, 2))
 
 
-### Fourth-order stencils on chart evaluations
-
-_C1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_C2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_STEPS = np.arange(-2.0, 3.0)
+### Intrinsic geometry of the induced two-metric
 
 
-def _stencil(c: np.ndarray, line: np.ndarray) -> np.ndarray:
-    """Weights c contracted with the five samples of ``line[..., 5, 2, 2]``."""
-    return (c @ line.reshape(line.shape[:-2] + (4,))).reshape(line.shape[:-3] + (2, 2))
+def _surface_christoffel(sig: np.ndarray, dsig: np.ndarray) -> np.ndarray:
+    """gam[..., k, a, b] = Gamma^k_{ab} of the two-metric sig from its chart
+    derivatives dsig[..., c, a, b] = d_c sig_ab."""
+    return 0.5 * np.einsum("...kl,...alb->...kab", np.linalg.inv(sig), _first_kind(dsig))
 
 
-def _grid_lines(u, v, delta):
-    """Chart coordinates of the 5x5 stencil grids around (u, v), ``(..., 5, 5)`` each."""
-    d = np.asarray(delta, dtype=float)[..., None, None]
-    return np.broadcast_arrays(np.asarray(u, dtype=float)[..., None, None] + _STEPS[:, None] * d,
-                               np.asarray(v, dtype=float)[..., None, None] + _STEPS[None, :] * d)
-
-
-def _sigma_grid(chart: SurfaceChart, u, v, delta) -> np.ndarray:
-    """sigma on the 5x5 stencil grids around (u, v): ``(..., 5, 5, 2, 2)``, one chart call."""
-    return chart.sigma_at(*_grid_lines(u, v, delta))
-
-
-def _first_derivatives(S: np.ndarray, delta):
-    """sigma and its first chart derivatives from the cross of a 5x5 grid."""
-    d = np.asarray(delta, dtype=float)[..., None, None]
-    return (S[..., 2, 2, :, :], _stencil(_C1, S[..., :, 2, :, :]) / d,
-            _stencil(_C1, S[..., 2, :, :, :]) / d)
-
-
-def _sigma_first(chart: SurfaceChart, u, v, delta):
-    """sigma and its first chart derivatives from a 9-point cross, one chart call."""
-    u, v, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (u, v, delta)))
-    steps = delta[..., None] * _STEPS
-    on_u, on_v = u[..., None] + steps, v[..., None] + steps
-    cross = chart.sigma_at(  # the u line, then the v line without its center
-        np.concatenate([on_u, np.repeat(u[..., None], 4, axis=-1)], axis=-1),
-        np.concatenate([np.repeat(v[..., None], 5, axis=-1), on_v[..., [0, 1, 3, 4]]], axis=-1))
-    line_u = cross[..., :5, :, :]
-    line_v = cross[..., [5, 6, 2, 7, 8], :, :]
-    d = delta[..., None, None]
-    return line_u[..., 2, :, :], _stencil(_C1, line_u) / d, _stencil(_C1, line_v) / d
-
-
-def _surface_christoffel(sig: np.ndarray, d_u: np.ndarray, d_v: np.ndarray) -> np.ndarray:
-    """gam[..., k, a, b] = Gamma^k_{ab} of the two-metric sig from its chart derivatives."""
-    return 0.5 * np.einsum("...kl,...alb->...kab", np.linalg.inv(sig),
-                           _first_kind(np.stack((d_u, d_v), axis=-3)))
-
-
-def _brioschi(S: np.ndarray, delta) -> np.ndarray:
-    """Intrinsic curvature from the sigma grids ``S[..., 5, 5, 2, 2]`` (Brioschi formula)."""
-    d = np.asarray(delta, dtype=float)[..., None, None]
-    sig, d_u, d_v = _first_derivatives(S, delta)
-    d_uu = _stencil(_C2, S[..., :, 2, :, :]) / (d * d)
-    d_vv = _stencil(_C2, S[..., 2, :, :, :]) / (d * d)
-    d_uv = np.einsum("i,j,...ijab->...ab", _C1, _C1, S) / (d * d)
+def _brioschi(sig: np.ndarray, dsig: np.ndarray, d2sig: np.ndarray) -> np.ndarray:
+    """Intrinsic curvature from sigma and its first and second chart derivatives
+    (Brioschi formula)."""
+    d_u, d_v = dsig[..., 0, :, :], dsig[..., 1, :, :]
+    d_uu, d_uv, d_vv = d2sig[..., 0, 0, :, :], d2sig[..., 0, 1, :, :], d2sig[..., 1, 1, :, :]
 
     E, F, G = sig[..., 0, 0], sig[..., 0, 1], sig[..., 1, 1]
     zero = np.zeros_like(E)
@@ -434,14 +412,15 @@ def _brioschi(S: np.ndarray, delta) -> np.ndarray:
     return (np.linalg.det(M1) - np.linalg.det(M2)) / den
 
 
-def gaussian_curvature(chart: SurfaceChart, u, v, delta):
+def gaussian_curvature(chart: SurfaceChart, u, v):
     """Intrinsic curvature of the induced two-metric via the Brioschi formula.
 
-    (u, v) and the stencil steps ``delta`` may be arrays: all their stencils
-    take one chart call. A float for a single point.
+    (u, v) may be arrays: all their lines take one chart call. A float for a
+    single point.
     """
-    K = _brioschi(_sigma_grid(chart, u, v, delta), delta)
-    return K if np.ndim(K) else float(K)
+    shape, u, v = _lines(u, v)
+    K = _brioschi(*chart._sigma_taylor(u, v, 2)).reshape(shape)
+    return K if K.ndim else float(K)
 
 
 ### Regions and graph extraction
@@ -463,14 +442,6 @@ class AnnulusRegion:
         angs = 2.0 * np.pi * np.arange(n_angular) / n_angular
         return [(float(rho * math.cos(a)), float(rho * math.sin(a)))
                 for rho in rhos for a in angs]
-
-    def stencil_delta(self, u: float, v: float) -> float:
-        rho = math.hypot(u, v)
-        delta = min(0.02 * max(1.0, rho), (self.outer - rho) / 3.0, (rho - self.inner) / 3.0)
-        if delta <= 0:
-            raise ResolutionError(
-                f"stencil does not fit at rho = {rho:g} inside ({self.inner:g}, {self.outer:g})")
-        return delta
 
 
 @dataclass(frozen=True)
@@ -526,20 +497,19 @@ def _running_sum(terms: np.ndarray) -> float:
 def circle_turning(graph: SurfaceGraph, radius: float, n_angles: int = 256) -> CircleTurning:
     """Total geodesic curvature of the coordinate circle |(u, v)| = radius.
 
-    The stencils of all angles take one chart call.
+    The radius must lie inside the open annulus (ResolutionError otherwise);
+    all angles take one chart call.
     """
     region = graph.region
-    d = region.stencil_delta(radius, 0.0)
-    # the stencil reaches 2*delta in each chart direction from circle points
-    if radius + 2.0 * d * 1.5 >= region.outer or radius - 2.0 * d * 1.5 <= region.inner:
-        raise ResolutionError(
-            f"circle radius {radius:g} too close to the annulus edge for stencil {d:g}")
+    if not region.inner < radius < region.outer:
+        raise ResolutionError(f"circle radius {radius:g} outside the annulus "
+                              f"({region.inner:g}, {region.outer:g})")
 
     w = 2.0 * np.pi / n_angles
     lam = w * np.arange(n_angles)
     cl, sl = np.cos(lam), np.sin(lam)
-    sig, d_u, d_v = _sigma_first(graph.chart, radius * cl, radius * sl, d)
-    gam = _surface_christoffel(sig, d_u, d_v)
+    sig, dsig = graph.chart._sigma_taylor(radius * cl, radius * sl, 1)
+    gam = _surface_christoffel(sig, dsig)
     cp = np.stack([-radius * sl, radius * cl], axis=-1)
     cpp = np.stack([-radius * cl, -radius * sl], axis=-1)
     acc = cpp + np.einsum("...kab,...a,...b->...k", gam, cp, cp)
@@ -569,9 +539,8 @@ def gauss_bonnet_limit(graph: SurfaceGraph, radii, n_angles: int = 256) -> Gauss
     integrals = np.array([c.turning_integral for c in rows])
     lengths = np.array([c.length for c in rows])
     devs = np.array([c.mean_kappa_deviation for c in rows])
-    extrap = aitken_limit(integrals) if len(integrals) >= 3 else float(integrals[-1])
     return GaussBonnetReport(radii=radii, turning_integrals=integrals, lengths=lengths,
-                             kappa_deviations=devs, extrapolated=extrap,
+                             kappa_deviations=devs, extrapolated=aitken_limit(integrals),
                              deviation_decay_exponent=decay_exponent(radii, devs))
 
 
@@ -600,10 +569,9 @@ class ClosedComponent:
     def curvature_integral(self, n_polar: int = 16, n_azimuth: int = 32) -> float:
         """Integral of the intrinsic curvature over the component, one chart call."""
         th, ph, wt = self._nodes(n_polar, n_azimuth)
-        d = np.minimum(np.minimum(0.02, th / 3.0), (math.pi - th) / 3.0)
-        S = _sigma_grid(self.chart, th, ph, d)
-        area = np.sqrt(np.linalg.det(S[..., 2, 2, :, :]))
-        return _running_sum((wt * _brioschi(S, d) * area).ravel())
+        sig, dsig, d2sig = self.chart._sigma_taylor(th.ravel(), ph.ravel(), 2)
+        area = np.sqrt(np.linalg.det(sig))
+        return _running_sum(wt.ravel() * _brioschi(sig, dsig, d2sig) * area)
 
     def area(self, n_polar: int = 16, n_azimuth: int = 32) -> float:
         th, ph, wt = self._nodes(n_polar, n_azimuth)
@@ -691,20 +659,19 @@ def _adapted_frame(f: PotentialField, res: StaticResidual, lift: Lift):
 
 
 def zero_set_laws(f: PotentialField, metric: MetricField, chart: SurfaceChart,
-                  samples, deltas, static_tol: float = 1e-6) -> ZeroSetLawReport:
+                  samples, *, static_tol: float = 1e-6) -> ZeroSetLawReport:
     """Check the adapted-frame curvature relations along a zero set.
 
-    ``samples`` is a sequence of chart coordinates, ``deltas`` the matching
-    stencil steps for the intrinsic curvature. At each sample the normal must
-    be a Ricci eigenvector, the two tangential eigenvalues must coincide, and
-    the intrinsic curvature must equal both twice the tangential eigenvalue
-    and minus the normal one. The sample set takes one chart call for the
-    samples, one static pass and one chart call for the curvature stencils.
+    ``samples`` is a sequence of chart coordinates. At each sample the normal
+    must be a Ricci eigenvector, the two tangential eigenvalues must coincide,
+    and the intrinsic curvature must equal both twice the tangential
+    eigenvalue and minus the normal one. The sample set takes one chart call
+    for the samples, one static pass and one chart call for the intrinsic
+    curvature.
     Failures are reported stage by stage, at the first failing sample: a
     critical zero set before a failed static gate.
     """
     us, vs = np.array(samples, dtype=float).reshape(-1, 2).T
-    ds = np.asarray(deltas, dtype=float)
     lift = chart.lift(us, vs)
     res = static_residual(f, metric, lift.point)
     g, nu, gn, t1, t2 = _adapted_frame(f, res, lift)
@@ -714,7 +681,7 @@ def zero_set_laws(f: PotentialField, metric: MetricField, chart: SurfaceChart,
     r33 = _quad(nu, ric, nu)
     tang = np.maximum(np.abs(_quad(nu, ric, t1)), np.abs(_quad(nu, ric, t2)))
     resid = (ric @ nu[..., None])[..., 0] - r33[:, None] * (g @ nu[..., None])[..., 0]
-    ks = gaussian_curvature(chart, us, vs, ds)
+    ks = gaussian_curvature(chart, us, vs)
     spread = float((gn.max() - gn.min()) / max(abs(gn.mean()), 1e-300))
     return ZeroSetLawReport(grad_norms=gn, grad_norm_spread=spread,
                             tangential_ricci_max=tang,

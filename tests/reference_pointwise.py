@@ -6,7 +6,10 @@ extraction, the explicit 3^4 loop assembler, quadrature drivers that visit one
 node at a time, the recursive expression tree walker, the node-by-node
 linear-part fit, and the per-line surface chart: a sample-by-sample root scan
 refined by ``scipy.optimize.brentq``, tangents and sigma one line per call, and
-curvature stencils and turning integrals built one point at a time. It runs in
+fourth-order finite-difference stencils of sigma for the intrinsic and the
+circles' geodesic curvature, built one point at a time: the library takes
+those derivatives exactly from the root's Taylor jet, and the stencils are the
+independent oracle it must meet within their truncation error. It runs in
 plain Python arithmetic, so the batched paths can be checked against it entry
 by entry.
 It also keeps the static-gated identities as they were before they read the
@@ -557,19 +560,25 @@ def reference_sigma_at(chart, u: float, v: float) -> np.ndarray:
 
 ### Stencils of one sigma evaluation per chart point
 
-_C1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_C2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_D1_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+
+
+def reference_stencil_step(inner: float, outer: float, rho: float) -> float:
+    """Stencil step at base-plane radius rho of the annulus (inner, outer): 2 % of
+    max(1, rho), at most a third of the distance to either edge."""
+    return min(0.02 * max(1.0, rho), (outer - rho) / 3.0, (rho - inner) / 3.0)
 
 
 def reference_gaussian_curvature(chart, u: float, v: float, delta: float) -> float:
     S = np.array([[reference_sigma_at(chart, u + i * delta, v + j * delta)
                    for j in range(-2, 3)] for i in range(-2, 3)])
     sig = S[2, 2]
-    d_u = np.tensordot(_C1, S[:, 2], axes=(0, 0)) / delta
-    d_v = np.tensordot(_C1, S[2, :], axes=(0, 0)) / delta
-    d_uu = np.tensordot(_C2, S[:, 2], axes=(0, 0)) / (delta * delta)
-    d_vv = np.tensordot(_C2, S[2, :], axes=(0, 0)) / (delta * delta)
-    d_uv = np.einsum("i,j,ijab->ab", _C1, _C1, S) / (delta * delta)
+    d_u = np.tensordot(_D1_WEIGHTS, S[:, 2], axes=(0, 0)) / delta
+    d_v = np.tensordot(_D1_WEIGHTS, S[2, :], axes=(0, 0)) / delta
+    d_uu = np.tensordot(_D2_WEIGHTS, S[:, 2], axes=(0, 0)) / (delta * delta)
+    d_vv = np.tensordot(_D2_WEIGHTS, S[2, :], axes=(0, 0)) / (delta * delta)
+    d_uv = np.einsum("i,j,ijab->ab", _D1_WEIGHTS, _D1_WEIGHTS, S) / (delta * delta)
 
     E, F, G = sig[0, 0], sig[0, 1], sig[1, 1]
     M1 = np.array([
@@ -597,8 +606,9 @@ def reference_circle_turning(chart, radius: float, n_angles: int, d: float):
         line_u = np.array([reference_sigma_at(chart, u + i * d, v) for i in range(-2, 3)])
         line_v = np.array([reference_sigma_at(chart, u, v + j * d) for j in range(-2, 3)])
         sig = line_u[2]
-        gam = reference_surface_christoffel(sig, np.tensordot(_C1, line_u, axes=(0, 0)) / d,
-                                            np.tensordot(_C1, line_v, axes=(0, 0)) / d)
+        d_u = np.tensordot(_D1_WEIGHTS, line_u, axes=(0, 0)) / d
+        d_v = np.tensordot(_D1_WEIGHTS, line_v, axes=(0, 0)) / d
+        gam = reference_surface_christoffel(sig, d_u, d_v)
         cp = np.array([-radius * sl, radius * cl])
         cpp = np.array([-radius * cl, -radius * sl])
         acc = cpp + np.einsum("kab,a,b->k", gam, cp, cp)
@@ -689,9 +699,9 @@ def _adapted_frame(f: PotentialField, metric: MetricField, chart, u: float, v: f
 
 
 def reference_zero_set_laws(f: PotentialField, metric: MetricField, chart,
-                            samples, deltas, static_tol: float = 1e-6) -> ZeroSetLawReport:
+                            samples, *, static_tol: float = 1e-6) -> ZeroSetLawReport:
     gns, tang, eig_res, gaps, ks, km2, kp3 = [], [], [], [], [], [], []
-    for (u, v), d in zip(samples, deltas):
+    for u, v in samples:
         p, g, nu, gn, t1, t2 = _adapted_frame(f, metric, chart, u, v)
         require_static(f, metric, p, tol=static_tol)
         ric = curvature_at(metric, p).ricci
@@ -700,7 +710,7 @@ def reference_zero_set_laws(f: PotentialField, metric: MetricField, chart,
         r33 = float(nu @ ric @ nu)
         tang.append(max(abs(float(nu @ ric @ t1)), abs(float(nu @ ric @ t2))))
         eig_res.append(float(np.linalg.norm(ric @ nu - r33 * (g @ nu))))
-        K = gaussian_curvature(chart, u, v, d)
+        K = gaussian_curvature(chart, u, v)
         gns.append(gn)
         gaps.append(abs(r11 - r22))
         ks.append(K)

@@ -146,18 +146,18 @@ def test_c06_horizon_zero_set_laws():
                                        s_bracket=(0.25 * m, 0.8 * m),
                                        n_theta=6, n_phi=8)
     samples = [(0.8, 1.0), (1.5, 2.0), (2.0, 4.0)]
-    report = sp.zero_set_laws(f, g, comp.chart, samples, [0.04, 0.04, 0.04])
+    report = sp.zero_set_laws(f, g, comp.chart, samples)
     oracle = 1.0 / (4.0 * m)
     k_scale = 1.0 / (2.0 * m) ** 2
     grad_err = float(np.max(np.abs(report.grad_norms - oracle))) / oracle
     rel_2r11 = float(np.max(report.k_minus_2r11)) / k_scale
     rel_r33 = float(np.max(report.k_plus_r33)) / k_scale
-    ok = (report.grad_norm_spread < 1e-4 and grad_err < 1e-4
-          and rel_2r11 < 1e-4 and rel_r33 < 1e-4)
+    ok = (report.grad_norm_spread < 1e-10 and grad_err < 1e-10
+          and rel_2r11 < 1e-10 and rel_r33 < 1e-10)
     _criterion("horizon_zero_set_laws", ok,
                f"gradient spread {report.grad_norm_spread:.2e}, offset from "
                f"1/(4m) {grad_err:.2e}, K=2R11 gap {rel_2r11:.2e}, "
-               f"K=-R33 gap {rel_r33:.2e} (all < 1e-4 relative)")
+               f"K=-R33 gap {rel_r33:.2e} (all < 1e-10 relative)")
 
 
 def test_c07_turning_limit():

@@ -3,10 +3,13 @@
 The reference (``reference_pointwise``) solves one line per call with the
 sample-by-sample scan and ``scipy.optimize.brentq``, and builds tangents,
 sigma, curvature stencils and turning integrals one point at a time. The
-batched chart solves every line of a stencil set in one array pass with the
+batched chart solves every line of a point set in one array pass with the
 lane-wise Brent port ``zeroset.brentq``; it must agree with the reference to
 roundoff, fail with the reference's error of its first failing line, and the
-port must reproduce scipy's iterates bit for bit.
+port must reproduce scipy's iterates bit for bit. The library's curvatures
+take sigma's chart derivatives exactly from the root's Taylor jet; the
+reference's fourth-order stencils must meet them within their truncation
+error, estimated from the change between steps delta and 2 delta.
 """
 
 import math
@@ -20,7 +23,7 @@ from staticpot import zeroset
 
 from .reference_pointwise import (reference_circle_turning, reference_gaussian_curvature,
                                   reference_height_slopes, reference_point_at, reference_root,
-                                  reference_sigma_at, reference_tangents)
+                                  reference_sigma_at, reference_stencil_step, reference_tangents)
 from .test_zeroset import warped_chart
 
 
@@ -164,36 +167,41 @@ def test_lift_contract(build, monkeypatch):
     assert solves == [6]
 
 
-@pytest.mark.parametrize("build", [_log_graph, _horizon])
+def _stencil_curvature(chart, u, v, delta):
+    """The per-point stencil's curvature at step delta and a bound on its distance
+    from the exact value: the change from step delta to 2 delta, about 15 times
+    the fourth-order truncation error at delta, plus the roundoff of second
+    differences of sigma, which scale sigma's last bits by 1/delta^2."""
+    k, coarse = (reference_gaussian_curvature(chart, u, v, d) for d in (delta, 2.0 * delta))
+    sig = float(np.abs(reference_sigma_at(chart, u, v)).max())
+    return k, abs(coarse - k) + 64.0 * np.finfo(float).eps * sig / delta ** 2
+
+
+@pytest.mark.parametrize("build", CHARTS)
 def test_gaussian_curvature_matches_per_point_stencils(build):
     chart, uv, delta = build()
     uv = uv[:4]
-    got = zeroset.gaussian_curvature(chart, uv[:, 0], uv[:, 1], delta)
-    assert _close(got, [reference_gaussian_curvature(chart, a, b, delta) for a, b in uv])
-
-
-def test_gaussian_curvature_on_warped_strip_within_stencil_roundoff():
-    # the strip's metric and potential take x2 ** (4/3) and x2 ** (2/3): numpy's
-    # array power and Python's float power differ in the last bit on some
-    # inputs, so sigma agrees to 1e-14 while the second differences of the
-    # curvature stencil scale such a last-bit difference by 1/delta^2
-    chart, uv, delta = _warped_strip()
-    uv = uv[:4]
-    got = zeroset.gaussian_curvature(chart, uv[:, 0], uv[:, 1], delta)
-    want = np.array([reference_gaussian_curvature(chart, a, b, delta) for a, b in uv])
-    sig = max(float(np.abs(reference_sigma_at(chart, a, b)).max()) for a, b in uv)
-    assert np.all(np.abs(got - want) <= 64.0 * np.finfo(float).eps * sig / delta ** 2)
+    got = zeroset.gaussian_curvature(chart, uv[:, 0], uv[:, 1])
+    assert got.shape == (4,)
+    for k, (a, b) in zip(got, uv):
+        want, bound = _stencil_curvature(chart, a, b, delta)
+        assert abs(k - want) <= bound
+    assert isinstance(zeroset.gaussian_curvature(chart, uv[0, 0], uv[0, 1]), float)
 
 
 def test_circle_turning_matches_per_angle_loop():
+    # the length reads sigma alone, so the two steps agree on it and it must
+    # match to roundoff; the turning integral and the deviations read d sigma
     graph = _suite_graph()
+    region = graph.region
     for radius in (50.0, 200.0):
         got = sp.circle_turning(graph, radius, n_angles=16)
-        want = reference_circle_turning(graph.chart, radius, 16,
-                                        graph.region.stencil_delta(radius, 0.0))
-        assert _close(got.turning_integral, want[0])
-        assert _close(got.length, want[1])
-        assert _close(got.mean_kappa_deviation, want[2])
+        d = reference_stencil_step(region.inner, region.outer, radius)
+        want = reference_circle_turning(graph.chart, radius, 16, d)
+        coarse = reference_circle_turning(graph.chart, radius, 16, 2.0 * d)
+        for x, y, z in zip((got.turning_integral, got.length, got.mean_kappa_deviation),
+                           want, coarse):
+            assert abs(x - y) <= abs(z - y) + 1e-14 * abs(y)
 
 
 def test_closed_component_area_and_curvature_match_per_point_loops():
@@ -202,15 +210,17 @@ def test_closed_component_area_and_curvature_match_per_point_loops():
                                        (0.0, 0.0, 0.0), s_bracket=(0.5, 1.6), n_theta=4, n_phi=8)
     xi, wxi = np.polynomial.legendre.leggauss(3)
     wph = 2.0 * np.pi / 4
-    area = total = 0.0
+    area = total = bound = 0.0
     for th, wt in zip(0.5 * math.pi * (xi + 1.0), 0.5 * math.pi * wxi):
         d = min(0.02, th / 3.0, (math.pi - th) / 3.0)
         for ph in 2.0 * np.pi * np.arange(4) / 4:
             dA = math.sqrt(float(np.linalg.det(reference_sigma_at(comp.chart, th, ph))))
             area += wt * wph * dA
-            total += wt * wph * reference_gaussian_curvature(comp.chart, th, ph, d) * dA
+            k, err = _stencil_curvature(comp.chart, th, ph, d)
+            total += wt * wph * k * dA
+            bound += wt * wph * err * dA
     assert _close(comp.area(3, 4), area)
-    assert _close(comp.curvature_integral(3, 4), total)
+    assert abs(comp.curvature_integral(3, 4) - total) <= bound
 
 
 ### A batch fails with its first failing line's error

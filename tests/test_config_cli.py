@@ -291,7 +291,7 @@ class TestCommandLine:
         ("mass_fit", "window = 400, 50"),
         ("zero_set_gauss_bonnet", "bracket = -8"),
         ("flow_classify", "start = 0,0,0"),
-        ("zero_set_gauss_bonnet", "radii = 50, 100, 490"),
+        ("zero_set_gauss_bonnet", "radii = 50, 100, 500"),
         ("flow_classify", "start = 1, 2, 3, 4"),
         ("mass_fit", "window = 50, 50"),
         ("anisotropy_limit", "heights = ,"),

@@ -147,7 +147,7 @@ def _warped_strip():
     g, f = _warped()
     chart = zeroset.SurfaceChart(f, g, embed=lambda u, v, s: (s, u, v),
                                  bracket=(-1.0, 1.0), label="strip")
-    return f, g, chart, [(1.0, 0.0), (2.0, 1.0), (3.0, -2.0)], [0.02, 0.05, 0.08]
+    return f, g, chart, [(1.0, 0.0), (2.0, 1.0), (3.0, -2.0)]
 
 
 def _horizon():
@@ -155,16 +155,16 @@ def _horizon():
     f = sp.schwarzschild_potential(1.0)
     comp = sp.extract_closed_component(f, g, (0.0, 0.0, 0.0), s_bracket=(0.25, 0.8),
                                        n_theta=6, n_phi=8)
-    return f, g, comp.chart, [(0.8, 1.0), (1.5, 2.0), (2.0, 4.0)], [0.05, 0.05, 0.05]
+    return f, g, comp.chart, [(0.8, 1.0), (1.5, 2.0), (2.0, 4.0)]
 
 
 @pytest.mark.parametrize("build", [_warped_strip, _horizon])
 def test_zero_set_laws_match_reference(build):
     # |grad f|_g is grad @ inv(g) @ grad in the shared form, where the old
     # frame associated it as grad @ (inv(g) @ grad): a last-bit difference
-    f, g, chart, samples, deltas = build()
-    a = sp.zero_set_laws(f, g, chart, samples, deltas)
-    b = reference_zero_set_laws(f, g, chart, samples, deltas)
+    f, g, chart, samples = build()
+    a = sp.zero_set_laws(f, g, chart, samples)
+    b = reference_zero_set_laws(f, g, chart, samples)
     assert np.allclose(a.grad_norms, b.grad_norms, rtol=1e-14, atol=0.0)
     assert _same(a.k_values, b.k_values)
     for field in ("tangential_ricci_max", "eigen_residuals", "r11_r22_gaps",
@@ -175,14 +175,13 @@ def test_zero_set_laws_match_reference(build):
 
 
 def test_zero_set_laws_errors_match_reference():
-    f, g, chart, samples, deltas = _warped_strip()
+    f, g, chart, samples = _warped_strip()
     bent = sp.PotentialField(lambda x1, x2, x3: x1 * x2 ** (2.0 / 3.0) + 1e-3 * x1 * x1,
                              label="bent f")
     bent_chart = zeroset.SurfaceChart(bent, g, embed=lambda u, v, s: (s, u, v),
                                       bracket=(-1.0, 1.0), label="bent")
-    a = _outcome(sp.zero_set_laws, bent, g, bent_chart, samples, deltas, static_tol=1e-12)
-    b = _outcome(reference_zero_set_laws, bent, g, bent_chart, samples, deltas,
-                 static_tol=1e-12)
+    a = _outcome(sp.zero_set_laws, bent, g, bent_chart, samples, static_tol=1e-12)
+    b = _outcome(reference_zero_set_laws, bent, g, bent_chart, samples, static_tol=1e-12)
     assert isinstance(a, tuple) and a[0] is sp.NotStaticError and a == b
 
 
@@ -192,7 +191,7 @@ def test_surface_christoffel_matches_loop():
         a = rng.normal(size=(2, 2))
         sig = a @ a.T + 0.1 * np.eye(2)
         d_u, d_v = (0.5 * (m + m.T) for m in rng.normal(size=(2, 2, 2)) * 10.0 ** rng.uniform(-3, 3))
-        assert _same(zeroset._surface_christoffel(sig, d_u, d_v),
+        assert _same(zeroset._surface_christoffel(sig, np.stack((d_u, d_v))),
                      reference_surface_christoffel(sig, d_u, d_v))
 
 
@@ -475,33 +474,33 @@ def test_integral_identity_gate_error_matches_probe_loop():
 
 
 def test_zero_set_laws_one_curvature_per_sample(counts):
-    f, g, chart, samples, deltas = _warped_strip()
-    sp.zero_set_laws(f, g, chart, samples[:1], deltas[:1])
+    f, g, chart, samples = _warped_strip()
+    sp.zero_set_laws(f, g, chart, samples[:1])
     assert counts["curvature_at"] == 1
 
 
 def test_zero_set_laws_frame_reads_the_static_pass(counts):
     # the adapted frame takes g and grad f from the static pass: past the
-    # intrinsic curvature stencils, no metric or gradient evaluation is left,
-    # and the whole sample set takes one curvature pass
-    f, g, chart, samples, deltas = _warped_strip()
+    # intrinsic curvature's one metric check, no metric or gradient evaluation
+    # is left, and the whole sample set takes one curvature pass
+    f, g, chart, samples = _warped_strip()
     us, vs = np.array(samples).T
-    zeroset.gaussian_curvature(chart, us, vs, np.array(deltas))
-    stencils = dict(counts)
+    zeroset.gaussian_curvature(chart, us, vs)
+    intrinsic = dict(counts)
     counts.clear()
-    sp.zero_set_laws(f, g, chart, samples, deltas)
-    assert counts.get("matrix", 0) == stencils.get("matrix", 0) == 1
-    assert counts.get("gradient", 0) == stencils.get("gradient", 0) == 0
+    sp.zero_set_laws(f, g, chart, samples)
+    assert counts.get("matrix", 0) == intrinsic.get("matrix", 0) == 1
+    assert counts.get("gradient", 0) == intrinsic.get("gradient", 0) == 0
     assert counts["curvature_at"] == 1
 
 
 def test_zero_set_laws_reports_a_critical_zero_set_before_the_gate():
     # grad f vanishes on x1 = 0 and f = x1^2 is not static: the frame's
     # CriticalOnZeroSetError comes first, as in the reference
-    f, g, chart, samples, deltas = _warped_strip()
+    f, g, chart, samples = _warped_strip()
     flat = sp.PotentialField(lambda x1, x2, x3: x1 * x1 + 0.0 * x2, label="flat f")
-    a = _outcome(sp.zero_set_laws, flat, g, chart, samples[:1], deltas[:1])
-    b = _outcome(reference_zero_set_laws, flat, g, chart, samples[:1], deltas[:1])
+    a = _outcome(sp.zero_set_laws, flat, g, chart, samples[:1])
+    b = _outcome(reference_zero_set_laws, flat, g, chart, samples[:1])
     assert isinstance(a, tuple) and a[0] is sp.CriticalOnZeroSetError and a == b
 
 

@@ -170,6 +170,22 @@ class TestPerturbedDecay:
         with pytest.raises(ValueError):
             PerturbationTerm(0, 0, 0.1, (2, 1, 0))
 
+    def test_term_indices_are_integers(self):
+        # a fractional index is refused; an integral float one indexes as its int
+        for i, j in [(0.5, 0), (1, 1.5)]:
+            with pytest.raises(ValueError, match="integers in 0..2"):
+                PerturbationTerm(i, j, 0.1)
+        floats = [PerturbationTerm(1.0, 0, 0.1), PerturbationTerm(2.0, 1.0, 0.2, (1, 0, 0))]
+        ints = [PerturbationTerm(1, 0, 0.1), PerturbationTerm(2, 1, 0.2, (1, 0, 0))]
+        assert [type(k) for t in floats for k in (t.i, t.j)] == [int] * 4
+        points = Point3.stack([(3.0, 1.0, 0.0), (-4.0, 0.5, 5.0)])
+        a = sp.curvature_at(sp.perturbed_as(1.0, floats), points)
+        b = sp.curvature_at(sp.perturbed_as(1.0, ints), points)
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, np.ndarray):
+                assert x.tobytes() == y.tobytes(), field.name
+
     def test_integral_float_powers_act_as_ints(self):
         floats = [PerturbationTerm(0, 2, 0.3, (1.0, 0.0, 1.0)),
                   PerturbationTerm(1, 1, -0.2, (0.0, 2.0, 0.0))]

@@ -48,8 +48,8 @@ class TestGraphExtraction:
         graph = sp.extract_zero_graph(f, g, region, n_u=4, n_v=8,
                                       bracket=(-4.0, 2.0))
         for rho in (1.5, 2.0, 4.0):
-            K = zeroset.gaussian_curvature(graph.chart, 0.0, rho, 0.01)
-            assert K == pytest.approx(-1.0 / (rho * rho + 1.0) ** 2, abs=1e-7)
+            K = zeroset.gaussian_curvature(graph.chart, 0.0, rho)
+            assert K == pytest.approx(-1.0 / (rho * rho + 1.0) ** 2, rel=1e-12)
 
     def test_turning_integral_closed_form(self):
         g = sp.euclidean()
@@ -133,7 +133,11 @@ class TestClosedComponent:
         # area of the minimal sphere is 16 pi m^2
         assert comp.area() == pytest.approx(16.0 * math.pi * m * m, rel=1e-10)
         # total curvature 4 pi, i.e. K = 1 / (2m)^2 pointwise
-        assert comp.curvature_integral() == pytest.approx(4.0 * math.pi, rel=1e-4)
+        assert comp.curvature_integral() == pytest.approx(4.0 * math.pi, rel=1e-12)
+        th, ph = np.meshgrid(np.linspace(0.3, 2.8, 5), np.linspace(0.0, 6.0, 4))
+        K = zeroset.gaussian_curvature(comp.chart, th, ph)
+        assert K.shape == th.shape
+        assert np.allclose(K, 1.0 / (2.0 * m) ** 2, rtol=1e-12, atol=0.0)
 
     def test_critical_zero_set_rejected(self):
         g = sp.euclidean()
@@ -151,18 +155,18 @@ class TestAdaptedLaws:
     def test_zero_set_laws_on_warped_strip(self):
         g, f, chart = warped_chart()
         samples = [(1.0, 0.0), (2.0, 1.0), (3.0, -2.0), (1.5, 3.0)]
-        deltas = [0.02, 0.05, 0.08, 0.03]
-        report = sp.zero_set_laws(f, g, chart, samples, deltas)
+        report = sp.zero_set_laws(f, g, chart, samples)
         # |grad f| = 1 along the strip in this chart
         assert np.allclose(report.grad_norms, 1.0, atol=1e-10)
         assert report.grad_norm_spread < 1e-10
         assert np.max(report.tangential_ricci_max) < 1e-9
         assert np.max(report.eigen_residuals) < 1e-9
         assert np.max(report.r11_r22_gaps) < 1e-9
+        k_scale = float(np.max(np.abs(report.k_values)))
         for (u, v), K in zip(samples, report.k_values):
-            assert K == pytest.approx(-4.0 / (9.0 * u * u), rel=1e-5)
-        assert np.max(report.k_minus_2r11) < 1e-5
-        assert np.max(report.k_plus_r33) < 1e-5
+            assert K == pytest.approx(-4.0 / (9.0 * u * u), rel=1e-12)
+        assert np.max(report.k_minus_2r11) < 1e-12 * k_scale
+        assert np.max(report.k_plus_r33) < 1e-12 * k_scale
 
     def test_zero_set_laws_on_horizon(self):
         m = 1.0
@@ -172,17 +176,31 @@ class TestAdaptedLaws:
                                            s_bracket=(0.25 * m, 0.8 * m),
                                            n_theta=6, n_phi=8)
         samples = [(0.8, 1.0), (1.5, 2.0), (2.0, 4.0)]
-        deltas = [0.05, 0.05, 0.05]
-        report = sp.zero_set_laws(f, g, comp.chart, samples, deltas)
+        report = sp.zero_set_laws(f, g, comp.chart, samples)
         assert np.allclose(report.grad_norms, 0.25, atol=1e-10)
         assert np.max(report.eigen_residuals) < 1e-9
         K_expected = 1.0 / (2.0 * m) ** 2
         for K in report.k_values:
-            assert K == pytest.approx(K_expected, rel=1e-4)
+            assert K == pytest.approx(K_expected, rel=1e-12)
+        assert np.max(report.k_minus_2r11) < 1e-12 * K_expected
+        assert np.max(report.k_plus_r33) < 1e-12 * K_expected
+
+    def test_static_tol_is_keyword_only(self):
+        # a stale positional list (the old stencil steps) must not become static_tol
+        g, f, chart = warped_chart()
+        with pytest.raises(TypeError):
+            sp.zero_set_laws(f, g, chart, [(1.0, 0.0)], [0.02])
+        report = sp.zero_set_laws(f, g, chart, [(1.0, 0.0)], static_tol=1e-8)
+        assert report.k_values.shape == (1,)
 
 
 class TestRegions:
     def test_annulus_rejects_outside_points(self):
-        region = sp.AnnulusRegion(2.0, 10.0)
-        with pytest.raises(sp.ResolutionError):
-            region.stencil_delta(0.5, 0.0)
+        # a circle must lie inside the open annulus, edges excluded
+        graph = sp.extract_zero_graph(log_graph_potential(), sp.euclidean(),
+                                      sp.AnnulusRegion(2.0, 10.0), n_u=2, n_v=4,
+                                      bracket=(-4.0, 2.0))
+        for radius in (0.5, 2.0, 10.0, 12.0):
+            with pytest.raises(sp.ResolutionError, match="outside the annulus"):
+                sp.circle_turning(graph, radius, n_angles=8)
+        assert sp.circle_turning(graph, 2.0 + 1e-9, n_angles=8).length > 0.0

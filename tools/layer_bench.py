@@ -18,7 +18,12 @@ the Schwarzschild potential on ``schwarzschild(1)`` and for the sink control
 suite. A fourth table gives the microseconds per call of the metric's
 positive-definiteness check, ``geometry._check_positive``, on the two metrics:
 on one metric matrix, over the same 200 points, and on the batch of 1,000
-matrices in one call. Points lie at r in [3, 6]. Each figure is the best of
+matrices in one call. Points lie at r in [3, 6]. A fifth table gives the
+microseconds per call of the zero-set curvatures: ``gaussian_curvature`` on
+200 points of the horizon of ``schwarzschild(2)`` (one call),
+``zero_set_laws`` on 3 horizon samples, and one 128-angle ``circle_turning``
+at radius 100 on the graph of the ``zero_set_gauss_bonnet`` suite's default
+config. Each figure is the best of
 ``--repeat`` timed rounds, so it shows the layer's cost, not the host's noise. The library
 is imported from ``src/`` of this checkout.
 """
@@ -37,7 +42,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 
 from perfbench.workloads import PERTURBATION  # noqa: E402
-from staticpot import geodesics, geometry, global_checks, potentials  # noqa: E402
+from staticpot import cli, geodesics, geometry, global_checks, potentials, zeroset  # noqa: E402
 
 N_SINGLE, N_BATCH = 200, 1000
 
@@ -117,7 +122,30 @@ def main(argv=None) -> int:
 
         one = _best(single, args.repeat) / N_SINGLE * 1e6
         print(f"{name:<24}{one:>21.2f}{_best(batched, args.repeat) * 1e6:>21.1f}")
+    _zero_set_table(args.repeat)
     return 0
+
+
+def _zero_set_table(repeat):
+    g = geometry.schwarzschild(2.0, exterior_only=False)
+    f = potentials.schwarzschild_potential(2.0)
+    horizon = zeroset.extract_closed_component(f, g, (0.0, 0.0, 0.0), s_bracket=(0.5, 1.6))
+    rng = np.random.default_rng(5)
+    th, ph = rng.uniform(0.3, 2.8, N_SINGLE), rng.uniform(0.0, 2.0 * np.pi, N_SINGLE)
+    samples = [(0.8, 1.0), (1.5, 2.0), (2.0, 4.0)]
+    graph = zeroset.extract_zero_graph(
+        potentials.expression_potential(cli._GRAPH_EXPR), geometry.schwarzschild(2.0),
+        zeroset.AnnulusRegion(30.0, 500.0), (-8.0, 0.0), n_u=4, n_v=8)
+    calls = {
+        f"gaussian_curvature, {N_SINGLE} pts":
+            lambda: zeroset.gaussian_curvature(horizon.chart, th, ph),
+        "zero_set_laws, 3 samples":
+            lambda: zeroset.zero_set_laws(f, g, horizon.chart, samples),
+        "circle_turning, 128 angles": lambda: zeroset.circle_turning(graph, 100.0, 128),
+    }
+    print(f"\n{'zero-set call':<32}{'us per call':>13}")
+    for name, call in calls.items():
+        print(f"{name:<32}{_best(call, repeat) * 1e6:>13.0f}")
 
 
 if __name__ == "__main__":
