@@ -279,7 +279,8 @@ _CHART_DECAY = -1.0  # the Schwarzschild chart's deviation from flat decays like
 
 def _suite_zero_set_gauss_bonnet(c, rng):
     lo, hi = c.bracket
-    # the decay exponent is a line fit through the radii
+    # the decay exponent is a line fit through the radii; gauss_bonnet_limit
+    # refuses radii whose last three are not geometric, before any circle
     if len(set(c.radii)) != len(c.radii) or len(c.radii) < 2:
         raise ConfigError(f"need at least two radii, all distinct, got radii = {_listed(c.radii)}")
     metric = geometry.schwarzschild(c.mass)

@@ -20,7 +20,8 @@ from .errors import (DegenerateConformalError, IllConditionedFitError, Resolutio
 from .geodesics import one_lane, solve_ivp
 from .geometry import (MetricField, Point3, _first_flagged, _metric_taylor, curvature_at,
                        generic_metric)
-from .potentials import PotentialField, _norm_g, _pair, fit_linear_part, require_static
+from .potentials import (PotentialField, _norm_g, _norm_ginv, _pair, fit_linear_part,
+                         require_static)
 from .quadrature import (SphereRule, flux_integral, inverse_power_fit, sphere_average,
                          sphere_rule, volume_integral)
 from .zeroset import SurfaceGraph, _quad, extract_closed_component
@@ -334,9 +335,10 @@ def flow_classify(f: PotentialField, metric: MetricField, point,
     point's chart radius raises ValueError: the flow could never cross it.
     Each solver stage reads g and the gradient of f at its one point from one
     component pass and one depth-1 jet of f (``_flow_terms``), with no domain
-    check. The trace keeps every k-th solver step, k = max(1, steps // 400),
-    and the last, and evaluates f and |grad f|_g on all of them in one batched
-    pass.
+    check; the critical-point event at each accepted step's end reuses the
+    read of the step's last stage. The trace keeps every k-th solver step,
+    k = max(1, steps // 400), and the last, and evaluates f and |grad f|_g on
+    all of them in one batched pass.
     """
     p0 = Point3.of(point)
     metric.matrix(p0)  # validates the start point
@@ -348,8 +350,8 @@ def flow_classify(f: PotentialField, metric: MetricField, point,
     def ev_escape(t, y):
         return math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2) - budget.r_escape
 
-    def ev_critical(t, y):
-        return _norm_g(*_flow_terms(metric, f, y)) - _FLOW_GRAD_FLOOR
+    def ev_critical(t, y):   # at a step's end, the inv(g) and grad its last stage read
+        return _norm_ginv(*rhs.read(y)) - _FLOW_GRAD_FLOOR
 
     def ev_boundary(t, y):
         return metric.boundary_margin(Point3(y[0], y[1], y[2]))
@@ -413,14 +415,37 @@ def _flow_terms(metric: MetricField, f: PotentialField, y):
     return g, grad
 
 
+def _flow_reader(metric: MetricField, f: PotentialField):
+    """``read(y)``: inv(g) and the gradient of f at one state row y, from
+    ``_flow_terms``, remembered for the last row read. A second read of the
+    same row, bit for bit, returns the first read's arrays without evaluating
+    them again."""
+    last = [None, None]   # the row's bytes and its (inv(g), grad)
+
+    def read(y):
+        key = y.tobytes()
+        if key != last[0]:
+            g, grad = _flow_terms(metric, f, y)
+            last[:] = key, (np.linalg.inv(g), grad)
+        return last[1]
+
+    return read
+
+
 def _flow_rhs(metric: MetricField, f: PotentialField):
     """The flow's right-hand side y' = g^-1 df. It keeps ``np.linalg.inv``:
     a solve or an adjugate rounds differently, and the adaptive step control
-    would then move the trace's sample times."""
-    def rhs(t, y):
-        g, grad = _flow_terms(metric, f, y)
-        return np.linalg.inv(g) @ grad
+    would then move the trace's sample times. ``rhs.read`` is its reader
+    (``_flow_reader``): an event at an accepted step's end, where the step's
+    first-same-as-last stage has just read the state row, takes inv(g) and
+    the gradient from it, without a second ``_flow_terms`` or inverse."""
+    read = _flow_reader(metric, f)
 
+    def rhs(t, y):
+        ginv, grad = read(y)
+        return ginv @ grad
+
+    rhs.read = read
     return rhs
 
 

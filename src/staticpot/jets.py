@@ -450,7 +450,7 @@ def power(x, p):
     return y
 
 
-_E = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_E0, _E1, _E2 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
 
 def seed(coords, depth):
@@ -463,13 +463,20 @@ def seed(coords, depth):
     (floats, arrays) are kept as they are; ``depth=0`` returns them with no
     jet levels.
     """
-    xs = [float(x) if isinstance(x, np.generic) else x for x in coords]
+    x, y, z = coords
+    if isinstance(x, np.generic):
+        x = float(x)
+    if isinstance(y, np.generic):
+        y = float(y)
+    if isinstance(z, np.generic):
+        z = float(z)
     if depth == 1:
-        return [Jet(x, e) for x, e in zip(xs, _E)]
-    if depth >= 2:
-        xs = [Jet2(x, e, e, None) for x, e in zip(xs, _E)]
-        for _ in range(depth - 2):
-            xs = [Jet(x, e) for x, e in zip(xs, _E)]
+        return [Jet(x, _E0), Jet(y, _E1), Jet(z, _E2)]
+    if depth < 1:
+        return [x, y, z]
+    xs = [Jet2(x, _E0, _E0, None), Jet2(y, _E1, _E1, None), Jet2(z, _E2, _E2, None)]
+    for _ in range(depth - 2):
+        xs = [Jet(xs[0], _E0), Jet(xs[1], _E1), Jet(xs[2], _E2)]
     return xs
 
 

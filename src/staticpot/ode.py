@@ -15,7 +15,16 @@ Bit identity rests on doing each lane's arithmetic in scipy's order with the
 same kernels: stage sums are ``np.matmul`` on the ``(lanes, n, stages)``
 transposed view (the BLAS call ``np.dot`` makes on one lane), RMS norms are
 ``sqrt(vecdot(x, x))`` as ``np.linalg.norm`` computes them, and every
-fractional power is the scalar power lane by lane (``_pow``).
+fractional power is the scalar power lane by lane (``_power``).
+
+Output at ``t_eval`` takes one dense pass per solve. A step that passes
+points keeps its interpolant rows (F, t_old, h, y_old) and, per lane, the
+range of points it passed; after the loop one ``_dense`` call evaluates every
+point from its step's row, and the stable lane sort that orders the output
+groups them by lane. Dense output is elementwise, so a point gets scipy's bits
+however many points share the call. Event roots are located at once, in the
+step that crosses them: each objective evaluation of the root search, and the
+state at the root, is a ``_dense`` call on that step's rows.
 
 The Butcher, error and interpolation tables below are copied from scipy's
 ``scipy/integrate/_ivp/dop853_coefficients.py``, distributed under this licence:
@@ -329,28 +338,34 @@ def _sums(K: np.ndarray):
     """``sums(s, w)``: each lane's first s stages weighted by w.
 
     This is scipy's ``np.dot(K[:s].T, w)`` on each lane: that BLAS call on the
-    same column-major (n, s) layout, through ``np.dot`` for one lane (the lower
-    overhead) and ``np.matmul`` over the lanes otherwise. A stage-major layout
-    would hand the BLAS another leading dimension, and other roundings.
+    same column-major (n, s) layout, sliced from one (lanes, n, stages) view,
+    through ``np.dot`` for one lane (the lower overhead) and ``np.matmul`` over
+    the lanes otherwise. A stage-major layout would hand the BLAS another
+    leading dimension, and other roundings.
     """
-    if K.shape[1] == 1:
-        K1 = K[:, 0]
-        return lambda s, w: np.dot(K1[:s].T, w)
     KT = K.transpose(1, 2, 0)
+    if K.shape[1] == 1:
+        KT1 = KT[0]
+        return lambda s, w: np.dot(KT1[:, :s], w)
     return lambda s, w: np.matmul(KT[:, :, :s], w)
 
 
-def _dense(F: np.ndarray, t_old: np.ndarray, h: np.ndarray, y_old: np.ndarray,
+def _dense(F: np.ndarray, t_old: np.ndarray, h: np.ndarray, y_old: np.ndarray, rows,
            t: np.ndarray) -> np.ndarray:
-    """scipy's ``Dop853DenseOutput`` at the times ``t``: one row of F, t_old, h
-    and y_old per time, or a single row for all of them."""
-    x = ((t - t_old) / h)[:, None]
+    """scipy's ``Dop853DenseOutput`` at the times ``t``, each from its
+    interpolant row: ``rows`` holds one index into F, t_old, h and y_old per
+    time. Every operation is elementwise, so a time gets the same bits however
+    many others share the call; the sums run on (n, times) arrays, whose inner
+    loops run over the times, and gather one coefficient at a time."""
+    x = (t - t_old[rows]) / h[rows]
     rx = 1 - x
-    y = np.zeros((len(t), F.shape[2]))
+    FT = F.transpose(1, 2, 0)   # (coefficients, n, rows)
+    y = np.zeros((F.shape[2], len(t)))
     for i in range(INTERPOLATOR_POWER):
-        y += F[:, INTERPOLATOR_POWER - 1 - i]
+        y += FT[INTERPOLATOR_POWER - 1 - i].take(rows, axis=1)
         y *= rx if i % 2 else x
-    return y + y_old
+    y += y_old.T.take(rows, axis=1)
+    return y.T.copy()
 
 
 def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=None,
@@ -366,8 +381,11 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
     times; without it each lane reports its accepted steps.
 
     Each lane's step control is scipy's scalar code on Python floats; the
-    stages, error estimate and dense output are array passes over the lanes
-    attempting a step. Integration runs forward only: raises ValueError for a
+    stages, error estimate and dense-output stages are array passes over the
+    lanes attempting a step. The ``t_eval`` points are evaluated after the
+    loop, all in one ``_dense`` call from the interpolant rows the steps that
+    passed them kept; only event roots read a step's dense output during the
+    loop. Integration runs forward only: raises ValueError for a
     non-finite span, one with t1 <= t0, a non-finite ``y0``, or a ``t_eval``
     outside the span or not ascending.
     """
@@ -419,8 +437,12 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
         g = [list(v) for v in zip(*(values(ev, t, y0, every) for ev, _ in events))]
         t_events = [[[] for _ in events] for _ in range(n_lanes)]
         y_events = [[[] for _ in events] for _ in range(n_lanes)]
-    # output points as chunks of (lanes, times, states), sorted by lane at the end
+    # output points as chunks of (lanes, times, states), sorted by lane at the
+    # end; with t_eval, the interpolant rows (F, t_old, h, y_old) of the steps
+    # that passed points and, flat, each lane's (lane, row, first, last) of
+    # the points a step passed, all evaluated after the loop in one dense pass
     chunks = [] if t_eval is not None else [(every, t, y0)]
+    held, passed, n_held = [], [], 0
 
     run = list(range(n_lanes))
     while run:
@@ -451,7 +473,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
         lanes = every[ix]
         ti, yi, fi = t[ix], y[ix], f[ix]
         h, t_new = np.array(hs), np.array(t_news)
-        hc = h[:, None]
+        hc = hs[0] if k == 1 else h[:, None]   # a float scales one lane's (n,) sums alike
         tc = C_COLUMN * h + ti   # stage times t + c h
 
         K = _stage_store(k, n)
@@ -496,14 +518,14 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
 
         # the accepted steps
         if len(ok) == k:
-            acc, acc_ix = go, ix
+            acc, acc_ix, acc_lanes = go, ix, lanes
         else:
             sel = np.array(ok)
             ti, yi, fi, h, t_new, y_new, f_new = (
                 x[sel] for x in (ti, yi, fi, h, t_new, y_new, f_new))
             K = _take(K, sel)
             acc = [go[j] for j in ok]
-            acc_ix = np.array(acc)
+            acc_ix = acc_lanes = np.array(acc)
         if isinstance(acc_ix, slice):
             t, y, f = t_new, y_new, f_new
         else:
@@ -517,7 +539,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
         # the dense output is needed where an event fired or t_eval points were passed
         fired = [None] * len(acc)
         if events:
-            g_new = list(zip(*(values(ev, t_new, y_new, every[acc_ix]) for ev, _ in events)))
+            g_new = list(zip(*(values(ev, t_new, y_new, acc_lanes) for ev, _ in events)))
             for j, lane in enumerate(acc):   # scipy's find_active_events
                 fired[j] = [e for e, (a, b, d) in enumerate(zip(g[lane], g_new[j], dirs))
                             if (a <= 0 and b >= 0 and d >= 0) or (a >= 0 and b <= 0 and d <= 0)]
@@ -530,11 +552,11 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
         if dj:
             # dense output of those steps: three more stages each
             if len(dj) == len(acc):
-                d_ix, Kd, td, yd, hd, fd, ynd, fnd, tnd = (
-                    acc_ix, K, ti, yi, h, fi, y_new, f_new, t_new)
+                d_lanes, Kd, td, yd, hd, fd, ynd, fnd, tnd = (
+                    acc_lanes, K, ti, yi, h, fi, y_new, f_new, t_new)
             else:
                 sel = np.array(dj)
-                d_ix = np.array([acc[j] for j in dj])
+                d_lanes = np.array([acc[j] for j in dj])
                 td, yd, hd, fd, ynd, fnd, tnd = (
                     x[sel] for x in (ti, yi, h, fi, y_new, f_new, t_new))
                 Kd = _take(K, sel)
@@ -544,7 +566,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
             hdc = hd[:, None]
             for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
                 dy = sums(s, A_ROWS[s]) * hdc
-                Kd[s] = fun(td + C[s] * hd, yd + dy, every[d_ix])
+                Kd[s] = fun(td + C[s] * hd, yd + dy, d_lanes)
             F = np.empty((len(dj), INTERPOLATOR_POWER, n))
             delta = ynd - yd
             F[:, 0] = delta
@@ -554,9 +576,6 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
                                             np.matmul(D, Kd.transpose(1, 0, 2)))
             span = tnd - td   # scipy's DenseOutput.h
             row = {j: r for r, j in enumerate(dj)}
-
-            def dense_at(rows, times):   # rows: one per time, or a one-row slice for all
-                return _dense(F[rows], td[rows], span[rows], yd[rows], times)
 
             hits = [j for j in dj if fired[j]]
             if hits:   # locate the roots, as scipy's solve_event_equation does with brentq
@@ -568,14 +587,15 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
                         continue
                     rows = np.array([row[j] for j in js])
                     owners = np.array([acc[j] for j in js])
-                    found = brentq(lambda x, q: ev(x, dense_at(rows[q], x), owners[q]),
-                                   td[rows], tnd[rows], xtol=4 * EPS, rtol=4 * EPS)
+                    found = brentq(
+                        lambda x, q: ev(x, _dense(F, td, span, yd, rows[q], x), owners[q]),
+                        td[rows], tnd[rows], xtol=4 * EPS, rtol=4 * EPS)
                     roots.update(((j, e), r) for j, r in zip(js, found.tolist()))
                 for j in hits:   # a lane stops at its first root: every event is terminal
                     lane_roots = np.array([roots[j, e] for e in fired[j]])
                     first = np.argsort(lane_roots)[0]
                     e, root = fired[j][first], float(lane_roots[first])
-                    y_root = dense_at(slice(row[j], row[j] + 1), np.array([root]))[0]
+                    y_root = _dense(F, td, span, yd, np.array([row[j]]), np.array([root]))[0]
                     lane = acc[j]
                     t_events[lane][e].append(root)
                     y_events[lane][e].append(y_root)
@@ -585,24 +605,28 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6, t_eval=No
                     if t_eval is not None:
                         upto[j] = bisect_right(ascending, root)
 
-            if t_eval is not None:   # each lane's points passed in this step
-                spans = [(row[j], lane, emitted[lane], upto[j])
-                         for j, lane in enumerate(acc) if upto[j] > emitted[lane]]
-                for _, lane, _, b in spans:
-                    emitted[lane] = b
-                if len(spans) == 1:
-                    r, lane, a, b = spans[0]
-                    tq = t_eval[a:b]
-                    chunks.append((lane, tq, dense_at(slice(r, r + 1), tq)))
-                elif spans:
-                    counts = [b - a for _, _, a, b in spans]
-                    tq = t_eval[np.concatenate([np.arange(a, b) for _, _, a, b in spans])]
-                    chunks.append((np.repeat([lane for _, lane, _, _ in spans], counts), tq,
-                                   dense_at(np.repeat([r for r, _, _, _ in spans], counts), tq)))
+            if t_eval is not None:   # each lane's points passed in this step, for later
+                n_passed = len(passed)
+                for j, lane in enumerate(acc):
+                    if upto[j] > emitted[lane]:
+                        passed += lane, n_held + row[j], emitted[lane], upto[j]
+                        emitted[lane] = upto[j]
+                if len(passed) > n_passed:
+                    held.append((F, td, span, yd))
+                    n_held += len(dj)
         if t_eval is None:
-            chunks.append((every[acc_ix], t_new if y_out is y_new else np.array(t_out), y_out))
+            chunks.append((acc_lanes, t_new if y_out is y_new else np.array(t_out), y_out))
         run = [lane for lane in run if status[lane] == RUNNING]
 
+    if passed:   # the one dense pass over every t_eval point passed
+        F, t_old, span, y_old = (np.concatenate(x) for x in zip(*held))
+        lane_of, row_of, begin, end = np.fromiter(passed, dtype=np.intp).reshape(-1, 4).T
+        del held, passed   # the per-step rows are copied into F: free them before the pass
+        counts = end - begin
+        starts = np.cumsum(counts) - counts   # where each range begins in the output
+        tq = t_eval[np.arange(counts.sum()) + np.repeat(begin - starts, counts)]
+        chunks.append((np.repeat(lane_of, counts), tq,
+                       _dense(F, t_old, span, y_old, np.repeat(row_of, counts), tq)))
     lanes_of = np.concatenate([np.broadcast_to(c[0], c[1].shape) for c in chunks]
                               or [np.zeros(0, dtype=int)])
     order = np.argsort(lanes_of, kind="stable")

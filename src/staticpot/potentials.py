@@ -24,7 +24,8 @@ import numpy as np
 from . import jets
 from .errors import ConfigError, NonConvergentError, NotStaticError, ZeroPotentialError
 from .geometry import CurvatureBundle, MetricField, Point3, _first_flagged, curvature_at
-from .quadrature import SphereRule, aitken_limit, decay_exponent, sphere_rule
+from .quadrature import (SphereRule, aitken_limit, decay_exponent, require_geometric_tail,
+                         sphere_rule)
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,12 @@ def _norm_g(g: np.ndarray, grad: np.ndarray):
     Stacked gradients and matrices give an array, in the order of the 1-D
     products grad @ inv(g) @ grad.
     """
-    out = np.sqrt(((grad[..., None, :] @ np.linalg.inv(g)) @ grad[..., :, None])[..., 0, 0])
+    return _norm_ginv(np.linalg.inv(g), grad)
+
+
+def _norm_ginv(ginv: np.ndarray, grad: np.ndarray):
+    """``_norm_g`` from the inverse metric matrix ginv, with the same products."""
+    out = np.sqrt(((grad[..., None, :] @ ginv) @ grad[..., :, None])[..., 0, 0])
     return out if np.ndim(out) else float(out)
 
 
@@ -314,12 +320,15 @@ def fit_linear_part(f: PotentialField, metric: MetricField, radii: Sequence[floa
     The averaged partials are extrapolated in the sphere radius; the scatter of
     the gradient around the limit gives the remainder decay exponent. Raises
     NonConvergentError when the averages show no Cauchy trend, and ValueError,
-    before any sphere pass, for fewer than three distinct radii. Each sphere's
-    nodes go through one batched ``f.gradient`` call.
+    before any sphere pass, for fewer than three distinct radii or when the
+    last three are not geometric, as the extrapolation needs
+    (``require_geometric_tail``). Each sphere's nodes go through one batched
+    ``f.gradient`` call.
     """
     radii = np.array(sorted(float(r) for r in radii))
     if len(set(radii.tolist())) < 3:  # a set, as quadrature.inverse_power_fit counts
         raise ValueError(f"the linear part needs three distinct radii, got {radii.tolist()}")
+    require_geometric_tail(radii)
     if rule is None:
         rule = sphere_rule()
 

@@ -51,6 +51,29 @@ def aitken_limit(seq) -> float:
     return v2 - (v2 - v1) ** 2 / denom
 
 
+GEOMETRIC_RTOL = 1e-6   # how far the last two radius ratios may differ, relatively
+
+
+def require_geometric_tail(radii) -> None:
+    """Refuse radii on which ``aitken_limit`` of values at them is unsound.
+
+    Aitken's delta-squared is exact for a constant error ratio. For an error
+    decaying like a power of r, that needs geometric radii: the last three
+    ascending radii r0 < r1 < r2 must satisfy r1/r0 = r2/r1, to a relative
+    ``GEOMETRIC_RTOL``. A mismatch d moves the limit of a 1/r error by about
+    4 d times the last error, so the tolerance leaves the extrapolation exact
+    to ~4e-6 of it. Raises ValueError otherwise; fewer than three radii pass,
+    as ``aitken_limit`` then returns the last value.
+    """
+    tail = sorted(float(r) for r in radii)[-3:]
+    if len(tail) < 3:
+        return
+    r0, r1, r2 = tail
+    if not (r0 > 0 and abs(r2 / r1 - r1 / r0) <= GEOMETRIC_RTOL * (r1 / r0)):
+        raise ValueError(f"Aitken's extrapolation needs geometric radii, the last three in "
+                         f"one ratio: got {r0:g}, {r1:g}, {r2:g}")
+
+
 def inverse_power_fit(x, y) -> tuple:
     """Least-squares fit of y to a + b/x + c/x^2: coefficients (a, b, c), residuals
     and the design's condition number. Fewer than three distinct abscissae raise

@@ -32,7 +32,7 @@ from .errors import (CriticalOnZeroSetError, DomainError, MonotonicityError,
                      MultiRootError, NoRootError, ResolutionError)
 from .geometry import MetricField, Point3, _first_flagged, _first_kind
 from .potentials import PotentialField, StaticResidual, _gate, _norm_g, static_residual
-from .quadrature import aitken_limit, decay_exponent
+from .quadrature import aitken_limit, decay_exponent, require_geometric_tail
 
 
 def brentq(f, a, b, xtol: float = 2e-12, rtol: float = 8.881784197001252e-16,
@@ -453,7 +453,6 @@ class SurfaceGraph:
     nodes: np.ndarray        # (N, 2) base-plane sample points
     heights: np.ndarray      # (N,) q values
     slopes: np.ndarray       # (N, 2) dq
-    sigmas: np.ndarray       # (N, 2, 2) induced metric samples
 
 
 def extract_zero_graph(f: PotentialField, metric: MetricField, region: AnnulusRegion,
@@ -464,8 +463,8 @@ def extract_zero_graph(f: PotentialField, metric: MetricField, region: AnnulusRe
     root, all from one chart call, each line starting from the ``(lo, hi)``
     pair ``bracket``; the graph-direction derivative must stay above 0.5
     (MonotonicityError otherwise), and missing or multiple crossings raise
-    NoRootError / MultiRootError. The induced metric is evaluated at every
-    node, so a node outside the metric's chart fails here.
+    NoRootError / MultiRootError. The metric is evaluated at every surface
+    point once, so a node outside the metric's chart fails here.
     """
 
     def embed(U, V, S):
@@ -474,8 +473,9 @@ def extract_zero_graph(f: PotentialField, metric: MetricField, region: AnnulusRe
     chart = SurfaceChart(f, metric, embed, bracket, label=f"graph[{f.label}]")
     nodes = np.array(region.grid(n_u, n_v))
     lift = chart.lift(nodes[:, 0], nodes[:, 1])
+    metric.matrix(lift.point)
     return SurfaceGraph(chart=chart, region=region, nodes=nodes, heights=lift.s,
-                        slopes=lift.slopes, sigmas=chart._sigma(lift))
+                        slopes=lift.slopes)
 
 
 ### Boundary circles: geodesic curvature and the turning-number limit
@@ -533,7 +533,13 @@ class GaussBonnetReport:
 
 
 def gauss_bonnet_limit(graph: SurfaceGraph, radii, n_angles: int = 256) -> GaussBonnetReport:
-    """Turning integrals over growing circles and their extrapolated limit."""
+    """Turning integrals over growing circles and their extrapolated limit.
+
+    The limit is ``aitken_limit`` of the last three integrals, whose error
+    decays like 1/r: ValueError, before any circle is traced, unless those
+    radii are geometric (``require_geometric_tail``).
+    """
+    require_geometric_tail(radii)
     radii = np.array(sorted(float(r) for r in radii))
     rows = [circle_turning(graph, r, n_angles=n_angles) for r in radii]
     integrals = np.array([c.turning_integral for c in rows])

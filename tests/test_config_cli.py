@@ -392,6 +392,10 @@ class TestCommandLine:
          "need at least two radii, all distinct, got radii = 50"),
         ("zero_set_gauss_bonnet", "radii = 50, 50, 50", 2,
          "need at least two radii, all distinct, got radii = 50, 50, 50"),
+        # Aitken's extrapolation of a 1/r error is sound on geometric radii only
+        ("zero_set_gauss_bonnet", "radii = 50, 100, 490", 2,
+         "ValueError: Aitken's extrapolation needs geometric radii, the last three in one "
+         "ratio: got 50, 100, 490"),
     ])
     def test_boundary_value_exit_code(self, tmp_path, capsys, suite, line, code, detail):
         cfg = tmp_path / "edge.cfg"

@@ -4,9 +4,12 @@
 ``quadrature.decay_exponent`` (a log-log slope) are the one place each fit is
 made. The library entry points that use them refuse too few samples with
 ValueError, the way the CLI refuses them at set-up, and on valid inputs give
-the bits of the ``lstsq`` and ``polyfit`` calls they replace.
+the bits of the ``lstsq`` and ``polyfit`` calls they replace. The two that
+extrapolate with Aitken's delta-squared refuse radii whose last three are not
+geometric (``quadrature.require_geometric_tail``).
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -39,6 +42,45 @@ def test_gauss_bonnet_limit_needs_two_distinct_radii(graph, radii):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="two distinct radii"):
             sp.gauss_bonnet_limit(graph, radii, n_angles=32)
+
+
+@pytest.mark.parametrize("radii", [[50.0, 100.0, 490.0], [25.0, 50.0, 100.0, 300.0],
+                                   [50.0, 100.0, 100.0]])
+def test_gauss_bonnet_limit_needs_geometric_radii(graph, radii, monkeypatch):
+    # Aitken's delta-squared of a 1/r error is exact on geometric radii only;
+    # 50, 100, 490 extrapolated 6.689862 against 2 pi. Refused before any circle
+    circles = []
+    monkeypatch.setattr(sp.zeroset, "circle_turning", lambda *a, **k: circles.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="needs geometric radii, the last three in one "
+                                             "ratio: got"):
+            sp.gauss_bonnet_limit(graph, radii, n_angles=32)
+    assert circles == []
+
+
+def test_linear_part_needs_geometric_radii_before_any_sphere_pass(monkeypatch):
+    calls = []
+    gradient = sp.PotentialField.gradient
+    monkeypatch.setattr(sp.PotentialField, "gradient",
+                        lambda self, p: calls.append(p) or gradient(self, p))
+    with pytest.raises(ValueError, match=r"geometric radii, the last three in one ratio: "
+                                         r"got 50, 100, 490"):
+        sp.fit_linear_part(sp.schwarzschild_potential(2.0), sp.schwarzschild(2.0),
+                           [490.0, 50.0, 100.0, 20.0], rule=SMALL_RULE)
+    assert calls == []
+
+
+def test_geometric_tail_tolerance():
+    # the last three ascending radii, in one ratio to a relative 1e-6
+    for radii in ([50.0, 100.0, 200.0], [1.0, 50.0, 100.0, 200.0], np.geomspace(50, 400, 8),
+                  np.geomspace(50, 400, 8)[::2], [100.0, 200.0], [100.0], [400.0, 200.0, 100.0],
+                  [50.0, 100.0, 200.0 * (1 + 9e-7)]):
+        quadrature.require_geometric_tail(radii)
+    for radii in ([50.0, 100.0, 200.0 * (1 + 2e-6)], [0.0, 100.0, 200.0], [-1.0, 1.0, -1.0],
+                  [50.0, 100.0, math.nan]):
+        with pytest.raises(ValueError, match="geometric radii"):
+            quadrature.require_geometric_tail(radii)
 
 
 @pytest.mark.parametrize("window", [(-5.0, 400.0), (0.0, 400.0), (400.0, 50.0), (50.0, 50.0)])

@@ -11,8 +11,10 @@ the metric, without a curvature bundle; it matches the reference, which reads
 them off ``christoffel_at`` and ``curvature_at``, to roundoff (1e-14
 relative). The gradient flow's stage reads g and the gradient of f from one
 component pass and one depth-1 jet; it gives the same bytes as the batched
-read-outs of the reference, stage by stage and over a whole flow. The surface
-Christoffels are one contraction instead of a loop.
+read-outs of the reference, stage by stage and over a whole flow; its
+critical-point event takes the last stage's read at an accepted step's end,
+one read fewer per step, with the same trace. The surface Christoffels are one
+contraction instead of a loop.
 """
 
 import sys
@@ -366,6 +368,48 @@ def test_flow_trace_bytes_match_the_batched_readout(name, start, budget, monkeyp
     assert (new.classification, new.interval, new.limit_estimate, new.monotone_violations) == \
         (old.classification, old.interval, old.limit_estimate, old.monotone_violations)
     assert len(new.samples) == len(old.samples) > 2
+    for a, b in zip(new.samples, old.samples):
+        assert _same([a.t, a.f_value, a.grad_norm, *a.position],
+                     [b.t, b.f_value, b.grad_norm, *b.position])
+
+
+def test_critical_event_reuses_the_last_stage_read(monkeypatch):
+    # the shipped flow: at each accepted step's end the critical-point event
+    # takes the inv(g) and grad the step's last stage has just read, so a read
+    # per accepted step goes and the trace stays the same, byte for byte
+    f, metric = potentials.schwarzschild_potential(1.0), sp.schwarzschild(1.0)
+    start, budget = Point3(0.6, 0.0, 0.0), global_checks.FlowBudget(r_escape=700.0)
+    reads, lanes = [], []
+    terms, solve = global_checks._flow_terms, global_checks.solve_ivp
+
+    def spy(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        lanes.append(sol.lanes[0])
+        return sol
+
+    monkeypatch.setattr(global_checks, "_flow_terms", lambda *a: reads.append(1) or terms(*a))
+    monkeypatch.setattr(global_checks, "solve_ivp", spy)
+
+    new = global_checks.flow_classify(f, metric, start, budget)
+    n_new = len(reads)
+    reads.clear()
+
+    def fresh_reader(metric, f):   # every read evaluates again, as the event did
+        def read(y):
+            g, grad = global_checks._flow_terms(metric, f, y)
+            return np.linalg.inv(g), grad
+        return read
+
+    monkeypatch.setattr(global_checks, "_flow_reader", fresh_reader)
+    old = global_checks.flow_classify(f, metric, start, budget)
+    n_old = len(reads)
+
+    accepted = len(lanes[0].t) - 1
+    assert new.classification == global_checks.ESCAPE_TO_END and accepted > 50
+    assert n_old - n_new == accepted
+    assert (new.classification, new.interval, new.limit_estimate, new.monotone_violations) == \
+        (old.classification, old.interval, old.limit_estimate, old.monotone_violations)
+    assert len(new.samples) == len(old.samples)
     for a, b in zip(new.samples, old.samples):
         assert _same([a.t, a.f_value, a.grad_norm, *a.position],
                      [b.t, b.f_value, b.grad_norm, *b.position])

@@ -291,3 +291,39 @@ def test_power_of_negative_float_is_a_domain_error():
         got = jets.power(x, p)
         assert type(got) is float
         assert got == x ** p and np.float64(got).tobytes() == (np.float64(x) ** p).tobytes()
+
+
+def _reference_seed(coords, depth):
+    """``jets.seed`` as a loop over the slots: numpy scalars become floats."""
+    xs = [float(x) if isinstance(x, np.generic) else x for x in coords]
+    return _numpy_leaf_seed(xs, depth)
+
+
+def _structure(x):
+    """A jet's classes and slots, level by level; arrays by dtype, shape and bytes."""
+    if isinstance(x, jets.Jet):
+        return ("Jet", _structure(x.val), x.grad)
+    if isinstance(x, jets.Jet2):
+        return ("Jet2", _structure(x.val), x.vgrad, x.grad, x.hess)
+    if isinstance(x, np.ndarray):
+        return (np.ndarray, x.dtype, x.shape, x.tobytes())
+    return (type(x), x)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("coords", [
+    (2.3, -1.1, 0.7),
+    tuple(np.array([2.3, -1.1, 0.7])),
+    (np.float64(2.3), 1, np.float32(0.5)),
+    (np.array([2.3, 4.0]), np.array([-1.1, 0.2]), np.array([0.7, 0.0])),
+], ids=["floats", "numpy-scalars", "mixed", "arrays"])
+def test_seed_builds_the_reference_jets(coords, depth):
+    got, want = jets.seed(coords, depth), _reference_seed(coords, depth)
+    assert type(got) is list and len(got) == 3
+    assert [_structure(x) for x in got] == [_structure(x) for x in want]
+    # numpy scalars arrive as floats, arrays as the same objects
+    for x, c in zip(got, coords):
+        while isinstance(x, (jets.Jet, jets.Jet2)):
+            x = x.val
+        assert x is c if isinstance(c, np.ndarray) else type(x) is type(
+            float(c) if isinstance(c, np.generic) else c)

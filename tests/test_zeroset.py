@@ -41,6 +41,17 @@ class TestGraphExtraction:
             rho = math.hypot(u, v)
             assert h == pytest.approx(-math.log(rho), abs=1e-10)
 
+    def test_node_outside_the_metric_chart_is_refused(self):
+        # the plane x1 = 0 over an annulus reaching inside the chart r > m/2:
+        # extraction reads the metric at every surface point, once
+        f = sp.expression_potential("x1", label="plane")
+        with pytest.raises(sp.DomainError) as outside:
+            sp.extract_zero_graph(f, sp.schwarzschild(2.0), sp.AnnulusRegion(0.2, 3.0),
+                                  n_u=3, n_v=4, bracket=(-1.0, 1.0))
+        assert type(outside.value) is sp.DomainError
+        assert str(outside.value) == ("schwarzschild(m=2): point (0.0, 0.21000000000000002, "
+                                      "0.0) outside chart domain")
+
     def test_gaussian_curvature_closed_form(self):
         g = sp.euclidean()
         f = log_graph_potential()

@@ -23,7 +23,14 @@ microseconds per call of the zero-set curvatures: ``gaussian_curvature`` on
 200 points of the horizon of ``schwarzschild(2)`` (one call),
 ``zero_set_laws`` on 3 horizon samples, and one 128-angle ``circle_turning``
 at radius 100 on the graph of the ``zero_set_gauss_bonnet`` suite's default
-config. Each figure is the best of
+config. A sixth table gives the microseconds per lockstep iteration (one
+attempted step of the lanes still running, as ``ode.solve_ivp`` counts them)
+of ``solve_curve_ode`` on the ``growth_bound`` suite's envelope problem,
+u'' = s eps / t^2 u from u = u' = 1 at t = 1 to 1e4 with eps = 0.5 and one
+scale s in [-1, 1] per lane, at 1, 6, 21 and 40 lanes: with the suite's 400
+geometric ``t_eval`` points, and without ``t_eval``. It is the per-lane cost
+of the solver's bookkeeping that a batch of transport equations pays. Each
+figure is the best of
 ``--repeat`` timed rounds, so it shows the layer's cost, not the host's noise. The library
 is imported from ``src/`` of this checkout.
 """
@@ -42,7 +49,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 
 from perfbench.workloads import PERTURBATION  # noqa: E402
-from staticpot import cli, geodesics, geometry, global_checks, potentials, zeroset  # noqa: E402
+from staticpot import cli, geodesics, geometry, global_checks, ode, potentials, zeroset  # noqa: E402
 
 N_SINGLE, N_BATCH = 200, 1000
 
@@ -123,6 +130,7 @@ def main(argv=None) -> int:
         one = _best(single, args.repeat) / N_SINGLE * 1e6
         print(f"{name:<24}{one:>21.2f}{_best(batched, args.repeat) * 1e6:>21.1f}")
     _zero_set_table(args.repeat)
+    _curve_batch_table(args.repeat)
     return 0
 
 
@@ -146,6 +154,42 @@ def _zero_set_table(repeat):
     print(f"\n{'zero-set call':<32}{'us per call':>13}")
     for name, call in calls.items():
         print(f"{name:<32}{_best(call, repeat) * 1e6:>13.0f}")
+
+
+def _iterations(solve):
+    """Lockstep iterations of the solves ``solve()`` makes: one stage store each."""
+    count = [0]
+    store = ode._stage_store
+
+    def counted(k, n):
+        count[0] += 1
+        return store(k, n)
+
+    ode._stage_store = counted
+    try:
+        solve()
+    finally:
+        ode._stage_store = store
+    return count[0]
+
+
+def _curve_batch_table(repeat):
+    eps, t0, t1 = 0.5, 1.0, 1e4
+    ts = np.geomspace(t0, t1, 400)
+    scales = np.random.default_rng(7).uniform(-1.0, 1.0, 40)
+    print(f"\n{'curve lanes':<12}{'steps':>7}{'t_eval us/step':>16}{'steps':>7}"
+          f"{'no t_eval us/step':>19}")
+    for lanes in (1, 6, 21, 40):
+        def solve(t_eval):
+            return lambda: geodesics.solve_curve_ode(
+                lambda t, k: scales[k] * eps / (t * t), np.ones(lanes), np.ones(lanes),
+                t0, t1, t_eval=t_eval)
+
+        row = f"{lanes:<12}"
+        for t_eval, width in ((ts, 16), (None, 19)):
+            steps = _iterations(solve(t_eval))
+            row += f"{steps:>7}{_best(solve(t_eval), repeat) / steps * 1e6:>{width}.1f}"
+        print(row)
 
 
 if __name__ == "__main__":
