@@ -259,7 +259,7 @@ def _suite_growth_bound(c, rng):
 
     def tail_slope_bounded():
         # the scalar power, as on one point: numpy's array power rounds differently
-        h = lambda t, lanes: 0.5 * np.array([x ** (-2.75) for x in t])
+        h = lambda t, lanes: 0.5 * np.array([x ** (-2.75) for x in t.tolist()])
         [(sol_ts, fs, slopes)] = solve_curve_ode(h, 1.0, 1.0, r0, 1e6)
         worst = float(np.max(np.abs(slopes)))
         return _ok(min(worst, 10.0), worst, 0.0,

@@ -89,7 +89,9 @@ def launch_state(metric: MetricField, point, direction,
                  f: PotentialField | None = None) -> GeodesicState:
     """Initial state with the direction normalized to unit metric length.
 
-    A non-finite coordinate of ``point`` or ``direction`` raises ValueError.
+    A non-finite coordinate of ``point`` or ``direction``, or a zero direction,
+    raises ValueError. Any other direction is normalized, however large or
+    small its norm.
     Given a potential ``f``, the state carries its value and its slope along
     the normalized velocity, the initial data that transport starts from.
     """
@@ -98,6 +100,8 @@ def launch_state(metric: MetricField, point, direction,
     if not (np.isfinite(p.as_array()).all() and np.isfinite(v).all()):
         raise ValueError("point and direction must be finite")
     g = metric.matrix(p)
+    # a power-of-two scale keeps v g v in range and leaves the quotient's bits
+    v = np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1])
     speed = math.sqrt(v @ g @ v)
     if speed <= 0:
         raise ValueError("direction must be nonzero")

@@ -11,10 +11,16 @@ panel, whose metric also gives the area or volume element, and return values
 of shape ``bundle.point.x1.shape``, plus ``(3,)`` for a vector.
 ``sphere_average`` calls ``fn`` once per sphere on a batched Point3, and ``fn``
 returns values of shape ``x1.shape`` or one scalar.
+
+Gauss-Legendre nodes come from one place, ``gauss_legendre(n)``. It and
+``sphere_rule`` build each rule once per process, on its first call, and
+return the same read-only arrays on every later call: a caller that writes
+into a rule raises ValueError instead of corrupting the rules that follow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +32,11 @@ from .geometry import MetricField, Point3, _first_flagged, curvature_at
 
 @dataclass(frozen=True)
 class SphereRule:
+    """Nodes, weights and coordinate tangents of a product rule on the unit sphere.
+
+    ``sphere_rule`` builds each size once per process and shares it: the four
+    arrays are read-only."""
+
     directions: np.ndarray    # (N, 3) unit vectors
     weights: np.ndarray       # (N,) summing to 4*pi
     tangent_u: np.ndarray     # (N, 3) d(direction)/du, u = cos(theta)
@@ -100,11 +111,32 @@ def decay_exponent(radii, values) -> float:
     return float(np.polyfit(np.log(radii), np.log(values), 1)[0])
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# typed keys: 3.0 must not be served 3's rule, it raises as leggauss(3.0) does
+@functools.lru_cache(maxsize=None, typed=True)
+def gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], ``leggauss(n)`` unchanged.
+
+    Built once per ``n`` and shared: the two arrays are read-only.
+    """
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
 def sphere_rule(n_polar: int = 32, n_azimuth: int = 64) -> SphereRule:
-    """Product quadrature rule on the unit sphere."""
+    """Product quadrature rule on the unit sphere, built once per size and shared."""
     if n_polar < 2 or n_azimuth < 4:
         raise ValueError("rule too small: need n_polar >= 2 and n_azimuth >= 4")
-    u, wu = np.polynomial.legendre.leggauss(n_polar)
+    return _sphere_rule(n_polar, n_azimuth)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _sphere_rule(n_polar: int, n_azimuth: int) -> SphereRule:
+    u, wu = gauss_legendre(n_polar)
     phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
     wphi = 2.0 * np.pi / n_azimuth
 
@@ -117,6 +149,7 @@ def sphere_rule(n_polar: int = 32, n_azimuth: int = 64) -> SphereRule:
     w = (WU * wphi).reshape(-1)
     tu = np.stack([-U / s * cp, -U / s * sp, np.ones_like(U)], axis=-1).reshape(-1, 3)
     tp = np.stack([-s * sp, s * cp, np.zeros_like(U)], axis=-1).reshape(-1, 3)
+    _read_only(dirs, w, tu, tp)
     return SphereRule(directions=dirs, weights=w, tangent_u=tu, tangent_phi=tp)
 
 
@@ -177,7 +210,7 @@ def radial_panels(r_inner: float, r_outer: float, n_panels: int, nodes_per_panel
     total_log = sum(seg_logs)
     counts = [max(1, round(n_panels * sl / total_log)) for sl in seg_logs]
 
-    xi, wxi = np.polynomial.legendre.leggauss(nodes_per_panel)
+    xi, wxi = gauss_legendre(nodes_per_panel)
     rs, ws = [], []
     for (a, b), cnt in zip(zip(edges_all[:-1], edges_all[1:]), counts):
         e = np.exp(np.linspace(math.log(a), math.log(b), cnt + 1))

@@ -32,7 +32,7 @@ from .errors import (CriticalOnZeroSetError, DomainError, MonotonicityError,
                      MultiRootError, NoRootError, ResolutionError)
 from .geometry import MetricField, Point3, _first_flagged, _first_kind
 from .potentials import PotentialField, StaticResidual, _gate, _norm_g, static_residual
-from .quadrature import aitken_limit, decay_exponent, require_geometric_tail
+from .quadrature import aitken_limit, decay_exponent, gauss_legendre, require_geometric_tail
 
 
 def brentq(f, a, b, xtol: float = 2e-12, rtol: float = 8.881784197001252e-16,
@@ -565,7 +565,7 @@ class ClosedComponent:
     @staticmethod
     def _nodes(n_polar: int, n_azimuth: int):
         """Gauss-Legendre polar times uniform azimuthal nodes, polar-major, and weights."""
-        xi, wxi = np.polynomial.legendre.leggauss(n_polar)
+        xi, wxi = gauss_legendre(n_polar)
         thetas = 0.5 * math.pi * (xi + 1.0)
         phis = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
         weights = (0.5 * math.pi * wxi)[:, None] * (2.0 * np.pi / n_azimuth)

@@ -41,6 +41,30 @@ class TestIntegration:
         with pytest.raises(ValueError, match="finite"):
             sp.launch_state(sp.schwarzschild(1.0), point, direction)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("direction", [(1e200, 0.0, 0.0), (1e-170, 0.0, 0.0)])
+    def test_launch_at_extreme_scales_is_the_unit_launch(self, direction):
+        # v g v overflowed to a zero velocity at 1e200 and underflowed to a refusal at 1e-170
+        g = sp.schwarzschild(1.0)
+        want = sp.launch_state(g, (3.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+        got = sp.launch_state(g, (3.0, 0.0, 0.0), direction)
+        assert got.velocity.tobytes() == want.velocity.tobytes()
+
+    def test_launch_rejects_a_zero_direction(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            sp.launch_state(sp.schwarzschild(1.0), (3.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+    def test_launch_keeps_the_bits_of_ordinary_directions(self):
+        rng = np.random.default_rng(12)
+        g = sp.perturbed_as(1.0, [sp.PerturbationTerm(2, 1, 0.3, (0.0, 0.0, 0.0))])
+        for _ in range(300):
+            x = rng.normal(size=3)
+            x *= rng.uniform(3.0, 9.0) / np.linalg.norm(x)
+            v = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 6.0)
+            gm = g.matrix(Point3.of(x))
+            want = v / math.sqrt(v @ gm @ v)
+            assert sp.launch_state(g, x, v).velocity.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_integrate_rejects_fewer_than_one_sample(self, n_samples):
         g = sp.schwarzschild(1.0)

@@ -4,7 +4,73 @@ import numpy as np
 import pytest
 
 import staticpot as sp
-from staticpot import quadrature
+from staticpot import quadrature, zeroset
+
+LEGGAUSS = np.polynomial.legendre.leggauss
+RULE_SIZES = [(2, 4), (3, 6), (6, 12), (12, 24), (32, 64)]
+
+
+def _bits(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _rule_arrays(rule):
+    return rule.directions, rule.weights, rule.tangent_u, rule.tangent_phi
+
+
+class TestRuleCache:
+    @pytest.mark.parametrize("n_polar, n_azimuth", RULE_SIZES)
+    def test_cached_rule_is_the_uncached_direct_build(self, monkeypatch, n_polar, n_azimuth):
+        cached = sp.sphere_rule(n_polar, n_azimuth)
+        monkeypatch.setattr(quadrature, "gauss_legendre", LEGGAUSS)
+        fresh = quadrature._sphere_rule.__wrapped__(n_polar, n_azimuth)
+        assert _bits(_rule_arrays(cached)) == _bits(_rule_arrays(fresh))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 16, 32])
+    def test_gauss_legendre_is_leggauss(self, n):
+        assert _bits(quadrature.gauss_legendre(n)) == _bits(LEGGAUSS(n))
+
+    def test_a_second_call_returns_the_same_rule(self):
+        assert quadrature.gauss_legendre(6) is quadrature.gauss_legendre(6)
+        assert sp.sphere_rule(6, 12) is sp.sphere_rule(6, 12)
+        assert sp.sphere_rule() is sp.sphere_rule(32, 64)
+        assert sp.sphere_rule(n_azimuth=64) is sp.sphere_rule(n_polar=32, n_azimuth=64)
+
+    @pytest.mark.parametrize("n_polar, n_azimuth", RULE_SIZES)
+    def test_cached_arrays_are_read_only(self, n_polar, n_azimuth):
+        arrays = (*_rule_arrays(sp.sphere_rule(n_polar, n_azimuth)),
+                  *quadrature.gauss_legendre(n_polar))
+        for a in arrays:
+            before = a.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+            assert a.tobytes() == before
+
+    @pytest.mark.parametrize("n_polar, n_azimuth", [(1, 8), (8, 3)])
+    def test_too_small_a_rule_raises_on_every_call(self, n_polar, n_azimuth):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="rule too small"):
+                sp.sphere_rule(n_polar, n_azimuth)
+
+    @pytest.mark.parametrize("args, breakpoints", [
+        ((2.0, 40.0, 18, 8), ()),
+        ((1.0, 10.0, 6, 10), (2.5,)),
+        ((0.0625, 40.0, 16, 3), (0.25, 0.5, 2.0)),
+    ])
+    def test_radial_panels_match_a_direct_leggauss_build(self, monkeypatch, args, breakpoints):
+        cached = quadrature.radial_panels(*args, breakpoints=breakpoints)
+        monkeypatch.setattr(quadrature, "gauss_legendre", LEGGAUSS)
+        assert _bits(cached) == _bits(quadrature.radial_panels(*args, breakpoints=breakpoints))
+
+    @pytest.mark.parametrize("n_polar, n_azimuth", [(3, 4), (16, 32)])
+    def test_closed_component_nodes_match_a_direct_leggauss_build(self, monkeypatch,
+                                                                  n_polar, n_azimuth):
+        cached = zeroset.ClosedComponent._nodes(n_polar, n_azimuth)
+        monkeypatch.setattr(zeroset, "gauss_legendre", LEGGAUSS)
+        assert _bits(cached) == _bits(zeroset.ClosedComponent._nodes(n_polar, n_azimuth))
+
 
 
 class TestSphereRule:

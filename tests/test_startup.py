@@ -34,6 +34,15 @@ def test_import_loads_no_scipy():
     assert loaded == []
 
 
+def test_import_builds_no_quadrature_rule():
+    sizes = _run("import json\n"
+                 "import staticpot, staticpot.cli\n"
+                 "from staticpot import quadrature\n"
+                 "print(json.dumps([quadrature.gauss_legendre.cache_info().currsize,\n"
+                 "                  quadrature._sphere_rule.cache_info().currsize]))")
+    assert sizes == [0, 0]
+
+
 def test_suites_run_without_scipy(tmp_path):
     result = _run("import json, os, sys\n"
                   "from staticpot import cli\n"

@@ -29,7 +29,12 @@ of ``solve_curve_ode`` on the ``growth_bound`` suite's envelope problem,
 u'' = s eps / t^2 u from u = u' = 1 at t = 1 to 1e4 with eps = 0.5 and one
 scale s in [-1, 1] per lane, at 1, 6, 21 and 40 lanes: with the suite's 400
 geometric ``t_eval`` points, and without ``t_eval``. It is the per-lane cost
-of the solver's bookkeeping that a batch of transport equations pays. Each
+of the solver's bookkeeping that a batch of transport equations pays. A
+seventh table gives the microseconds per call of ``sphere_rule(32, 64)``, the
+default rule, of ``sphere_rule(6, 12)`` and of ``radial_panels(2, 40, 18, 8)``:
+cold, with the caches of ``quadrature.gauss_legendre`` and ``sphere_rule``
+emptied before each call, and served from those caches. ``radial_panels`` is
+not cached itself; only its Gauss-Legendre table is. Each
 figure is the best of
 ``--repeat`` timed rounds, so it shows the layer's cost, not the host's noise. The library
 is imported from ``src/`` of this checkout.
@@ -49,7 +54,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 
 from perfbench.workloads import PERTURBATION  # noqa: E402
-from staticpot import cli, geodesics, geometry, global_checks, ode, potentials, zeroset  # noqa: E402
+from staticpot import (cli, geodesics, geometry, global_checks, ode, potentials,  # noqa: E402
+                       quadrature, zeroset)
 
 N_SINGLE, N_BATCH = 200, 1000
 
@@ -131,6 +137,7 @@ def main(argv=None) -> int:
         print(f"{name:<24}{one:>21.2f}{_best(batched, args.repeat) * 1e6:>21.1f}")
     _zero_set_table(args.repeat)
     _curve_batch_table(args.repeat)
+    _rule_table(args.repeat)
     return 0
 
 
@@ -190,6 +197,29 @@ def _curve_batch_table(repeat):
             steps = _iterations(solve(t_eval))
             row += f"{steps:>7}{_best(solve(t_eval), repeat) / steps * 1e6:>{width}.1f}"
         print(row)
+
+
+def _rule_table(repeat, n_cold=20, n_cached=2000):
+    calls = {"sphere_rule(32, 64)": lambda: quadrature.sphere_rule(32, 64),
+             "sphere_rule(6, 12)": lambda: quadrature.sphere_rule(6, 12),
+             "radial_panels(2, 40, 18, 8)": lambda: quadrature.radial_panels(2.0, 40.0, 18, 8)}
+
+    def cold(call):
+        for _ in range(n_cold):
+            quadrature.gauss_legendre.cache_clear()
+            quadrature._sphere_rule.cache_clear()
+            call()
+
+    def cached(call):
+        for _ in range(n_cached):
+            call()
+
+    print(f"\n{'quadrature rule':<32}{'cold us':>11}{'cached us':>11}")
+    for name, call in calls.items():
+        one = _best(lambda: cold(call), repeat) / n_cold * 1e6
+        call()
+        many = _best(lambda: cached(call), repeat) / n_cached * 1e6
+        print(f"{name:<32}{one:>11.1f}{many:>11.2f}")
 
 
 if __name__ == "__main__":
