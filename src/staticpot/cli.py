@@ -465,9 +465,10 @@ def _suite_integral_identities(c, rng):
         raise ConfigError(f"need 0 < r_inner < r_outer and r_inner < {_REFINE_OUTER:g}, "
                           "the outer radius of the angular refinement shell")
     metric = geometry.schwarzschild(mass)
+    # the chart is the exterior of a ball, so the sphere r_inner is in it when one point is
+    geometry._require_inside(metric, Point3(r_inner, 0.0, 0.0))
     f = potentials.schwarzschild_potential(mass)
     rule = quadrature.sphere_rule(c.n_polar, c.n_azimuth)
-    quadrature.radial_panels(r_inner, r_outer, n_panels, nodes_per_panel)
     rows = []
 
     def shell_defect():

@@ -15,7 +15,7 @@ the round sphere has positive scalar curvature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -623,6 +623,14 @@ class CurvatureBundle:
     ricci: np.ndarray
     scalar: float          # an array for a batch of nodes
     dricci: np.ndarray | None = None  # dricci[..., c, a, b] = d_c Ric_ab
+
+
+def _bundle_nodes(bundle: CurvatureBundle, part: slice) -> CurvatureBundle:
+    """The nodes ``part`` of a bundle over a 1-D batch, cut along the leading
+    node axis of its point and of every array it holds."""
+    arrays = {f.name: getattr(bundle, f.name) for f in fields(bundle)}
+    return replace(bundle, point=Point3(*(x[part] for x in bundle.point.coords())),
+                   **{name: a[part] for name, a in arrays.items() if isinstance(a, np.ndarray)})
 
 
 def _curvature(metric: MetricField, p: Point3, backend: str, depth: int) -> CurvatureBundle:

@@ -18,11 +18,11 @@ from . import jets
 from .errors import (DegenerateConformalError, IllConditionedFitError, ResolutionError,
                      StepFailureError, UnboundedPotentialError)
 from .geodesics import one_lane, solve_ivp
-from .geometry import (MetricField, Point3, _first_flagged, _metric_taylor, curvature_at,
-                       generic_metric)
-from .potentials import (PotentialField, _norm_g, _norm_ginv, _pair, fit_linear_part,
-                         require_static)
-from .quadrature import (SphereRule, flux_integral, inverse_power_fit, sphere_average,
+from .geometry import (MetricField, Point3, _bundle_nodes, _first_flagged, _metric_taylor,
+                       curvature_at, generic_metric)
+from .potentials import (PotentialField, _gate, _norm_g, _norm_ginv, _pair, _static_from,
+                         fit_linear_part)
+from .quadrature import (SphereRule, _flux_from, inverse_power_fit, sphere_average,
                          sphere_rule, volume_integral)
 from .zeroset import SurfaceGraph, _quad, extract_closed_component
 
@@ -193,24 +193,32 @@ def integral_identity_check(f: PotentialField, metric: MetricField, r_inner: flo
     For a static potential the divergence theorem turns the bulk integral of
     f |Ric|^2 into the difference of Ric(grad f, nu) fluxes through the two
     boundary spheres; the report carries all three numbers. The static gate, at
-    tolerance 1e-6, probes three points of the shell as one batch.
+    tolerance 1e-6, probes three points of the shell. Those three points and
+    the nodes of both boundary spheres take one curvature pass; the gate reads
+    its slice of it first, and each flux is ``flux_integral``'s reduction of
+    its sphere's slice. The bulk then takes ``volume_integral``'s passes.
     """
     if rule is None:
         rule = sphere_rule()
     diagonal = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     skew = np.array([1.0, -0.5, 0.25]) / np.linalg.norm([1.0, -0.5, 0.25])
-    require_static(f, metric, Point3.stack(r_inner * (r_outer / r_inner) ** ((k + 0.5) / 3.0)
-                                           * (diagonal if k % 2 else skew) for k in range(3)),
-                   tol=1e-6)
+    probes = [r_inner * (r_outer / r_inner) ** ((k + 0.5) / 3.0) * (diagonal if k % 2 else skew)
+              for k in range(3)]
+    x = np.concatenate([probes, r_inner * rule.directions, r_outer * rule.directions])
+    bundle = curvature_at(metric, Point3(x[:, 0], x[:, 1], x[:, 2]))
+    gate = _bundle_nodes(bundle, slice(0, 3))
+    _gate(_static_from(f, gate.point, gate), f, metric, 1e-6)
 
     def flux_vector(b) -> np.ndarray:
         ginv = np.linalg.inv(b.metric_matrix)
         return (ginv @ b.ricci @ (ginv @ f.gradient(b.point)[..., None]))[..., 0]
 
+    n = rule.count
+    flux_in = _flux_from(_bundle_nodes(bundle, slice(3, 3 + n)), flux_vector, r_inner, rule)
+    flux_out = _flux_from(_bundle_nodes(bundle, slice(3 + n, None)), flux_vector, r_outer, rule)
+    del bundle, gate  # held through the bulk's passes, the pass would add to their peak memory
     bulk = volume_integral(metric, _ricci_density(f, lambda v: v), r_inner, r_outer,
                            rule, n_panels=n_panels, nodes_per_panel=nodes_per_panel)
-    flux_in = flux_integral(metric, flux_vector, r_inner, rule)
-    flux_out = flux_integral(metric, flux_vector, r_outer, rule)
     return IntegralReport(bulk=bulk, flux_inner=flux_in, flux_outer=flux_out)
 
 

@@ -6,16 +6,20 @@ the asymptotic expansions handled elsewhere and spectrally accurate for smooth
 integrands. Flux and volume integrals take the metric into account through the
 induced area element and the outward unit normal.
 
-Flux and volume integrands take the curvature bundle of a sphere or radial
-panel, whose metric also gives the area or volume element, and return values
-of shape ``bundle.point.x1.shape``, plus ``(3,)`` for a vector.
-``sphere_average`` calls ``fn`` once per sphere on a batched Point3, and ``fn``
-returns values of shape ``x1.shape`` or one scalar.
+Flux and volume integrands take the curvature bundle of the nodes they
+integrate over, whose metric also gives the area or volume element, and return
+values of shape ``bundle.point.x1.shape``, plus ``(3,)`` for a vector. A flux
+takes one curvature pass per sphere; a shell takes one per group of
+consecutive radial panels, each group a whole panel or as many as fit in
+``_PASS_NODES`` nodes. ``sphere_average`` calls ``fn`` once per sphere on a
+batched Point3, and ``fn`` returns values of shape ``x1.shape`` or one scalar.
 
 Gauss-Legendre nodes come from one place, ``gauss_legendre(n)``. It and
 ``sphere_rule`` build each rule once per process, on its first call, and
 return the same read-only arrays on every later call: a caller that writes
 into a rule raises ValueError instead of corrupting the rules that follow.
+Rule sizes are integers; an integral float such as 3.0 is taken as 3 and is
+served 3's rule, and any other size raises ValueError.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedFitError, SingularMetricError
-from .geometry import MetricField, Point3, _first_flagged, curvature_at
+from .geometry import CurvatureBundle, MetricField, Point3, _first_flagged, curvature_at
+
+# Nodes per curvature pass up to which volume_integral groups consecutive
+# panels. A pass's fixed cost (jet seeding, einsum dispatch) is ~0.5 ms up to
+# ~200 nodes, and its cost per node levels off from there; tools/layer_bench.py
+# prints both. A panel larger than this still takes one pass of its own.
+_PASS_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -117,24 +127,42 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-# typed keys: 3.0 must not be served 3's rule, it raises as leggauss(3.0) does
-@functools.lru_cache(maxsize=None, typed=True)
+def _size(n, name: str) -> int:
+    """A rule size as a Python int: an integral float such as 3.0 is 3, as
+    ``PerturbationTerm`` takes its indices; any other value raises ValueError."""
+    try:
+        if int(n) == n:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple:
     """Gauss-Legendre nodes and weights on [-1, 1], ``leggauss(n)`` unchanged.
 
-    Built once per ``n`` and shared: the two arrays are read-only.
+    Built once per ``n`` and shared: the two arrays are read-only. An integral
+    float such as 3.0 is served the arrays of 3, any other non-integer raises
+    ValueError.
     """
+    if type(n) is not int:
+        return gauss_legendre(_size(n, "n"))
     return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
 def sphere_rule(n_polar: int = 32, n_azimuth: int = 64) -> SphereRule:
-    """Product quadrature rule on the unit sphere, built once per size and shared."""
+    """Product quadrature rule on the unit sphere, built once per size and shared.
+
+    Sizes are integers (3.0 is taken as 3); too small a rule, or a size that
+    is not an integer, raises ValueError on every call."""
+    n_polar, n_azimuth = _size(n_polar, "n_polar"), _size(n_azimuth, "n_azimuth")
     if n_polar < 2 or n_azimuth < 4:
         raise ValueError("rule too small: need n_polar >= 2 and n_azimuth >= 4")
     return _sphere_rule(n_polar, n_azimuth)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _sphere_rule(n_polar: int, n_azimuth: int) -> SphereRule:
     u, wu = gauss_legendre(n_polar)
     phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
@@ -172,11 +200,18 @@ def flux_integral(metric: MetricField, vector_fn, radius: float, rule: SphereRul
 
     Integrates g(V, nu) over the sphere of the given coordinate radius, with nu
     the outward unit normal and the area element both taken in the metric. All
-    nodes of the sphere go through one curvature pass and one call of
-    ``vector_fn(bundle)``, which returns the field as an ``(n, 3)`` array.
+    nodes of the sphere go through one curvature pass, which ``_flux_from``
+    reduces with one call of ``vector_fn(bundle)``; it returns the field as an
+    ``(n, 3)`` array.
     """
     x = radius * rule.directions
-    bundle = curvature_at(metric, Point3(x[:, 0], x[:, 1], x[:, 2]))
+    return _flux_from(curvature_at(metric, Point3(x[:, 0], x[:, 1], x[:, 2])), vector_fn,
+                      radius, rule)
+
+
+def _flux_from(bundle: CurvatureBundle, vector_fn, radius: float, rule: SphereRule) -> float:
+    """The flux of ``flux_integral`` from a curvature pass already taken at the
+    sphere's nodes, ``radius * rule.directions`` in rule order."""
     p, g = bundle.point, bundle.metric_matrix
     Tu = radius * rule.tangent_u
     Tp = radius * rule.tangent_phi
@@ -190,6 +225,7 @@ def flux_integral(metric: MetricField, vector_fn, radius: float, rule: SphereRul
     n = np.cross(Tp, Tu)  # outward co-normal up to scale
     nn = np.einsum("ni,nij,nj->n", n, np.linalg.inv(g), n)
     V = np.asarray(vector_fn(bundle), dtype=float)
+    # keep this grouping: weights * (e / sqrt(nn) * sqrt(det_h)) rounds differently
     return float(np.sum(rule.weights * np.einsum("ni,ni->n", V, n) / np.sqrt(nn)
                         * np.sqrt(det_h)))
 
@@ -199,8 +235,11 @@ def radial_panels(r_inner: float, r_outer: float, n_panels: int, nodes_per_panel
     """Gauss-Legendre nodes and weights on [r_inner, r_outer], panel by panel.
 
     Panel edges are geometric; explicit breakpoints are inserted so
-    kinks of the integrand can sit on panel boundaries.
+    kinks of the integrand can sit on panel boundaries. The two counts are
+    integers (6.0 is taken as 6); any other count raises ValueError.
     """
+    n_panels = _size(n_panels, "n_panels")
+    nodes_per_panel = _size(nodes_per_panel, "nodes_per_panel")
     if not (0.0 < r_inner < r_outer):
         raise ValueError("need 0 < r_inner < r_outer")
     cuts = sorted({float(b) for b in breakpoints if r_inner < float(b) < r_outer})
@@ -226,14 +265,19 @@ def volume_integral(metric: MetricField, scalar_fn, r_inner: float, r_outer: flo
                     breakpoints=()) -> float:
     """Integral of a scalar over a coordinate shell with the metric volume element.
 
-    Each radial panel (``nodes_per_panel`` radii times the sphere rule) goes
-    through one curvature pass and one call of ``scalar_fn(bundle)`` on its
-    ``(nodes_per_panel, rule.count)`` nodes.
+    A radial panel is ``nodes_per_panel`` radii times the sphere rule.
+    Consecutive panels go through one curvature pass, one volume-element check
+    and one call of ``scalar_fn(bundle)`` together, on ``(radii, rule.count)``
+    nodes: as many whole panels as fit in ``_PASS_NODES`` nodes, and at least
+    one. The sum is still taken panel by panel, in panel order, so the result
+    carries the bits of one pass per panel.
     """
+    nodes_per_panel = _size(nodes_per_panel, "nodes_per_panel")
     rs, ws = radial_panels(r_inner, r_outer, n_panels, nodes_per_panel, breakpoints=breakpoints)
+    per_pass = nodes_per_panel * max(1, _PASS_NODES // (nodes_per_panel * rule.count))
     total = 0.0
-    for start in range(0, len(rs), nodes_per_panel):
-        r = rs[start:start + nodes_per_panel]
+    for start in range(0, len(rs), per_pass):
+        r = rs[start:start + per_pass]
         x = r[:, None, None] * rule.directions
         bundle = curvature_at(metric, Point3(x[..., 0], x[..., 1], x[..., 2]))
         det_g = np.linalg.det(bundle.metric_matrix)
@@ -242,5 +286,7 @@ def volume_integral(metric: MetricField, scalar_fn, r_inner: float, r_outer: flo
                 f"non-positive volume element at {_first_flagged(bundle.point, det_g <= 0)}")
         shells = (rule.weights * np.asarray(scalar_fn(bundle), dtype=float)
                   * np.sqrt(det_g)).sum(axis=1)
-        total += float(np.sum(ws[start:start + nodes_per_panel] * shells * r * r))
+        terms = ws[start:start + per_pass] * shells * r * r
+        for k in range(0, len(r), nodes_per_panel):
+            total += float(np.sum(terms[k:k + nodes_per_panel]))
     return total

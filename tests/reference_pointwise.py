@@ -3,9 +3,11 @@
 A frozen copy of the pointwise code the library used before its curvature,
 potential and zero-set layers became array-generic: nested-list jet
 extraction, the explicit 3^4 loop assembler, quadrature drivers that visit one
-node at a time, the recursive expression tree walker, the node-by-node
-linear-part fit, and the per-line surface chart: a sample-by-sample root scan
-refined by ``scipy.optimize.brentq``, tangents and sigma one line per call, and
+node at a time, shell drivers with one curvature pass per radial panel, per
+sphere and for the static gate's probes, the recursive expression tree
+walker, the node-by-node linear-part fit, and the per-line surface chart: a
+sample-by-sample root scan refined by ``scipy.optimize.brentq``, tangents and
+sigma one line per call, and
 fourth-order finite-difference stencils of sigma for the intrinsic and the
 circles' geodesic curvature, built one point at a time: the library takes
 those derivatives exactly from the root's Taylor jet, and the stencils are the
@@ -33,8 +35,10 @@ from staticpot import geometry, jets, zeroset
 from staticpot.errors import (ConfigError, CriticalOnZeroSetError, DomainError, MultiRootError,
                               NoRootError, MonotonicityError, NonConvergentError,
                               SingularMetricError, ZeroPotentialError)
-from staticpot.geometry import (CurvatureBundle, MetricField, Point3, _metric_taylor,
-                                christoffel_at, curvature_at, ricci_with_derivative)
+from staticpot.geometry import (CurvatureBundle, MetricField, Point3, _first_flagged,
+                                _metric_taylor, christoffel_at, curvature_at,
+                                ricci_with_derivative)
+from staticpot.global_checks import IntegralReport, _ricci_density
 from staticpot.identities import ricci_eigenframe
 from staticpot.jets import peel_grad, peel_value, seed
 from staticpot.potentials import LinearPartFit, PotentialField, _taylor, require_static
@@ -347,6 +351,82 @@ def reference_sphere_average(fn, radius: float, rule: SphereRule) -> float:
     for d, w in zip(rule.directions, rule.weights):
         total += w * fn(Point3(radius * d[0], radius * d[1], radius * d[2]))
     return total / (4.0 * np.pi)
+
+
+### Shell quadrature one pass at a time
+#
+# The drivers as they were before the shell integrals shared curvature passes:
+# one pass per radial panel, one per boundary sphere and one for the static
+# gate's probes, each reduced on its own.
+
+
+def reference_panel_flux_integral(metric: MetricField, vector_fn, radius: float,
+                                  rule: SphereRule) -> float:
+    """Outward flux through a coordinate sphere from a curvature pass of its own;
+    vector_fn(bundle)."""
+    x = radius * rule.directions
+    bundle = curvature_at(metric, Point3(x[:, 0], x[:, 1], x[:, 2]))
+    p, g = bundle.point, bundle.metric_matrix
+    Tu = radius * rule.tangent_u
+    Tp = radius * rule.tangent_phi
+    h00 = np.einsum("ni,nij,nj->n", Tu, g, Tu)
+    h01 = np.einsum("ni,nij,nj->n", Tu, g, Tp)
+    h11 = np.einsum("ni,nij,nj->n", Tp, g, Tp)
+    det_h = h00 * h11 - h01 * h01
+    if (det_h <= 0).any():
+        raise SingularMetricError(
+            f"degenerate induced area element at {_first_flagged(p, det_h <= 0)}")
+    n = np.cross(Tp, Tu)
+    nn = np.einsum("ni,nij,nj->n", n, np.linalg.inv(g), n)
+    V = np.asarray(vector_fn(bundle), dtype=float)
+    return float(np.sum(rule.weights * np.einsum("ni,ni->n", V, n) / np.sqrt(nn)
+                        * np.sqrt(det_h)))
+
+
+def reference_panel_volume_integral(metric: MetricField, scalar_fn, r_inner: float,
+                                    r_outer: float, rule: SphereRule, n_panels: int = 16,
+                                    nodes_per_panel: int = 8, breakpoints=()) -> float:
+    """Shell integral with one curvature pass and one scalar_fn(bundle) call per
+    radial panel."""
+    rs, ws = radial_panels(r_inner, r_outer, n_panels, nodes_per_panel, breakpoints=breakpoints)
+    total = 0.0
+    for start in range(0, len(rs), nodes_per_panel):
+        r = rs[start:start + nodes_per_panel]
+        x = r[:, None, None] * rule.directions
+        bundle = curvature_at(metric, Point3(x[..., 0], x[..., 1], x[..., 2]))
+        det_g = np.linalg.det(bundle.metric_matrix)
+        if (det_g <= 0).any():
+            raise SingularMetricError(
+                f"non-positive volume element at {_first_flagged(bundle.point, det_g <= 0)}")
+        shells = (rule.weights * np.asarray(scalar_fn(bundle), dtype=float)
+                  * np.sqrt(det_g)).sum(axis=1)
+        total += float(np.sum(ws[start:start + nodes_per_panel] * shells * r * r))
+    return total
+
+
+def reference_integral_identity_check(f: PotentialField, metric: MetricField, r_inner: float,
+                                      r_outer: float, rule: SphereRule, n_panels: int = 16,
+                                      nodes_per_panel: int = 8,
+                                      static_tol: float = 1e-6) -> IntegralReport:
+    """The shell balance with the gate's probes, the bulk panel by panel and each
+    sphere's flux in passes of their own, in that order."""
+    diagonal = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+    skew = np.array([1.0, -0.5, 0.25]) / np.linalg.norm([1.0, -0.5, 0.25])
+    require_static(f, metric, Point3.stack(r_inner * (r_outer / r_inner) ** ((k + 0.5) / 3.0)
+                                           * (diagonal if k % 2 else skew) for k in range(3)),
+                   tol=static_tol)
+
+    def flux_vector(b):
+        ginv = np.linalg.inv(b.metric_matrix)
+        return (ginv @ b.ricci @ (ginv @ f.gradient(b.point)[..., None]))[..., 0]
+
+    bulk = reference_panel_volume_integral(metric, _ricci_density(f, lambda v: v), r_inner,
+                                           r_outer, rule, n_panels, nodes_per_panel)
+    return IntegralReport(bulk=bulk,
+                          flux_inner=reference_panel_flux_integral(metric, flux_vector,
+                                                                   r_inner, rule),
+                          flux_outer=reference_panel_flux_integral(metric, flux_vector,
+                                                                   r_outer, rule))
 
 
 ### Expression grammar: the recursive tree walker

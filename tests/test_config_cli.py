@@ -352,6 +352,11 @@ class TestCommandLine:
         ("integral_identities", "capacity_tol = -0.02", 2,
          "key 'capacity_tol': expected a number >= 0"),
         ("flow_classify", "b_tol = -1", 2, "key 'b_tol': expected a number >= 0"),
+        # the shell's inner sphere must lie inside the chart (floor m/2)
+        ("integral_identities", "r_inner = 0.4", 2,
+         "DomainError: schwarzschild(m=1): point (0.4, 0.0, 0.0) outside chart domain"),
+        ("integral_identities", "r_inner = 0.5", 2,
+         "DomainError: schwarzschild(m=1): point (0.5, 0.0, 0.0) outside chart domain"),
         # a sampling shell must be non-empty and inside the chart (floor m/2)
         ("schwarzschild_static", "r_min = 0.5", 2,
          "DomainError: schwarzschild(m=2): point (0.5, 0.0, 0.0) outside chart domain"),

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import staticpot as sp
-from staticpot import geodesics, geometry, global_checks, jets, potentials, zeroset
+from staticpot import geodesics, geometry, global_checks, jets, potentials, quadrature, zeroset
 from staticpot.geometry import PerturbationTerm, Point3
 from staticpot.potentials import _norm_g
 
@@ -487,15 +487,25 @@ def test_flow_trace_evaluates_the_potential_once(counts):
     assert counts["value"] == 1
 
 
-def test_quadrature_drivers_take_one_curvature_pass_per_panel(counts):
+def test_quadrature_drivers_group_panels_into_one_curvature_pass(counts):
+    # four panels of 3 radii times 18 directions, 216 nodes: within one pass
     g, rule = METRICS["perturbed_as"], sp.sphere_rule(3, 6)
     rs, _ = sp.radial_panels(3.0, 9.0, 4, 3)
     sp.volume_integral(g, lambda b: b.scalar, 3.0, 9.0, rule, n_panels=4, nodes_per_panel=3)
-    assert len(rs) == 4 * 3
-    assert counts == {"curvature_at": 4}
+    assert len(rs) == 4 * 3 and len(rs) * rule.count <= quadrature._PASS_NODES
+    assert counts == {"curvature_at": 1}
     counts.clear()
     sp.flux_integral(g, lambda b: b.ricci[..., 0], 3.0, rule)
     assert counts == {"curvature_at": 1}
+
+
+def test_integral_identity_check_takes_one_gate_and_flux_pass(counts):
+    # perfbench's SHELL_BALANCE sizes: four 192-node panels, one pass each, and
+    # one pass for the gate's three probes and the two 32-node spheres
+    g, f = sp.schwarzschild(1.0), sp.schwarzschild_potential(1.0)
+    sp.integral_identity_check(f, g, 2.0, 40.0, rule=sp.sphere_rule(4, 8), n_panels=4,
+                               nodes_per_panel=6)
+    assert counts["curvature_at"] == 1 + 4
 
 
 def test_integral_identity_gate_error_matches_probe_loop():

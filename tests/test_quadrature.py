@@ -54,6 +54,44 @@ class TestRuleCache:
             with pytest.raises(ValueError, match="rule too small"):
                 sp.sphere_rule(n_polar, n_azimuth)
 
+    @pytest.mark.parametrize("n_polar, n_azimuth", [(3.0, 6), (3, 6.0), (np.int64(3), 6.0)])
+    def test_an_integral_float_size_is_served_the_integer_rule(self, n_polar, n_azimuth):
+        assert sp.sphere_rule(n_polar, n_azimuth) is sp.sphere_rule(3, 6)
+        assert quadrature.gauss_legendre(float(n_polar)) is quadrature.gauss_legendre(3)
+        assert _bits(quadrature.radial_panels(2, 10, 4.0, 6.0)) == _bits(
+            quadrature.radial_panels(2, 10, 4, 6))
+
+    def test_an_integral_float_size_builds_no_second_rule(self):
+        sp.sphere_rule(5, 10)
+        before = quadrature._sphere_rule.cache_info().currsize
+        sp.sphere_rule(5, 10.0)
+        sp.sphere_rule(5.0, 10)
+        assert quadrature._sphere_rule.cache_info().currsize == before
+
+    @pytest.mark.parametrize("call", [
+        lambda: sp.sphere_rule(3, 6.5),
+        lambda: sp.sphere_rule(2.5, 8),
+        lambda: sp.sphere_rule("3", 6),
+        lambda: sp.sphere_rule(3, math.inf),
+        lambda: sp.sphere_rule(math.nan, 6),
+        lambda: quadrature.gauss_legendre(2.5),
+        lambda: quadrature.gauss_legendre(None),
+        lambda: quadrature.radial_panels(2, 10, 4.5, 6),
+        lambda: quadrature.radial_panels(2, 10, 4, 6.5),
+        lambda: sp.volume_integral(sp.euclidean(), lambda b: b.scalar, 1.0, 2.0,
+                                   sp.sphere_rule(3, 6), n_panels=2, nodes_per_panel=2.5),
+    ])
+    def test_a_non_integral_size_raises_on_every_call(self, call):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be an integer, got"):
+                call()
+
+    def test_a_float_count_integrates_as_the_integer_count(self):
+        g, rule = sp.euclidean(), sp.sphere_rule(3, 6)
+        vol = [sp.volume_integral(g, lambda b: np.ones_like(b.point.x1), 1.0, 2.0, rule,
+                                  n_panels=n, nodes_per_panel=k) for n, k in ((2, 3), (2.0, 3.0))]
+        assert vol[0] == vol[1]
+
     @pytest.mark.parametrize("args, breakpoints", [
         ((2.0, 40.0, 18, 8), ()),
         ((1.0, 10.0, 6, 10), (2.5,)),

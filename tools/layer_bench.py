@@ -34,8 +34,12 @@ seventh table gives the microseconds per call of ``sphere_rule(32, 64)``, the
 default rule, of ``sphere_rule(6, 12)`` and of ``radial_panels(2, 40, 18, 8)``:
 cold, with the caches of ``quadrature.gauss_legendre`` and ``sphere_rule``
 emptied before each call, and served from those caches. ``radial_panels`` is
-not cached itself; only its Gauss-Legendre table is. Each
-figure is the best of
+not cached itself; only its Gauss-Legendre table is. An eighth table, the
+measurement ``quadrature._PASS_NODES`` is read from, gives the milliseconds
+per ``curvature_at`` call and the microseconds per node on
+``schwarzschild(1)`` at 18 to 512 nodes, and then the curvature passes and
+the milliseconds per ``integral_identity_check`` at the three shell sizes of
+the ``shell_quadrature`` workload. Each figure is the best of
 ``--repeat`` timed rounds, so it shows the layer's cost, not the host's noise. The library
 is imported from ``src/`` of this checkout.
 """
@@ -53,7 +57,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 
-from perfbench.workloads import PERTURBATION  # noqa: E402
+from perfbench.workloads import (PERTURBATION, REFINE_COARSE, REFINE_FINE,  # noqa: E402
+                                 SHELL_BALANCE)
 from staticpot import (cli, geodesics, geometry, global_checks, ode, potentials,  # noqa: E402
                        quadrature, zeroset)
 
@@ -138,6 +143,7 @@ def main(argv=None) -> int:
     _zero_set_table(args.repeat)
     _curve_batch_table(args.repeat)
     _rule_table(args.repeat)
+    _pass_table(args.repeat)
     return 0
 
 
@@ -220,6 +226,46 @@ def _rule_table(repeat, n_cold=20, n_cached=2000):
         call()
         many = _best(lambda: cached(call), repeat) / n_cached * 1e6
         print(f"{name:<32}{one:>11.1f}{many:>11.2f}")
+
+
+def _passes(call):
+    """Curvature passes the shell drivers make in ``call()``."""
+    count = [0]
+    inner = geometry.curvature_at
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return inner(*args, **kwargs)
+
+    quadrature.curvature_at = global_checks.curvature_at = counted
+    try:
+        call()
+    finally:
+        quadrature.curvature_at = global_checks.curvature_at = inner
+    return count[0]
+
+
+def _pass_table(repeat, n_calls=20):
+    metric, f = geometry.schwarzschild(1.0), potentials.schwarzschild_potential(1.0)
+    print(f"\n{'curvature_at nodes':<20}{'ms per call':>13}{'us per node':>13}")
+    for n in (18, 54, 128, 192, 256, 384, 512):
+        nodes = geometry.Point3(*_points(n).T.copy())
+
+        def calls():
+            for _ in range(n_calls):
+                geometry.curvature_at(metric, nodes)
+
+        ms = _best(calls, repeat) / n_calls * 1e3
+        print(f"{n:<20}{ms:>13.3f}{ms / n * 1e3:>13.2f}")
+    shells = {"SHELL_BALANCE": SHELL_BALANCE, "REFINE_COARSE": REFINE_COARSE,
+              "REFINE_FINE": REFINE_FINE}
+    print(f"\n{'integral_identity_check':<28}{'passes':>8}{'ms per call':>13}")
+    for name, (r_in, r_out, rule, n_panels, per_panel) in shells.items():
+        def check(rule=quadrature.sphere_rule(*rule)):
+            global_checks.integral_identity_check(f, metric, r_in, r_out, rule=rule,
+                                                  n_panels=n_panels, nodes_per_panel=per_panel)
+
+        print(f"{name:<28}{_passes(check):>8}{_best(check, repeat) * 1e3:>13.2f}")
 
 
 if __name__ == "__main__":
